@@ -11,12 +11,12 @@ state = StateVector.two_level(0.5)
 print("p = 0.5: expectation, uncertainty, distance^2, gram vs N")
 for n in (2, 5, 7):
     spec = EnsembleSpec(state, n, 0)
-    st = analytic.statistics(spec)
     dd = dense.distance_sq_dense(spec)
     print(
-        f"  N={n}: <F>={st.expectation:.4f}  dF={st.uncertainty:.4f}  "
-        f"|F psi - p psi|^2={st.distance_sq:.6f} (dense {dd:.6f})  "
-        f"gram={st.gram:.6f}"
+        f"  N={n}: <F>={analytic.expectation(spec):.4f}  "
+        f"dF={analytic.uncertainty(spec):.4f}  "
+        f"|F psi - p psi|^2={analytic.distance_sq(spec):.6f} (dense {dd:.6f})  "
+        f"gram={analytic.gram(spec):.6f}"
     )
 
 sweep = convergence_sweep(state, 0, [10, 100, 1000, 10000])

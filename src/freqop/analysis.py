@@ -9,15 +9,6 @@ import numpy as np
 from . import analytic, sampler
 from .hilbert import EnsembleSpec, StateVector
 
-CSV_COLUMNS = (
-    "n",
-    "distance_sq",
-    "uncertainty",
-    "max_weight",
-    "sampled_mean",
-    "sampled_variance",
-)
-
 
 @dataclass(frozen=True)
 class SamplingConfig:
@@ -27,10 +18,14 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One ensemble size of a sweep: the closed forms, and the sampled
+    moments when the sweep samples."""
+
     n: int
     distance_sq: float
     uncertainty: float
     max_weight: float
+    off_peak_mass: float
     sampled_mean: float | None = None
     sampled_variance: float | None = None
 
@@ -44,16 +39,8 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class NoncollapseRow:
-    n: int
-    distance_sq: float
-    max_weight: float
-    off_peak_mass: float
-
-
-@dataclass(frozen=True)
 class NoncollapseReport:
-    rows: list[NoncollapseRow]
+    rows: list[ConvergenceRow]
     verdict: str
 
 
@@ -82,7 +69,7 @@ def convergence_sweep(
     rows = []
     for n in ns:
         spec = EnsembleSpec(state, n, j)
-        d2, max_w, _ = analytic.noncollapse_metrics(spec)
+        d2, max_w, off_peak = analytic.noncollapse_metrics(spec)
         sampled_mean = sampled_var = None
         if sampling is not None:
             summary = sampler.run_trials(
@@ -96,6 +83,7 @@ def convergence_sweep(
                 distance_sq=d2,
                 uncertainty=analytic.uncertainty(spec),
                 max_weight=max_w,
+                off_peak_mass=off_peak,
                 sampled_mean=sampled_mean,
                 sampled_variance=sampled_var,
             )
@@ -119,16 +107,7 @@ def noncollapse_report(state: StateVector, j: int, n_list) -> NoncollapseReport:
     state does not make the product state a frequency eigenstate, since the
     mass off the single largest eigenspace grows toward 1.
     """
-    ns = _validate_n_list(n_list)
-    rows = []
-    for n in ns:
-        spec = EnsembleSpec(state, n, j)
-        d2, max_w, off_peak = analytic.noncollapse_metrics(spec)
-        rows.append(
-            NoncollapseRow(
-                n=n, distance_sq=d2, max_weight=max_w, off_peak_mass=off_peak
-            )
-        )
+    rows = convergence_sweep(state, j, n_list).rows
     p = state.probability(j)
     if p == 0.0 or p == 1.0:
         verdict = (

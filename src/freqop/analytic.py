@@ -23,21 +23,6 @@ WEIGHT_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
-class FrequencyStatistics:
-    """Expectation, uncertainty, and distance law for one (state, N, j)."""
-
-    n: int
-    expectation: float
-    variance: float
-    distance_sq: float
-    gram: float
-
-    @property
-    def uncertainty(self) -> float:
-        return float(np.sqrt(self.variance))
-
-
-@dataclass(frozen=True)
 class SpectralWeights:
     """Binomial probability mass of the product state over the frequency
     eigenspaces {k/N}."""
@@ -87,17 +72,6 @@ def gram(spec: EnsembleSpec) -> float:
     p = spec.born_probability
     n = spec.n
     return (p / n**2) * (n + n * (n - 1) * p)
-
-
-def statistics(spec: EnsembleSpec) -> FrequencyStatistics:
-    p = spec.born_probability
-    return FrequencyStatistics(
-        n=spec.n,
-        expectation=p,
-        variance=p * (1.0 - p) / spec.n,
-        distance_sq=distance_sq(spec),
-        gram=gram(spec),
-    )
 
 
 def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:

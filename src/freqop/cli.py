@@ -11,19 +11,29 @@ scale errors.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
 from . import __version__, analysis, analytic, dense, sampler
-from .analysis import CSV_COLUMNS, SamplingConfig
-from .hilbert import EnsembleSpec, ScaleError, StateVector
+from .analysis import SamplingConfig
+from .hilbert import EnsembleSpec, ScaleError, StateVector, check_vector_scale
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 
 CROSS_CHECK_TOL = 1e-11
+
+# Row schemas: JSON rows and CSV rows both take their columns from these.
+CONVERGE_COLUMNS = (
+    "n",
+    "distance_sq",
+    "uncertainty",
+    "max_weight",
+    "sampled_mean",
+    "sampled_variance",
+)
+NONCOLLAPSE_COLUMNS = ("n", "distance_sq", "max_weight", "off_peak_mass")
 
 
 def parse_state(text: str) -> StateVector:
@@ -54,7 +64,23 @@ def _meta(args, extra=None) -> dict:
     return meta
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
+    """Write one command's output to --out or stdout.
+
+    JSON (the default) is the meta block plus ``result``. CSV is the meta
+    block, then the ``result`` fields named in ``csv_meta``, one per
+    ``# key=value`` line, then ``table``, a ``(header, rows)`` pair.
+    """
+    meta = _meta(args, extra_meta)
+    if getattr(args, "format", "json") == "csv":
+        header, rows = table
+        meta.update((k, result[k]) for k in csv_meta)
+        lines = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in meta.items()]
+        lines.append(",".join(header))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        payload = "\n".join(lines) + "\n"
+    else:
+        payload = json.dumps({"meta": meta, "result": result}, indent=2) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(payload)
@@ -62,19 +88,14 @@ def _emit(args, payload: str) -> None:
         sys.stdout.write(payload)
 
 
-def _emit_json(args, result: dict, extra_meta=None) -> None:
-    doc = {"meta": _meta(args, extra_meta), "result": result}
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+def _table(columns, records):
+    """(header, rows) with each row read off a record's attributes."""
+    return columns, [tuple(getattr(r, c) for c in columns) for r in records]
 
 
-def _emit_csv(args, header, rows, extra_meta=None) -> None:
-    buf = io.StringIO()
-    for key, value in _meta(args, extra_meta).items():
-        buf.write(f"# {key}={json.dumps(value, sort_keys=True)}\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    _emit(args, buf.getvalue())
+def _row_dicts(table) -> list[dict]:
+    header, rows = table
+    return [dict(zip(header, row)) for row in rows]
 
 
 # -- commands ------------------------------------------------------------
@@ -84,6 +105,7 @@ def cmd_verify(args) -> int:
     d, n_max = args.dim, args.n_max
     tol_algebra = 1e-13
     tol_routes = 1e-14
+    check_vector_scale(d, n_max)
     checks = []
     worst = 0.0
     ok = True
@@ -115,19 +137,18 @@ def cmd_verify(args) -> int:
         "max_deviation": worst,
         "checks": checks,
     }
-    _emit_json(args, result)
+    _emit(args, result)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
 def cmd_stats(args) -> int:
     state = parse_state(args.state)
     spec = EnsembleSpec(state, args.n, args.j)
-    stats = analytic.statistics(spec)
     result = {
-        "expectation": stats.expectation,
-        "uncertainty": stats.uncertainty,
-        "distance_sq": stats.distance_sq,
-        "gram": stats.gram,
+        "expectation": analytic.expectation(spec),
+        "uncertainty": analytic.uncertainty(spec),
+        "distance_sq": analytic.distance_sq(spec),
+        "gram": analytic.gram(spec),
     }
     ok = True
     if args.cross_check:
@@ -143,7 +164,7 @@ def cmd_stats(args) -> int:
         result["cross_check_deviation"] = deviation
         ok = deviation <= CROSS_CHECK_TOL
         result["cross_check"] = "PASS" if ok else "FAIL"
-    _emit_json(args, result)
+    _emit(args, result)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -165,86 +186,55 @@ def cmd_converge(args) -> int:
     sweep = analysis.convergence_sweep(
         state, args.j, _parse_n_list(args.n_list), sampling
     )
-    if args.format == "csv":
-        rows = [
-            (r.n, r.distance_sq, r.uncertainty, r.max_weight,
-             r.sampled_mean, r.sampled_variance)
-            for r in sweep.rows
-        ]
-        slope_meta = {"slope": "undefined" if sweep.slope is None else sweep.slope}
-        _emit_csv(args, CSV_COLUMNS, rows, {**(extra or {}), **slope_meta})
-    else:
-        _emit_json(
-            args,
-            {
-                "slope": "undefined" if sweep.slope is None else sweep.slope,
-                "rows": [vars(r).copy() for r in sweep.rows],
-            },
-            extra,
-        )
+    table = _table(CONVERGE_COLUMNS, sweep.rows)
+    result = {
+        "slope": "undefined" if sweep.slope is None else sweep.slope,
+        "rows": _row_dicts(table),
+    }
+    _emit(args, result, table, ("slope",), extra)
     return EXIT_OK
 
 
 def cmd_noncollapse(args) -> int:
     state = parse_state(args.state)
     report = analysis.noncollapse_report(state, args.j, _parse_n_list(args.n_list))
-    rows = [vars(r).copy() for r in report.rows]
-    if args.format == "csv":
-        header = ("n", "distance_sq", "max_weight", "off_peak_mass")
-        _emit_csv(
-            args,
-            header,
-            [tuple(r[k] for k in header) for r in rows],
-            {"verdict": report.verdict},
-        )
-    else:
-        _emit_json(args, {"rows": rows, "verdict": report.verdict})
+    table = _table(NONCOLLAPSE_COLUMNS, report.rows)
+    result = {"rows": _row_dicts(table), "verdict": report.verdict}
+    _emit(args, result, table, ("verdict",))
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     state = parse_state(args.state)
     summary = sampler.run_trials(state, args.n, args.trials, args.seed, args.j)
+    frequencies = summary.frequencies.tolist()
     result = {
         "trials": summary.trials,
         "mean_frequency": summary.mean_frequency,
         "sample_variance": summary.sample_variance,
-        "frequencies": list(summary.frequencies),
+        "frequencies": frequencies,
     }
     extra = {
         "seed": summary.seed,
         "rng": summary.rng_algorithm,
         "stream_rule": summary.stream_rule,
     }
-    if args.format == "csv":
-        _emit_csv(
-            args,
-            ("trial", "frequency"),
-            list(enumerate(summary.frequencies)),
-            {**extra,
-             "mean_frequency": summary.mean_frequency,
-             "sample_variance": summary.sample_variance},
-        )
-    else:
-        _emit_json(args, result, extra)
+    table = (("trial", "frequency"), enumerate(frequencies))
+    _emit(args, result, table, ("mean_frequency", "sample_variance"), extra)
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
     state = parse_state(args.state)
     sw = analytic.spectral_weights(EnsembleSpec(state, args.n, args.j))
-    if args.format == "csv":
-        _emit_csv(args, ("k", "weight"), list(enumerate(sw.weights)))
-    else:
-        _emit_json(
-            args,
-            {
-                "n": sw.n,
-                "weights": list(sw.weights),
-                "max_weight": sw.max_weight(),
-                "argmax": sw.argmax(),
-            },
-        )
+    weights = sw.weights.tolist()
+    result = {
+        "n": sw.n,
+        "weights": weights,
+        "max_weight": sw.max_weight(),
+        "argmax": sw.argmax(),
+    }
+    _emit(args, result, (("k", "weight"), enumerate(weights)))
     return EXIT_OK
 
 

@@ -24,6 +24,10 @@ class ScaleError(ValueError):
     """Requested product space exceeds the dense-computation guard."""
 
 
+def _is_json_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 class StateVector:
     """Normalized complex amplitude vector for a single system.
 
@@ -110,8 +114,23 @@ class StateVector:
 
     @classmethod
     def from_json_dict(cls, obj: dict, *, renormalize: bool = False) -> "StateVector":
-        dim = int(obj["dim"])
-        amps = obj["amplitudes"]
+        """Parse ``{"dim": d, "amplitudes": [{"re": x, "im": y}, ...]}``;
+        any other shape raises ValueError."""
+        if not isinstance(obj, dict) or not {"dim", "amplitudes"} <= obj.keys():
+            raise ValueError(
+                'state JSON must be an object with keys "dim" and "amplitudes"'
+            )
+        dim, amps = obj["dim"], obj["amplitudes"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f'"dim" must be an integer, got {dim!r}')
+        if not isinstance(amps, list) or not all(
+            isinstance(a, dict) and _is_json_number(a.get("re"))
+            and _is_json_number(a.get("im"))
+            for a in amps
+        ):
+            raise ValueError(
+                '"amplitudes" must be a list of {"re": number, "im": number}'
+            )
         if len(amps) != dim:
             raise ValueError(
                 f"amplitude list length {len(amps)} does not match dim {dim}"
@@ -149,10 +168,6 @@ class EnsembleSpec:
     def born_probability(self) -> float:
         """|c_j|^2, computed from the stored amplitude."""
         return self.state.probability(self.j)
-
-    @property
-    def dim_total(self) -> int:
-        return self.state.dim**self.n
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -28,8 +28,31 @@ def stream_seed(master_seed: int, trial_index: int) -> int:
     return (master_seed ^ (trial_index * STREAM_CONSTANT)) & _SEED_MASK
 
 
-def _uniforms(seed: int, n: int) -> np.ndarray:
-    return np.random.Generator(np.random.Philox(key=seed & _SEED_MASK)).random(n)
+def _check_seed(seed: int) -> None:
+    # Philox accepts 128-bit keys, so a seed outside [0, 2**64) would
+    # otherwise name a stream other than the one the metadata records.
+    if not 0 <= seed <= _SEED_MASK:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def _born_cdf(state: StateVector) -> np.ndarray:
+    """Cumulative Born weights in ascending index order, with the last
+    entry set to +inf so that rounding in the sum cannot leave a draw
+    above it."""
+    cdf = np.cumsum(state.probabilities())
+    cdf[-1] = np.inf
+    return cdf
+
+
+def _draw(cdf: np.ndarray, key: int, n: int) -> np.ndarray:
+    """Outcome indices of n inverse-CDF draws from the Philox stream keyed
+    by ``key``."""
+    if n < 1:
+        raise ValueError(f"need at least one draw, got n={n}")
+    u = np.random.Generator(np.random.Philox(key=key)).random(n)
+    # side='left' sends a draw landing exactly on a CDF boundary to the
+    # lower outcome index.
+    return np.searchsorted(cdf, u, side="left")
 
 
 @dataclass(frozen=True)
@@ -63,14 +86,8 @@ class TrialSummary:
 
 def sample_outcomes(state: StateVector, n: int, seed: int) -> OutcomeRecord:
     """Draw N i.i.d. outcomes with Born weights, deterministically per seed."""
-    if n < 1:
-        raise ValueError(f"need at least one draw, got n={n}")
-    cum = np.cumsum(state.probabilities())
-    u = _uniforms(seed, n)
-    # side='left' sends a draw landing exactly on a CDF boundary to the
-    # lower outcome index.
-    outcomes = np.searchsorted(cum, u, side="left")
-    np.clip(outcomes, 0, state.dim - 1, out=outcomes)
+    _check_seed(seed)
+    outcomes = _draw(_born_cdf(state), seed, n)
     outcomes.flags.writeable = False
     return OutcomeRecord(n=n, outcomes=outcomes, seed=seed)
 
@@ -94,11 +111,11 @@ def run_trials(
         raise ValueError(f"need at least two trials, got {trials}")
     if not 0 <= j < state.dim:
         raise ValueError(f"outcome index {j} out of range [0, {state.dim})")
-    cum = np.cumsum(state.probabilities())
+    _check_seed(seed)
+    cdf = _born_cdf(state)
     freqs = np.empty(trials)
     for t in range(trials):
-        u = _uniforms(stream_seed(seed, t), n)
-        outcomes = np.searchsorted(cum, u, side="left")
+        outcomes = _draw(cdf, stream_seed(seed, t), n)
         freqs[t] = np.count_nonzero(outcomes == j) / n
     freqs.flags.writeable = False
     return TrialSummary(

@@ -11,7 +11,6 @@ from freqop.analytic import (
     gram,
     noncollapse_metrics,
     spectral_weights,
-    statistics,
     uncertainty,
 )
 from freqop.hilbert import EnsembleSpec, StateVector
@@ -107,11 +106,6 @@ class TestDistanceAndGram:
                 EnsembleSpec(s, n, 0)
             )
             assert ratio == pytest.approx(0.5, rel=1e-14)
-
-    def test_statistics_bundle(self):
-        st = statistics(EnsembleSpec(StateVector.two_level(0.5), 10, 0))
-        assert st.variance == st.distance_sq
-        assert st.uncertainty == pytest.approx(np.sqrt(st.variance))
 
 
 class TestSpectralWeights:

@@ -16,6 +16,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def assert_usage_error(capsys, *argv):
+    """Exit 2, nothing on stdout, one 'error:' line on stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestParseState:
     def test_presets(self):
         s = parse_state("two-level:0.36")
@@ -30,6 +40,21 @@ class TestParseState:
         }))
         s = parse_state(str(path))
         assert s.probability(1) == pytest.approx(0.64)
+
+    @pytest.mark.parametrize("doc", [
+        [0.6, 0.8],
+        {"amplitudes": [{"re": 1.0, "im": 0.0}]},
+        {"dim": 2},
+        {"dim": "2", "amplitudes": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}]},
+        {"dim": 2, "amplitudes": [1, 0]},
+        {"dim": 2, "amplitudes": [{"re": "1", "im": 0}, {"re": 0, "im": 0}]},
+        {"dim": 2, "amplitudes": [{"re": 1.0}, {"re": 0.0, "im": 0.0}]},
+    ], ids=["not-object", "no-dim", "no-amplitudes", "string-dim",
+            "bare-numbers", "string-re", "no-im"])
+    def test_bad_schema_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert_usage_error(capsys, "stats", "--state", str(path), "--n", "3")
 
 
 class TestVerify:
@@ -124,6 +149,23 @@ class TestConverge:
 
 
 class TestSampleAndSpectrum:
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_sample_nonpositive_n_exit_2(self, capsys, n):
+        assert_usage_error(
+            capsys, "sample", "--state", "uniform:2", "--n", n,
+            "--trials", "3", "--seed", "1",
+        )
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", [
+        ("sample", "--n", "10", "--trials", "3"),
+        ("converge", "--n-list", "10,100", "--sample", "--trials", "3"),
+    ], ids=["sample", "converge"])
+    def test_seed_outside_64_bits_exit_2(self, capsys, command, seed):
+        assert_usage_error(
+            capsys, *command, "--state", "uniform:2", "--seed", seed
+        )
+
     def test_sample_degenerate(self, capsys):
         code, doc = run_json(
             capsys, "sample", "--state", "two-level:1.0",

@@ -103,3 +103,31 @@ class TestRunTrials:
         assert summary.seed == 5
         assert summary.rng_algorithm == "philox4x64"
         assert "0x9e3779b97f4a7c15" in summary.stream_rule
+
+
+class _TopOfUnitInterval:
+    """Stands in for np.random.Generator: every draw is the largest double
+    below 1, which lies above the last cumulative Born weight of uniform:2
+    (1 - 2**-52 after rounding)."""
+
+    def __init__(self, bit_generator):
+        pass
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_draw_above_rounded_cdf_is_last_outcome(monkeypatch):
+    monkeypatch.setattr(np.random, "Generator", _TopOfUnitInterval)
+    state = StateVector.uniform(2)
+    assert run_trials(state, 10, 2, seed=0, j=1).mean_frequency == 1.0
+    assert np.all(sample_outcomes(state, 10, seed=0).outcomes == 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    state = StateVector.uniform(2)
+    with pytest.raises(ValueError, match="seed"):
+        sample_outcomes(state, 10, seed)
+    with pytest.raises(ValueError, match="seed"):
+        run_trials(state, 10, 2, seed)
