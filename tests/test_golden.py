@@ -29,6 +29,8 @@ MAX_SEED = ("--seed", "18446744073709551615")
 CASES = {
     "verify_d2_n6": ("verify", "--dim", "2", "--n-max", "6"),
     "verify_d3_n4": ("verify", "--dim", "3", "--n-max", "4"),
+    # N <= 12 builds the literal routes, N = 13, 14 take the implicit diagonal.
+    "verify_d2_n14": ("verify", "--dim", "2", "--n-max", "14"),
     "stats_two_level": ("stats", *TWO_LEVEL, "--j", "1", "--n", "10"),
     "stats_uniform_cross_check": (
         "stats", "--state", "uniform:2", "--j", "1", "--n", "7", "--cross-check"),
