@@ -23,7 +23,7 @@ state = StateVector.uniform(d)
 op = build_frequency_operator(EnsembleSpec(state, n, j))
 
 print(f"F for d={d}, N={n}, j={j}: diagonal =")
-print(np.real(op.entries.diagonal()))
+print(np.real(op))
 
 print("\nEvery basis string is an eigenvector:")
 for string in itertools.product(range(d), repeat=n):
@@ -33,7 +33,7 @@ for string in itertools.product(range(d), repeat=n):
 alt = build_frequency_operator_projector_sum(EnsembleSpec(state, n, j))
 print(
     "\nProjector-sum construction agrees entrywise to",
-    f"{np.max(np.abs(op.entries - alt.entries)):.1e}",
+    f"{np.max(np.abs(op - alt)):.1e}",
 )
 
 print("\nOperator algebra report (sum to identity, commutation, spectrum):")

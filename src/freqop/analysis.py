@@ -50,6 +50,7 @@ def _validate_n_list(n_list) -> list[int]:
         raise ValueError("n_list must be nonempty with every entry >= 1")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
+    analytic.check_spectral_n(ns[-1])
     return ns
 
 

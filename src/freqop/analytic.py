@@ -74,18 +74,22 @@ def gram(spec: EnsembleSpec) -> float:
     return (p / n**2) * (n + n * (n - 1) * p)
 
 
-def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:
-    """Binomial pmf over the eigenvalue counts k with parameter p = |c_j|^2.
-
-    Terms are evaluated in log space (saddle-point expansion of the log
-    pmf) so that N up to 10**6 neither overflows nor loses the peak; terms
-    below the underflow floor are reported as exact zeros.
-    """
-    n = spec.n
+def check_spectral_n(n: int) -> None:
     if n > MAX_SPECTRAL_N:
         raise ValueError(
             f"spectral weights limited to N <= {MAX_SPECTRAL_N}, got {n}"
         )
+
+
+def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:
+    """Binomial pmf over the eigenvalue counts k with parameter p = |c_j|^2.
+
+    Terms come from ``scipy.stats.binom.pmf``, which neither overflows nor
+    loses the peak for N up to 10**6; terms below the underflow floor are
+    reported as exact zeros.
+    """
+    n = spec.n
+    check_spectral_n(n)
     p = spec.born_probability
     weights = np.zeros(n + 1)
     if p == 0.0:

@@ -105,6 +105,10 @@ def cmd_verify(args) -> int:
     d, n_max = args.dim, args.n_max
     tol_algebra = 1e-13
     tol_routes = 1e-14
+    if d < 2 or n_max < 1:
+        raise ValueError(
+            f"verify needs --dim >= 2 and --n-max >= 1, got {d} and {n_max}"
+        )
     check_vector_scale(d, n_max)
     checks = []
     worst = 0.0

@@ -1,14 +1,15 @@
 """Brute-force oracle for the frequency operator at small ensemble sizes.
 
 Everything here works with explicit coefficient vectors on the d**N product
-space, and (below a stricter guard) explicit d**N x d**N matrices. The
-closed forms in :mod:`freqop.analytic` are validated against these routines.
+space. The frequency operator is diagonal in the product basis, so an
+operator is its complex128 diagonal, a vector of length d**N; no d**N x d**N
+matrix is ever built. The closed forms in :mod:`freqop.analytic` are
+validated against these routines.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -22,33 +23,18 @@ from .hilbert import (
     string_to_index,
 )
 
-# Explicit matrices only below this size; between here and the vector guard
-# the operator is applied as an implicit diagonal.
+# The literal constructions loop over every basis string in Python, so they
+# run only up to this size; between here and the vector guard the operator
+# is checked through the vectorized counts alone.
 DENSE_MATRIX_GUARD = 2**12
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Explicit Hermitian matrix on the d**N product space."""
-
-    dim_total: int
-    entries: np.ndarray
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        if vec.shape != (self.dim_total,):
-            raise ValueError(
-                f"vector shape {vec.shape} does not match operator "
-                f"dimension {self.dim_total}"
-            )
-        return self.entries @ vec
 
 
 def check_matrix_scale(d: int, n: int) -> int:
     total = d**n
     if total > DENSE_MATRIX_GUARD:
         raise ScaleError(
-            f"dense matrix of size {total}x{total} exceeds the matrix guard "
-            f"{DENSE_MATRIX_GUARD}; use the implicit diagonal"
+            f"literal construction over {total} basis strings exceeds the "
+            f"guard {DENSE_MATRIX_GUARD}; use the implicit diagonal"
         )
     return total
 
@@ -71,51 +57,46 @@ def frequency_diagonal(d: int, n: int, j: int) -> np.ndarray:
     return frequency_counts(d, n, j) / n
 
 
-def build_frequency_operator(spec: EnsembleSpec) -> DenseOperator:
+def build_frequency_operator(spec: EnsembleSpec) -> np.ndarray:
     """Literal construction: sum over all basis strings of f_j times the
-    rank-one projector onto that string."""
+    rank-one projector onto that string, returned as its diagonal."""
     d, n, j = spec.state.dim, spec.n, spec.j
     total = check_matrix_scale(d, n)
-    mat = np.zeros((total, total), dtype=np.complex128)
+    diag = np.zeros(total, dtype=np.complex128)
     for string in itertools.product(range(d), repeat=n):
-        f = sum(1 for i in string if i == j) / n
-        idx = string_to_index(string, d)
-        mat[idx, idx] = f
-    return DenseOperator(total, mat)
+        diag[string_to_index(string, d)] = string.count(j) / n
+    return diag
 
 
-def build_frequency_operator_projector_sum(spec: EnsembleSpec) -> DenseOperator:
+def build_frequency_operator_projector_sum(spec: EnsembleSpec) -> np.ndarray:
     """Equivalent construction as (1/N) times the sum over sites of the
-    single-site projector |j><j| tensored with identities elsewhere."""
+    single-site projector |j><j| tensored with identities elsewhere, each
+    factor given by its diagonal; returns the diagonal of the sum."""
     d, n, j = spec.state.dim, spec.n, spec.j
     total = check_matrix_scale(d, n)
-    proj = np.zeros((d, d), dtype=np.complex128)
-    proj[j, j] = 1.0
-    eye = np.eye(d, dtype=np.complex128)
-    mat = np.zeros((total, total), dtype=np.complex128)
+    proj = np.zeros(d, dtype=np.complex128)
+    proj[j] = 1.0
+    eye = np.ones(d, dtype=np.complex128)
+    diag = np.zeros(total, dtype=np.complex128)
     for site in range(n):
-        term = np.ones((1, 1), dtype=np.complex128)
+        term = np.ones(1, dtype=np.complex128)
         for alpha in range(n):
             term = np.kron(term, proj if alpha == site else eye)
-        mat += term
-    return DenseOperator(total, mat / n)
+        diag += term
+    return diag / n
 
 
 def eigenrelation_check(
-    op: DenseOperator, string, d: int, j: int
+    op: np.ndarray, string, d: int, j: int
 ) -> tuple[float, float]:
-    """Apply op to the coordinate vector of a basis string.
+    """Apply the operator with diagonal op to the coordinate vector of a
+    basis string.
 
     Returns (eigenvalue, residual): the expected eigenvalue f_j of the
-    string and the norm of (op @ e_s - f_j * e_s).
+    string and the norm of (op e_s - f_j e_s), which is |op[s] - f_j|.
     """
-    n = len(string)
-    idx = string_to_index(string, d)
-    e = np.zeros(op.dim_total, dtype=np.complex128)
-    e[idx] = 1.0
-    eig = sum(1 for i in string if i == j) / n
-    residual = float(np.linalg.norm(op.apply(e) - eig * e))
-    return eig, residual
+    eig = sum(1 for i in string if i == j) / len(string)
+    return eig, float(abs(op[string_to_index(string, d)] - eig))
 
 
 def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
@@ -192,8 +173,9 @@ def verify_operator_algebra(d: int, n: int) -> dict:
 
     Verifies resolution of identity (sum over j of F^j = 1), pairwise
     commutation, Hermiticity, spectrum membership in {k/N}, and eigenspace
-    multiplicities. Uses explicit matrices below the matrix guard and the
-    implicit diagonal up to the vector guard. Returns a report of maximum
+    multiplicities from the exact integer counts up to the vector guard.
+    Below the matrix guard it also checks the literal construction's
+    diagonal; no explicit matrix is ever built. Returns a report of maximum
     deviations; the caller decides the tolerance.
     """
     total = check_vector_scale(d, n)
@@ -229,27 +211,23 @@ def verify_operator_algebra(d: int, n: int) -> dict:
 
     if use_matrices:
         state = StateVector.uniform(d)
-        ops = [
-            build_frequency_operator(EnsembleSpec(state, n, j)).entries
-            for j in range(d)
-        ]
+        ops = [build_frequency_operator(EnsembleSpec(state, n, j)) for j in range(d)]
         report["hermiticity"] = max(
-            float(np.max(np.abs(op - op.conj().T))) for op in ops
+            float(np.max(np.abs(op - op.conj()))) for op in ops
         )
         report["max_commutator"] = max(
-            float(np.max(np.abs(ops[a] @ ops[b] - ops[b] @ ops[a])))
+            float(np.max(np.abs(ops[a] * ops[b] - ops[b] * ops[a])))
             for a in range(d)
             for b in range(a + 1, d)
         ) if d > 1 else 0.0
-        eye = np.eye(total)
         report["sum_to_identity"] = max(
-            report["sum_to_identity"], float(np.max(np.abs(sum(ops) - eye)))
+            report["sum_to_identity"], float(np.max(np.abs(sum(ops) - 1.0)))
         )
     return report
 
 
 def construction_route_deviation(spec: EnsembleSpec) -> float:
     """Max entrywise deviation between the two construction routes."""
-    a = build_frequency_operator(spec).entries
-    b = build_frequency_operator_projector_sum(spec).entries
+    a = build_frequency_operator(spec)
+    b = build_frequency_operator_projector_sum(spec)
     return float(np.max(np.abs(a - b)))

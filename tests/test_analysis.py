@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from freqop import dense
+from freqop import analytic, dense, sampler
 from freqop.analysis import (
     SamplingConfig,
     convergence_sweep,
@@ -64,6 +64,26 @@ class TestConvergenceSweep:
             convergence_sweep(s, 0, [])
         with pytest.raises(ValueError):
             convergence_sweep(s, 0, [0, 5])
+
+    def test_rejects_whole_sweep_before_any_work(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            analytic, "noncollapse_metrics", counted(analytic.noncollapse_metrics)
+        )
+        monkeypatch.setattr(sampler, "run_trials", counted(sampler.run_trials))
+        with pytest.raises(ValueError, match="limited to N <= "):
+            convergence_sweep(
+                StateVector.two_level(0.5), 0, [10, analytic.MAX_SPECTRAL_N + 1],
+                SamplingConfig(trials=3, seed=1),
+            )
+        assert calls == []
 
 
 class TestNoncollapseReport:

@@ -69,6 +69,14 @@ class TestVerify:
         assert code == 0
         assert doc["result"]["status"] == "PASS"
 
+    @pytest.mark.parametrize(
+        "dim,n_max", [(2, 0), (2, -1), (1, 3), (0, 3), (-2, 3)]
+    )
+    def test_checks_nothing_exit_2(self, capsys, dim, n_max):
+        assert_usage_error(
+            capsys, "verify", "--dim", str(dim), "--n-max", str(n_max)
+        )
+
     def test_scale_guard_exit_2(self, capsys):
         code = main(["verify", "--dim", "2", "--n-max", "25"])
         captured = capsys.readouterr()

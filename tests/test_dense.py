@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -27,12 +28,12 @@ from conftest import random_state
 class TestBuild:
     def test_single_system_projector(self):
         op = build_frequency_operator(EnsembleSpec(StateVector.uniform(2), 1, 0))
-        np.testing.assert_allclose(op.entries, np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(op, [1.0, 0.0])
 
     def test_two_qubits_j0(self):
         # Enumerated by hand over strings 00, 01, 10, 11.
         op = build_frequency_operator(EnsembleSpec(StateVector.uniform(2), 2, 0))
-        np.testing.assert_allclose(op.entries, np.diag([1.0, 0.5, 0.5, 0.0]))
+        np.testing.assert_allclose(op, [1.0, 0.5, 0.5, 0.0])
 
     def test_qutrit_pair_selected_entries(self):
         diag = frequency_diagonal(3, 2, 1)
@@ -51,12 +52,16 @@ class TestBuild:
                 spec = EnsembleSpec(StateVector.uniform(d), n, j)
                 assert construction_route_deviation(spec) < 1e-14
 
-    def test_projector_sum_is_diagonal(self):
-        op = build_frequency_operator_projector_sum(
-            EnsembleSpec(StateVector.uniform(3), 3, 2)
-        )
-        off = op.entries - np.diag(op.entries.diagonal())
-        assert np.max(np.abs(off)) == 0.0
+    def test_projector_sum_matches_counts(self):
+        for d, n in [(2, 6), (3, 4)]:
+            for j in range(d):
+                op = build_frequency_operator_projector_sum(
+                    EnsembleSpec(StateVector.uniform(d), n, j)
+                )
+                assert op.shape == (d**n,)
+                np.testing.assert_allclose(
+                    op, frequency_diagonal(d, n, j), rtol=0, atol=1e-15
+                )
 
 
 class TestEigenrelation:
@@ -146,6 +151,16 @@ class TestAlgebra:
         assert report["hermiticity"] <= 1e-14
         assert report["spectrum_membership"] == 0.0
         assert report["multiplicity_ok"]
+
+    def test_no_matrix_allocated(self):
+        # One 4096 x 4096 complex matrix alone would take 256 MB.
+        tracemalloc.start()
+        try:
+            verify_operator_algebra(2, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_implicit_diagonal_path(self):
         report = verify_operator_algebra(2, 15)
