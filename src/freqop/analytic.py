@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
+
+# The kernel scipy.stats.binom.pmf calls; importing it skips scipy.stats' ~1 s import.
+from scipy.special._ufuncs import _binom_pmf
 
 from .hilbert import EnsembleSpec
 
@@ -84,9 +86,10 @@ def check_spectral_n(n: int) -> None:
 def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:
     """Binomial pmf over the eigenvalue counts k with parameter p = |c_j|^2.
 
-    Terms come from ``scipy.stats.binom.pmf``, which neither overflows nor
-    loses the peak for N up to 10**6; terms below the underflow floor are
-    reported as exact zeros.
+    Terms come from ``scipy.special._ufuncs._binom_pmf``, the kernel behind
+    ``scipy.stats.binom.pmf``, which neither overflows nor loses the peak
+    for N up to 10**6; terms below the underflow floor are reported as
+    exact zeros.
     """
     n = spec.n
     check_spectral_n(n)
@@ -98,7 +101,7 @@ def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:
         weights[n] = 1.0
     else:
         with np.errstate(under="ignore"):
-            weights = binom.pmf(np.arange(n + 1), n, p)
+            weights = _binom_pmf(np.arange(n + 1), n, p)
         weights[weights < WEIGHT_FLOOR] = 0.0
     return SpectralWeights(n=n, weights=weights)
 
@@ -109,7 +112,20 @@ def noncollapse_metrics(spec: EnsembleSpec) -> tuple[float, float, float]:
     For 0 < p < 1 the distance to the Born-scaled state vanishes as 1/N
     while the spectral mass off the single largest eigenspace grows toward
     1: the product state approaches no frequency eigenvector.
+
+    The peak is read at the binomial mode floor((N+1)p) rather than from
+    the full table: the kernel is evaluated at the mode and its two
+    neighbours, which covers the two-mode tie when (N+1)p is an integer,
+    the rounding of (N+1)p, and the kernel's own rounding, which can put
+    the table's maximum one step above the mode.
     """
-    sw = spectral_weights(spec)
-    max_w = sw.max_weight()
+    n = spec.n
+    check_spectral_n(n)
+    p = spec.born_probability
+    if p in (0.0, 1.0):
+        max_w = 1.0
+    else:
+        m = int((n + 1) * p)
+        k = np.arange(max(m - 1, 0), min(m + 1, n) + 1)
+        max_w = float(_binom_pmf(k, n, p).max())
     return distance_sq(spec), max_w, 1.0 - max_w

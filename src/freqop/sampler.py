@@ -38,9 +38,12 @@ def _check_seed(seed: int) -> None:
 def _born_cdf(state: StateVector) -> np.ndarray:
     """Cumulative Born weights in ascending index order, with the last
     entry set to +inf so that rounding in the sum cannot leave a draw
-    above it."""
+    above it, and a leading run of zero-weight entries set to -inf so that
+    a draw of exactly 0.0 cannot land on an outcome of weight 0."""
     cdf = np.cumsum(state.probabilities())
     cdf[-1] = np.inf
+    # Only a leading run of zero weights sums to exactly 0.0.
+    cdf[cdf == 0.0] = -np.inf
     return cdf
 
 

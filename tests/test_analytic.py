@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ from freqop.analytic import (
 from freqop.hilbert import EnsembleSpec, StateVector
 
 from conftest import random_state
+
+
+def spec_with_p(n: int, p: float) -> SimpleNamespace:
+    """Stand-in for an EnsembleSpec with Born weight exactly p. The closed
+    forms read only ``n`` and ``born_probability``; no real amplitude
+    squares to exactly 0.5, so the exact tie cases need this."""
+    return SimpleNamespace(n=n, born_probability=p)
 
 
 def exact_binomial_weight(n: int, k: int, p: Fraction) -> float:
@@ -163,6 +171,19 @@ class TestSpectralWeights:
         with pytest.raises(ValueError, match="limited"):
             spectral_weights(EnsembleSpec(StateVector.two_level(0.5), 10**6 + 1, 0))
 
+    def test_kernel_matches_scipy_stats(self):
+        # Reference: the public scipy.stats route the kernel is taken from.
+        from scipy.stats import binom
+
+        for n in (1, 7, 30, 1000, 10**5):
+            for p in (0.36, 0.5, 1 / 3, 1e-7, 0.9999):
+                with np.errstate(under="ignore"):
+                    expected = binom.pmf(np.arange(n + 1), n, p)
+                expected[expected < analytic.WEIGHT_FLOOR] = 0.0
+                weights = spectral_weights(spec_with_p(n, p)).weights
+                assert weights.dtype == expected.dtype
+                assert weights.tobytes() == expected.tobytes(), (n, p)
+
 
 class TestNoncollapse:
     def test_n100(self):
@@ -182,6 +203,29 @@ class TestNoncollapse:
         )
         assert max_w == 1.0
         assert off_peak == 0.0
+
+    @pytest.mark.parametrize("n, p", [
+        # Two-mode ties: (N+1)p is an integer.
+        *((n, 0.5) for n in (1, 3, 7, 99, 1001)),
+        *((n, 0.25) for n in (3, 7, 11)),
+        # Born weights on either side of 0.5, as real amplitudes give them.
+        (99, 0.5000000000000001), (99, 0.4999999999999999),
+        # The kernel's rounding puts the table's maximum at floor((N+1)p) + 1.
+        (186, 3 / 11), (194, 5 / 39),
+        (1, 0.0), (7, 0.0), (1, 1.0), (7, 1.0),
+        (30, 0.36), (1000, 1 / 3), (1000, 1e-7), (1000, 0.9999),
+        (10**6, 0.5), (10**6, 0.36),
+    ])
+    def test_peak_at_mode_matches_table(self, n, p):
+        spec = spec_with_p(n, p)
+        assert noncollapse_metrics(spec)[1] == spectral_weights(spec).max_weight()
+
+    def test_peak_at_mode_matches_table_random(self, rng):
+        for _ in range(50):
+            d = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 2000))
+            spec = EnsembleSpec(random_state(rng, d), n, int(rng.integers(0, d)))
+            assert noncollapse_metrics(spec)[1] == spectral_weights(spec).max_weight()
 
     def test_peak_decays(self):
         s = StateVector.two_level(0.5)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +221,11 @@ class TestReproducibility:
 
     def test_bad_j_exit_2(self, capsys):
         assert main(["stats", "--state", "uniform:2", "--j", "5", "--n", "3"]) == 2
+
+
+def test_cli_import_skips_scipy_stats():
+    """The closed forms load only the binomial kernel, so starting the CLI
+    never pays for importing scipy.stats."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    code = "import sys, freqop.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -124,6 +124,23 @@ def test_draw_above_rounded_cdf_is_last_outcome(monkeypatch):
     assert np.all(sample_outcomes(state, 10, seed=0).outcomes == 1)
 
 
+class _BottomOfUnitInterval:
+    """Stands in for np.random.Generator: every draw is exactly 0.0, which
+    Philox's random() returns with probability 2**-53."""
+
+    def __init__(self, bit_generator):
+        pass
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+def test_zero_draw_skips_zero_weight_outcomes(monkeypatch):
+    monkeypatch.setattr(np.random, "Generator", _BottomOfUnitInterval)
+    assert list(sample_outcomes(StateVector.two_level(0.0), 3, 1).outcomes) == [1, 1, 1]
+    assert list(sample_outcomes(StateVector.basis(3, 2), 3, 1).outcomes) == [2, 2, 2]
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_rejected(seed):
     state = StateVector.uniform(2)
