@@ -31,10 +31,15 @@ CASES = {
     "verify_d3_n4": ("verify", "--dim", "3", "--n-max", "4"),
     # N <= 12 builds the literal routes, N = 13, 14 take the implicit diagonal.
     "verify_d2_n14": ("verify", "--dim", "2", "--n-max", "14"),
+    # 3**7 = 2187 basis strings: the d=3 literal routes just below the guard.
+    "verify_d3_n7": ("verify", "--dim", "3", "--n-max", "7"),
     "stats_two_level": ("stats", *TWO_LEVEL, "--j", "1", "--n", "10"),
     "stats_uniform_cross_check": (
         "stats", "--state", "uniform:2", "--j", "1", "--n", "7", "--cross-check"),
     "stats_d3_cross_check": ("stats", *D3, "--j", "1", "--n", "6", "--cross-check"),
+    "stats_two_level_n16_cross_check": (
+        "stats", *TWO_LEVEL, "--j", "1", "--n", "16", "--cross-check"),
+    "stats_d3_n12_cross_check": ("stats", *D3, "--j", "2", "--n", "12", "--cross-check"),
     "converge": ("converge", *TWO_LEVEL, "--n-list", "10,100,1000,1000000"),
     "converge_csv": ("converge", *TWO_LEVEL, "--n-list", "10,100,1000,1000000", *CSV),
     "converge_sample": ("converge", *TWO_LEVEL, "--j", "1", "--n-list", "10,100,1000",
