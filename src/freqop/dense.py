@@ -26,28 +26,30 @@ from .hilbert import (
 # The literal constructions loop over every basis string in Python, so they
 # run only up to this size; between here and the vector guard the operator
 # is checked through the vectorized counts alone.
-DENSE_MATRIX_GUARD = 2**12
+LITERAL_ROUTE_GUARD = 2**12
 
 
-def check_matrix_scale(d: int, n: int) -> int:
+def check_literal_scale(d: int, n: int) -> int:
     total = d**n
-    if total > DENSE_MATRIX_GUARD:
+    if total > LITERAL_ROUTE_GUARD:
         raise ScaleError(
             f"literal construction over {total} basis strings exceeds the "
-            f"guard {DENSE_MATRIX_GUARD}; use the implicit diagonal"
+            f"guard {LITERAL_ROUTE_GUARD}; use the implicit diagonal"
         )
     return total
 
 
 def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
     """Integer count of occurrences of j in each basis string, indexed by the
-    flat basis index. Eigenvalues of the frequency operator are counts / N."""
-    total = check_vector_scale(d, n)
-    counts = np.zeros(total, dtype=np.int64)
-    idx = np.arange(total)
+    flat basis index. Eigenvalues of the frequency operator are counts / N.
+
+    Built one site at a time by outer sums: appending a site to every string
+    adds 1 to the count where the new digit is j."""
+    check_vector_scale(d, n)
+    hit = (np.arange(d) == j).astype(np.int64)
+    counts = np.zeros(1, dtype=np.int64)
     for _ in range(n):
-        idx, digit = np.divmod(idx, d)
-        counts += digit == j
+        counts = (counts[:, None] + hit).ravel()
     return counts
 
 
@@ -61,29 +63,37 @@ def build_frequency_operator(spec: EnsembleSpec) -> np.ndarray:
     """Literal construction: sum over all basis strings of f_j times the
     rank-one projector onto that string, returned as its diagonal."""
     d, n, j = spec.state.dim, spec.n, spec.j
-    total = check_matrix_scale(d, n)
+    total = check_literal_scale(d, n)
     diag = np.zeros(total, dtype=np.complex128)
     for string in itertools.product(range(d), repeat=n):
         diag[string_to_index(string, d)] = string.count(j) / n
     return diag
 
 
+def _site_sum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Sum over the n sites of the tensor product with a at that site and b
+    at every other site, all factors 1-D.
+
+    Built one site at a time: ``total`` holds the sum over the sites seen so
+    far and ``plain`` the product of b alone, so the cost is O(len(b)**n)."""
+    total = np.zeros(1, dtype=np.complex128)
+    plain = np.ones(1, dtype=np.complex128)
+    for _ in range(n):
+        total, plain = np.kron(total, b) + np.kron(plain, a), np.kron(plain, b)
+    return total
+
+
 def build_frequency_operator_projector_sum(spec: EnsembleSpec) -> np.ndarray:
     """Equivalent construction as (1/N) times the sum over sites of the
     single-site projector |j><j| tensored with identities elsewhere, each
-    factor given by its diagonal; returns the diagonal of the sum."""
+    factor given by its diagonal (the projector e_j, the identity all
+    ones); returns the diagonal of the sum. It never reads the counts, so
+    it stays an independent check on them."""
     d, n, j = spec.state.dim, spec.n, spec.j
-    total = check_matrix_scale(d, n)
+    check_literal_scale(d, n)
     proj = np.zeros(d, dtype=np.complex128)
     proj[j] = 1.0
-    eye = np.ones(d, dtype=np.complex128)
-    diag = np.zeros(total, dtype=np.complex128)
-    for site in range(n):
-        term = np.ones(1, dtype=np.complex128)
-        for alpha in range(n):
-            term = np.kron(term, proj if alpha == site else eye)
-        diag += term
-    return diag / n
+    return _site_sum(proj, np.ones(d, dtype=np.complex128), n) / n
 
 
 def eigenrelation_check(
@@ -104,24 +114,18 @@ def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
 
     Route one multiplies the diagonal onto the product coefficient vector;
     route two evaluates the structural sum of N terms in which one tensor
-    factor is replaced by c_j |j>. The two must agree to 1e-12 per
-    component; a mismatch raises, since it would mean the oracle itself is
-    broken.
+    factor is replaced by c_j |j>, built site by site in O(d^N). The two
+    must agree to 1e-12 per component; a mismatch raises, since it would
+    mean the oracle itself is broken.
     """
     d, n, j = spec.state.dim, spec.n, spec.j
     vec = product_state_vector(spec)
     diag_route = frequency_diagonal(d, n, j) * vec
 
-    c_j = spec.state.amplitude(j)
     e_j = np.zeros(d, dtype=np.complex128)
     e_j[j] = 1.0
-    structural = np.zeros_like(vec)
-    for site in range(n):
-        term = np.ones(1, dtype=np.complex128)
-        for alpha in range(n):
-            term = np.kron(term, e_j if alpha == site else spec.state.amplitudes)
-        structural += term
-    structural *= c_j / n
+    c_j = spec.state.amplitude(j)
+    structural = c_j / n * _site_sum(e_j, spec.state.amplitudes, n)
 
     if np.max(np.abs(diag_route - structural)) > 1e-12:
         raise AssertionError("diagonal and structural routes disagree")
@@ -174,44 +178,49 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     Verifies resolution of identity (sum over j of F^j = 1), pairwise
     commutation, Hermiticity, spectrum membership in {k/N}, and eigenspace
     multiplicities from the exact integer counts up to the vector guard.
-    Below the matrix guard it also checks the literal construction's
-    diagonal; no explicit matrix is ever built. Returns a report of maximum
-    deviations; the caller decides the tolerance.
+    Up to the literal-route guard it also builds each literal diagonal once
+    per j, checks the identities on it and compares it with the projector
+    sum; no explicit matrix is ever built.
+
+    Returns the whole ``verify`` entry for this N: the maximum deviation of
+    each identity, ``max_deviation`` over them, and, where the literal
+    routes ran (``dense_matrices``), ``construction_route_deviation``, the
+    largest entrywise gap between the two constructions over j. The caller
+    decides the tolerance.
     """
     total = check_vector_scale(d, n)
-    use_matrices = total <= DENSE_MATRIX_GUARD
+    literal = total <= LITERAL_ROUTE_GUARD
+
+    all_counts = [frequency_counts(d, n, j) for j in range(d)]
+    diag_sum = sum(c / n for c in all_counts)
 
     report = {
-        "d": d,
         "n": n,
-        "dense_matrices": use_matrices,
-        "sum_to_identity": 0.0,
+        "d": d,
+        "dense_matrices": literal,
+        "sum_to_identity": float(np.max(np.abs(diag_sum - 1.0))),
         "max_commutator": 0.0,
         "hermiticity": 0.0,
         "spectrum_membership": 0.0,
         "multiplicity_ok": True,
+        "max_deviation": 0.0,
     }
-
-    all_counts = [frequency_counts(d, n, j) for j in range(d)]
-
-    diag_sum = sum(c / n for c in all_counts)
-    report["sum_to_identity"] = float(np.max(np.abs(diag_sum - 1.0)))
 
     # Counts are exact integers, so spectrum membership is checked exactly:
     # every diagonal entry must be k/N for an integer k in [0, N].
+    expected = np.array(
+        [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)], dtype=np.int64
+    )
     for counts in all_counts:
         if counts.min() < 0 or counts.max() > n:
             report["spectrum_membership"] = float("inf")
-        mult = np.bincount(counts, minlength=n + 1)
-        expected = np.array(
-            [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)], dtype=np.int64
-        )
-        if not np.array_equal(mult, expected):
+        if not np.array_equal(np.bincount(counts, minlength=n + 1), expected):
             report["multiplicity_ok"] = False
 
-    if use_matrices:
+    if literal:
         state = StateVector.uniform(d)
-        ops = [build_frequency_operator(EnsembleSpec(state, n, j)) for j in range(d)]
+        specs = [EnsembleSpec(state, n, j) for j in range(d)]
+        ops = [build_frequency_operator(spec) for spec in specs]
         report["hermiticity"] = max(
             float(np.max(np.abs(op - op.conj()))) for op in ops
         )
@@ -223,11 +232,15 @@ def verify_operator_algebra(d: int, n: int) -> dict:
         report["sum_to_identity"] = max(
             report["sum_to_identity"], float(np.max(np.abs(sum(ops) - 1.0)))
         )
+        report["construction_route_deviation"] = max(
+            float(np.max(np.abs(op - build_frequency_operator_projector_sum(spec))))
+            for op, spec in zip(ops, specs)
+        )
+
+    report["max_deviation"] = max(
+        report["sum_to_identity"],
+        report["max_commutator"],
+        report["hermiticity"],
+        report["spectrum_membership"],
+    )
     return report
-
-
-def construction_route_deviation(spec: EnsembleSpec) -> float:
-    """Max entrywise deviation between the two construction routes."""
-    a = build_frequency_operator(spec)
-    b = build_frequency_operator_projector_sum(spec)
-    return float(np.max(np.abs(a - b)))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from freqop import dense
 from freqop.cli import main, parse_state
 
 
@@ -80,6 +81,20 @@ class TestVerify:
         assert_usage_error(
             capsys, "verify", "--dim", str(dim), "--n-max", str(n_max)
         )
+
+    def test_builds_each_literal_diagonal_once(self, capsys, monkeypatch):
+        calls = []
+        build = dense.build_frequency_operator
+
+        def counting(spec):
+            calls.append((spec.n, spec.j))
+            return build(spec)
+
+        monkeypatch.setattr(dense, "build_frequency_operator", counting)
+        assert main(["verify", "--dim", "3", "--n-max", "4"]) == 0
+        capsys.readouterr()
+        # One call per (N, j): N = 1..4, j = 0..2.
+        assert sorted(calls) == [(n, j) for n in range(1, 5) for j in range(3)]
 
     def test_scale_guard_exit_2(self, capsys):
         code = main(["verify", "--dim", "2", "--n-max", "25"])

@@ -10,17 +10,17 @@ from freqop.dense import (
     apply_to_product,
     build_frequency_operator,
     build_frequency_operator_projector_sum,
-    construction_route_deviation,
     distance_sq_dense,
     eigenrelation_check,
     eigenspace_dimensions,
     expectation_dense,
+    frequency_counts,
     frequency_diagonal,
     gram_dense,
     spectral_weights_dense,
     verify_operator_algebra,
 )
-from freqop.hilbert import EnsembleSpec, ScaleError, StateVector
+from freqop.hilbert import EnsembleSpec, ScaleError, StateVector, index_to_string
 
 from conftest import random_state
 
@@ -48,12 +48,11 @@ class TestBuild:
     @pytest.mark.parametrize("d", [2, 3])
     def test_route_equivalence(self, d):
         for n in range(1, 7):
-            for j in range(d):
-                spec = EnsembleSpec(StateVector.uniform(d), n, j)
-                assert construction_route_deviation(spec) < 1e-14
+            dev = verify_operator_algebra(d, n)["construction_route_deviation"]
+            assert dev < 1e-14
 
     def test_projector_sum_matches_counts(self):
-        for d, n in [(2, 6), (3, 4)]:
+        for d, n in [(2, 6), (3, 4), (2, 12), (3, 7)]:
             for j in range(d):
                 op = build_frequency_operator_projector_sum(
                     EnsembleSpec(StateVector.uniform(d), n, j)
@@ -62,6 +61,22 @@ class TestBuild:
                 np.testing.assert_allclose(
                     op, frequency_diagonal(d, n, j), rtol=0, atol=1e-15
                 )
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 7), (3, 5), (5, 3)])
+def test_frequency_counts_match_strings(d, n):
+    for j in range(d):
+        counts = frequency_counts(d, n, j)
+        assert counts.dtype == np.int64
+        assert counts.shape == (d**n,)
+        assert counts.tolist() == [
+            index_to_string(s, d, n).count(j) for s in range(d**n)
+        ]
+
+
+def test_frequency_counts_scale_guard():
+    with pytest.raises(ScaleError):
+        frequency_counts(2, 21, 0)
 
 
 class TestEigenrelation:
