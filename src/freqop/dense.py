@@ -79,7 +79,9 @@ def _site_sum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     total = np.zeros(1, dtype=np.complex128)
     plain = np.ones(1, dtype=np.complex128)
     for _ in range(n):
-        total, plain = np.kron(total, b) + np.kron(plain, a), np.kron(plain, b)
+        total = np.kron(total, b)
+        total += np.kron(plain, a)
+        plain = np.kron(plain, b)
     return total
 
 
