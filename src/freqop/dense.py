@@ -205,7 +205,7 @@ def verify_operator_algebra(d: int, n: int) -> dict:
         "hermiticity": 0.0,
         "spectrum_membership": 0.0,
         "multiplicity_ok": True,
-        "max_deviation": 0.0,
+        "max_deviation": 0.0,  # set last; its place keeps the verify key order
     }
 
     # Counts are exact integers, so spectrum membership is checked exactly:
