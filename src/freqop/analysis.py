@@ -64,9 +64,12 @@ def convergence_sweep(
 
     Analytic columns are always present; sampled columns are filled when a
     sampling configuration is given, each N reusing the same master seed so
-    the sweep is reproducible as a whole.
+    the sweep is reproducible as a whole. A sampled sweep above
+    ``sampler.MAX_DRAWS`` draws in all is refused before its first N.
     """
     ns = _validate_n_list(n_list)
+    if sampling is not None:
+        sampler.check_draws(sampling.trials * sum(ns))
     rows = []
     for n in ns:
         spec = EnsembleSpec(state, n, j)

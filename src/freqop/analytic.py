@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The kernel scipy.stats.binom.pmf calls; importing it skips scipy.stats' ~1 s import.
-from scipy.special._ufuncs import _binom_pmf
-
 from .hilbert import EnsembleSpec
 
 # Spectral weights are computed over N+1 eigenvalues; cap the table size.
@@ -89,7 +86,11 @@ def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:
     Terms come from ``scipy.special._ufuncs._binom_pmf``, the kernel behind
     ``scipy.stats.binom.pmf``, which neither overflows nor loses the peak
     for N up to 10**6; terms below the underflow floor are reported as
-    exact zeros.
+    exact zeros. The kernel is imported here, after the scale check and
+    only for 0 < p < 1, as in :func:`noncollapse_metrics`: loading it
+    pulls in all of ``scipy.special``, which processes that compute no
+    binomial term (``verify``, ``stats``, ``sample``, refused jobs) never
+    pay for.
     """
     n = spec.n
     check_spectral_n(n)
@@ -100,6 +101,8 @@ def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:
     elif p == 1.0:
         weights[n] = 1.0
     else:
+        from scipy.special._ufuncs import _binom_pmf
+
         with np.errstate(under="ignore"):
             weights = _binom_pmf(np.arange(n + 1), n, p)
         weights[weights < WEIGHT_FLOOR] = 0.0
@@ -125,6 +128,8 @@ def noncollapse_metrics(spec: EnsembleSpec) -> tuple[float, float, float]:
     if p in (0.0, 1.0):
         max_w = 1.0
     else:
+        from scipy.special._ufuncs import _binom_pmf
+
         m = int((n + 1) * p)
         k = np.arange(max(m - 1, 0), min(m + 1, n) + 1)
         max_w = float(_binom_pmf(k, n, p).max())

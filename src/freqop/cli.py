@@ -138,10 +138,11 @@ def cmd_stats(args) -> int:
     }
     ok = True
     if args.cross_check:
+        vec, fvec = dense._vectors(spec)
         dense_vals = {
-            "expectation": dense.expectation_dense(spec),
-            "distance_sq": dense.distance_sq_dense(spec),
-            "gram": dense.gram_dense(spec),
+            "expectation": dense._expectation(vec, fvec),
+            "distance_sq": dense._distance_sq(vec, fvec, spec.born_probability),
+            "gram": dense._gram(vec, fvec),
         }
         deviation = max(
             abs(dense_vals[k] - result[k]) for k in dense_vals

@@ -134,25 +134,38 @@ def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
     return diag_route
 
 
+def _vectors(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(|psi^N>, F|psi^N>) as coefficient vectors, built once for all three
+    scalar oracles below."""
+    vec = product_state_vector(spec)
+    return vec, frequency_diagonal(spec.state.dim, spec.n, spec.j) * vec
+
+
+def _expectation(vec: np.ndarray, fvec: np.ndarray) -> float:
+    return float(np.vdot(vec, fvec).real)
+
+
+def _gram(vec: np.ndarray, fvec: np.ndarray) -> float:
+    return float(np.vdot(fvec, fvec).real)
+
+
+def _distance_sq(vec: np.ndarray, fvec: np.ndarray, p: float) -> float:
+    return float(np.linalg.norm(fvec - p * vec) ** 2)
+
+
 def expectation_dense(spec: EnsembleSpec) -> float:
     """<psi^N| F |psi^N> computed directly from coefficient vectors."""
-    vec = product_state_vector(spec)
-    fvec = frequency_diagonal(spec.state.dim, spec.n, spec.j) * vec
-    return float(np.vdot(vec, fvec).real)
+    return _expectation(*_vectors(spec))
 
 
 def gram_dense(spec: EnsembleSpec) -> float:
     """<F psi^N | F psi^N> computed directly from coefficient vectors."""
-    vec = product_state_vector(spec)
-    fvec = frequency_diagonal(spec.state.dim, spec.n, spec.j) * vec
-    return float(np.vdot(fvec, fvec).real)
+    return _gram(*_vectors(spec))
 
 
 def distance_sq_dense(spec: EnsembleSpec) -> float:
     """Squared norm of F|psi^N> - |c_j|^2 |psi^N>, directly from vectors."""
-    vec = product_state_vector(spec)
-    fvec = frequency_diagonal(spec.state.dim, spec.n, spec.j) * vec
-    return float(np.linalg.norm(fvec - spec.born_probability * vec) ** 2)
+    return _distance_sq(*_vectors(spec), spec.born_probability)
 
 
 def spectral_weights_dense(spec: EnsembleSpec) -> np.ndarray:

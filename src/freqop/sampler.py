@@ -3,8 +3,14 @@
 Each system in the ensemble is measured independently; outcomes are drawn
 i.i.d. with Born weights |c_i|^2 by inverse-CDF over the cumulative
 probabilities in ascending index order. The generator is Philox
-(counter-based), so streams for parallel trials derive cheaply and
-reproducibly from one master seed.
+(counter-based): the stream of key k is the block cipher run over counters
+0, 1, 2, ..., so one Philox re-keyed per trial yields every trial's stream
+without building a generator for each, and streams derive reproducibly
+from one master seed.
+
+``sample_outcomes`` turns each uniform into an outcome index.
+``run_trials`` needs only how many of a trial's draws land on outcome j,
+so it counts the draws inside j's CDF interval and builds no indices.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ STREAM_CONSTANT = 0x9E3779B97F4A7C15
 
 _SEED_MASK = (1 << 64) - 1
 
+# Most draws (N x trials) one request may ask for; a sampling job above it
+# would run for hours, so it is refused before any draw.
+MAX_DRAWS = 10**9
+
 
 def stream_seed(master_seed: int, trial_index: int) -> int:
     """Derived seed for one trial: master XOR (index * odd constant), mod 2**64."""
@@ -33,6 +43,13 @@ def _check_seed(seed: int) -> None:
     # otherwise name a stream other than the one the metadata records.
     if not 0 <= seed <= _SEED_MASK:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def check_draws(draws: int) -> None:
+    if draws > MAX_DRAWS:
+        raise ValueError(
+            f"sampling limited to N x trials <= {MAX_DRAWS} draws, got {draws}"
+        )
 
 
 def _born_cdf(state: StateVector) -> np.ndarray:
@@ -47,15 +64,23 @@ def _born_cdf(state: StateVector) -> np.ndarray:
     return cdf
 
 
-def _draw(cdf: np.ndarray, key: int, n: int) -> np.ndarray:
-    """Outcome indices of n inverse-CDF draws from the Philox stream keyed
-    by ``key``."""
+def _uniforms(keys, n: int):
+    """Yield n uniforms in [0, 1) for each key in turn, from one Philox.
+
+    Before each key the Philox is re-keyed through its ``state``: counter
+    0, key ``[k, 0]``, empty buffer. That is exactly the start state of
+    ``Philox(key=k)``, so the draws for k equal
+    ``Generator(Philox(key=k)).random(n)``.
+    """
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
-    u = np.random.Generator(np.random.Philox(key=key)).random(n)
-    # side='left' sends a draw landing exactly on a CDF boundary to the
-    # lower outcome index.
-    return np.searchsorted(cdf, u, side="left")
+    bit_generator = np.random.Philox(key=0)
+    gen = np.random.Generator(bit_generator)
+    start = bit_generator.state
+    for key in keys:
+        start["state"]["key"] = np.array([key, 0], dtype=np.uint64)
+        bit_generator.state = start
+        yield gen.random(n)
 
 
 @dataclass(frozen=True)
@@ -90,7 +115,10 @@ class TrialSummary:
 def sample_outcomes(state: StateVector, n: int, seed: int) -> OutcomeRecord:
     """Draw N i.i.d. outcomes with Born weights, deterministically per seed."""
     _check_seed(seed)
-    outcomes = _draw(_born_cdf(state), seed, n)
+    u = next(_uniforms([seed], n))
+    # side='left' sends a draw landing exactly on a CDF boundary to the
+    # lower outcome index.
+    outcomes = np.searchsorted(_born_cdf(state), u, side="left")
     outcomes.flags.writeable = False
     return OutcomeRecord(n=n, outcomes=outcomes, seed=seed)
 
@@ -109,17 +137,27 @@ def run_trials(
     Trial t uses the stream seed derived by :func:`stream_seed`; the mean
     and unbiased sample variance of the per-trial frequencies of outcome j
     are accumulated in ascending trial order.
+
+    A draw u is outcome j when ``cdf[j-1] < u <= cdf[j]`` (``-inf`` below
+    j = 0), the ``side='left'`` rule of :func:`sample_outcomes`, so a trial
+    counts the draws in that interval without building outcome indices.
+    Requests above ``MAX_DRAWS`` draws in all are refused before any draw.
     """
     if trials < 2:
         raise ValueError(f"need at least two trials, got {trials}")
     if not 0 <= j < state.dim:
         raise ValueError(f"outcome index {j} out of range [0, {state.dim})")
     _check_seed(seed)
+    check_draws(n * trials)
     cdf = _born_cdf(state)
+    # The CDF is non-decreasing, so count(u <= hi) - count(u <= lo) is
+    # count(lo < u <= hi).
+    lo = cdf[j - 1] if j else -np.inf
+    hi = cdf[j]
     freqs = np.empty(trials)
-    for t in range(trials):
-        outcomes = _draw(cdf, stream_seed(seed, t), n)
-        freqs[t] = np.count_nonzero(outcomes == j) / n
+    keys = (stream_seed(seed, t) for t in range(trials))
+    for t, u in enumerate(_uniforms(keys, n)):
+        freqs[t] = (np.count_nonzero(u <= hi) - np.count_nonzero(u <= lo)) / n
     freqs.flags.writeable = False
     return TrialSummary(
         trials=trials,

@@ -85,6 +85,34 @@ class TestConvergenceSweep:
             )
         assert calls == []
 
+    def test_rejects_over_budget_sampled_sweep_before_any_work(self, monkeypatch):
+        calls = []
+
+        def refused(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                raise RuntimeError(f"{fn.__name__} ran")
+            return wrapper
+
+        monkeypatch.setattr(
+            analytic, "noncollapse_metrics", refused(analytic.noncollapse_metrics)
+        )
+        monkeypatch.setattr(sampler, "run_trials", refused(sampler.run_trials))
+        state = StateVector.two_level(0.5)
+        # 1000 trials x (10 + 10**6) draws: the last N alone fits the budget.
+        with pytest.raises(ValueError, match="draws"):
+            convergence_sweep(
+                state, 0, [10, 10**6], SamplingConfig(trials=1000, seed=1)
+            )
+        assert calls == []
+        # Exactly at the budget the sweep starts on its first N.
+        assert sampler.MAX_DRAWS == 1000 * (10 + (10**6 - 10))
+        with pytest.raises(RuntimeError, match="noncollapse_metrics ran"):
+            convergence_sweep(
+                state, 0, [10, 10**6 - 10], SamplingConfig(trials=1000, seed=1)
+            )
+        assert calls == ["noncollapse_metrics"]
+
 
 class TestNoncollapseReport:
     def test_large_n_numbers(self):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freqop import dense
@@ -131,6 +132,26 @@ class TestStats:
         assert doc["result"]["cross_check"] == "PASS"
         assert doc["result"]["cross_check_deviation"] < 1e-11
 
+    def test_cross_check_builds_each_vector_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(name):
+            build = getattr(dense, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return build(*args)
+            return wrapper
+
+        for name in ("product_state_vector", "frequency_diagonal"):
+            monkeypatch.setattr(dense, name, counting(name))
+        code, doc = run_json(
+            capsys, "stats", "--state", "two-level:0.36", "--j", "1", "--n", "8",
+            "--cross-check",
+        )
+        assert code == 0 and doc["result"]["cross_check"] == "PASS"
+        assert sorted(calls) == ["frequency_diagonal", "product_state_vector"]
+
     def test_metadata_block(self, capsys):
         _, doc = run_json(
             capsys, "stats", "--state", "uniform:2", "--n", "3"
@@ -193,6 +214,19 @@ class TestSampleAndSpectrum:
             capsys, *command, "--state", "uniform:2", "--seed", seed
         )
 
+    @pytest.mark.parametrize("command", [
+        ("sample", "--n", "1000000", "--trials", "1000000"),
+        ("converge", "--n-list", "10,1000000", "--sample", "--trials", "1000"),
+    ], ids=["sample", "converge"])
+    def test_draw_budget_exit_2(self, capsys, monkeypatch, command):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw started")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        assert_usage_error(
+            capsys, *command, "--state", "two-level:0.5", "--seed", "1"
+        )
+
     def test_sample_degenerate(self, capsys):
         code, doc = run_json(
             capsys, "sample", "--state", "two-level:1.0",
@@ -240,7 +274,29 @@ class TestReproducibility:
 
 def test_cli_import_skips_scipy_stats():
     """The closed forms load only the binomial kernel, so starting the CLI
-    never pays for importing scipy.stats."""
+    never pays for importing scipy.stats; and the kernel is loaded only
+    where a binomial term is computed, so --version, verify, stats and
+    sample never import scipy at all."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
-    code = "import sys, freqop.cli; assert 'scipy.stats' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    runs = [
+        ["--version"],
+        ["verify", "--dim", "2", "--n-max", "3"],
+        ["stats", "--state", "two-level:0.36", "--n", "4", "--cross-check"],
+        ["sample", "--state", "two-level:0.36", "--n", "10", "--trials", "3",
+         "--seed", "1"],
+    ]
+    code = f"""
+import sys
+from freqop import cli
+assert 'scipy.stats' not in sys.modules
+for argv in {runs!r}:
+    try:
+        assert cli.main(argv) == 0
+    except SystemExit as exc:
+        assert exc.code == 0
+    loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]
+    assert not loaded, (argv, loaded[:3])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

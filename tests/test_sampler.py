@@ -5,7 +5,10 @@ import pytest
 
 from freqop.hilbert import StateVector
 from freqop.sampler import (
+    MAX_DRAWS,
     OutcomeRecord,
+    _born_cdf,
+    _uniforms,
     empirical_frequency,
     run_trials,
     sample_outcomes,
@@ -148,3 +151,93 @@ def test_seed_outside_64_bits_rejected(seed):
         sample_outcomes(state, 10, seed)
     with pytest.raises(ValueError, match="seed"):
         run_trials(state, 10, 2, seed)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 101])
+def test_uniforms_match_fresh_philox(n):
+    # One Philox serves every key, so each key's draws must not depend on
+    # what the previous key left in the buffer; 0 comes back at the end.
+    keys = [0, 1, 2**64 - 1, 0]
+    drawn = list(_uniforms(keys, n))
+    assert len(drawn) == len(keys)
+    for key, u in zip(keys, drawn):
+        fresh = np.random.Generator(np.random.Philox(key=key)).random(n)
+        assert u.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 101])
+@pytest.mark.parametrize("state", [
+    StateVector.two_level(0.36),
+    StateVector.two_level(0.0),
+    StateVector.basis(3, 2),
+    StateVector([0.0, 0.6, 0.0, 0.8j]),
+    StateVector([0.5, 0.5j, -0.5, 0.5, 0.0]),
+    StateVector([1.0, 2.0 - 1.0j, 0.3, 0.0, 1.5j], renormalize=True),
+], ids=["two_level", "p0", "basis_d3", "zero_middle", "zero_last", "complex_d5"])
+def test_trial_frequencies_match_searchsorted_reference(state, n):
+    """Counting the draws in outcome j's CDF interval gives the bytes of
+    building every outcome index and counting those equal to j."""
+    trials, seed = 4, 2026
+    cdf = _born_cdf(state)
+    for j in range(state.dim):
+        reference = np.array([
+            np.count_nonzero(np.searchsorted(
+                cdf,
+                np.random.Generator(np.random.Philox(key=stream_seed(seed, t))).random(n),
+                side="left",
+            ) == j) / n
+            for t in range(trials)
+        ])
+        got = run_trials(state, n, trials, seed, j).frequencies
+        assert got.tobytes() == reference.tobytes()
+
+
+def _constant_generator(value):
+    """Stand-in for np.random.Generator whose every draw is ``value``."""
+
+    class _Constant:
+        def __init__(self, bit_generator):
+            pass
+
+        def random(self, n):
+            return np.full(n, value)
+
+    return _Constant
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_draw_on_cdf_boundary_is_lower_outcome(monkeypatch, j):
+    # uniform:4 has Born weights of exactly 1/4, so cdf[j] == (j + 1) / 4.
+    monkeypatch.setattr(np.random, "Generator", _constant_generator((j + 1) / 4))
+    state = StateVector.uniform(4)
+    assert run_trials(state, 5, 2, seed=0, j=j).mean_frequency == 1.0
+    assert run_trials(state, 5, 2, seed=0, j=j + 1).mean_frequency == 0.0
+    assert np.all(sample_outcomes(state, 5, seed=0).outcomes == j)
+
+
+class _Drew(Exception):
+    pass
+
+
+def _refusing_philox(built):
+    """Stand-in for np.random.Philox that records its construction and
+    draws nothing."""
+
+    def philox(*args, **kwargs):
+        built.append(kwargs)
+        raise _Drew
+
+    return philox
+
+
+def test_draw_budget_refused_before_any_draw(monkeypatch):
+    built = []
+    monkeypatch.setattr(np.random, "Philox", _refusing_philox(built))
+    state = StateVector.uniform(2)
+    with pytest.raises(ValueError, match="draws"):
+        run_trials(state, 10**6, MAX_DRAWS // 10**6 + 1, seed=0)
+    assert built == []
+    # Exactly at the budget the job reaches its first draw.
+    with pytest.raises(_Drew):
+        run_trials(state, 10**6, MAX_DRAWS // 10**6, seed=0)
+    assert len(built) == 1
