@@ -4,7 +4,8 @@ Each case runs ``freqop.cli.main`` in process from ``tests/golden`` (the
 config block echoes the state path, so the JSON state file lives there too)
 and compares stdout with ``tests/golden/<case>.<json|csv>``. A change that
 alters any output byte fails here; rewrite the files only when the output is
-meant to change, by running this module as a script:
+meant to change, by running this module as a script, which also rewrites the
+demos' pinned stdout (see ``test_demos.py``):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,6 +13,7 @@ meant to change, by running this module as a script:
 import contextlib
 import io
 import os
+import runpy
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,12 @@ if __name__ == "__main__":
             raise SystemExit(f"{name}: exit code {code}")
         golden_path(name).write_bytes(out.getvalue().encode())
         print(f"wrote {golden_path(name).name}")
+
+    from test_demos import DEMOS, demo_golden_path
+
+    for demo in DEMOS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(demo), run_name="__main__")
+        demo_golden_path(demo).write_bytes(out.getvalue().encode())
+        print(f"wrote {demo_golden_path(demo).name}")
