@@ -64,11 +64,15 @@ def convergence_sweep(
 
     Analytic columns are always present; sampled columns are filled when a
     sampling configuration is given, each N reusing the same master seed so
-    the sweep is reproducible as a whole. A sampled sweep above
-    ``sampler.MAX_DRAWS`` draws in all is refused before its first N.
+    the sweep is reproducible as a whole. A sampled sweep with fewer than two
+    trials, a seed outside [0, 2**64) or above ``sampler.MAX_DRAWS`` draws in
+    all is refused before its first N.
     """
     ns = _validate_n_list(n_list)
     if sampling is not None:
+        if sampling.trials < 2:
+            raise ValueError(f"need at least two trials, got {sampling.trials}")
+        sampler._check_seed(sampling.seed)
         sampler.check_draws(sampling.trials * sum(ns))
     rows = []
     for n in ns:

@@ -8,8 +8,6 @@ value; nothing here ever materializes an infinite product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hilbert import EnsembleSpec
@@ -19,33 +17,6 @@ MAX_SPECTRAL_N = 10**6
 
 # Binomial terms smaller than this underflow to exact zero.
 WEIGHT_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class SpectralWeights:
-    """Binomial probability mass of the product state over the frequency
-    eigenspaces {k/N}."""
-
-    n: int
-    weights: np.ndarray  # index k in [0, N]
-
-    def weight(self, k: int) -> float:
-        return float(self.weights[k])
-
-    def max_weight(self) -> float:
-        return float(self.weights.max())
-
-    def argmax(self) -> int:
-        return int(self.weights.argmax())
-
-    def mean_frequency(self) -> float:
-        k = np.arange(self.n + 1)
-        return float(np.sum(k / self.n * self.weights))
-
-    def variance_frequency(self) -> float:
-        f = np.arange(self.n + 1) / self.n
-        m = self.mean_frequency()
-        return float(np.sum((f - m) ** 2 * self.weights))
 
 
 def expectation(spec: EnsembleSpec) -> float:
@@ -80,8 +51,12 @@ def check_spectral_n(n: int) -> None:
         )
 
 
-def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:
+def spectral_weights(spec: EnsembleSpec) -> np.ndarray:
     """Binomial pmf over the eigenvalue counts k with parameter p = |c_j|^2.
+
+    Returns the float64 weights as an array of length N + 1 indexed by k:
+    entry k is the mass of the product state on the eigenspace of
+    eigenvalue k/N.
 
     Terms come from ``scipy.special._ufuncs._binom_pmf``, the kernel behind
     ``scipy.stats.binom.pmf``, which neither overflows nor loses the peak
@@ -106,7 +81,7 @@ def spectral_weights(spec: EnsembleSpec) -> SpectralWeights:
         with np.errstate(under="ignore"):
             weights = _binom_pmf(np.arange(n + 1), n, p)
         weights[weights < WEIGHT_FLOOR] = 0.0
-    return SpectralWeights(n=n, weights=weights)
+    return weights
 
 
 def noncollapse_metrics(spec: EnsembleSpec) -> tuple[float, float, float]:

@@ -196,15 +196,15 @@ def cmd_sample(args) -> int:
     summary = sampler.run_trials(state, args.n, args.trials, args.seed, args.j)
     frequencies = summary.frequencies.tolist()
     result = {
-        "trials": summary.trials,
+        "trials": args.trials,
         "mean_frequency": summary.mean_frequency,
         "sample_variance": summary.sample_variance,
         "frequencies": frequencies,
     }
     extra = {
-        "seed": summary.seed,
-        "rng": summary.rng_algorithm,
-        "stream_rule": summary.stream_rule,
+        "seed": args.seed,
+        "rng": sampler.RNG_ALGORITHM,
+        "stream_rule": sampler.STREAM_RULE,
     }
     table = (("trial", "frequency"), enumerate(frequencies))
     _emit(args, result, table, ("mean_frequency", "sample_variance"), extra)
@@ -213,13 +213,13 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     state = parse_state(args.state)
-    sw = analytic.spectral_weights(EnsembleSpec(state, args.n, args.j))
-    weights = sw.weights.tolist()
+    w = analytic.spectral_weights(EnsembleSpec(state, args.n, args.j))
+    weights = w.tolist()
     result = {
-        "n": sw.n,
+        "n": args.n,
         "weights": weights,
-        "max_weight": sw.max_weight(),
-        "argmax": sw.argmax(),
+        "max_weight": float(w.max()),
+        "argmax": int(w.argmax()),
     }
     _emit(args, result, (("k", "weight"), enumerate(weights)))
     return EXIT_OK

@@ -32,24 +32,21 @@ class StateVector:
     """Normalized complex amplitude vector for a single system.
 
     Amplitudes are stored as a read-only complex128 array. Construction
-    rejects non-finite entries and, unless ``renormalize=True``, any vector
-    whose norm deviates from 1 by more than ``NORM_TOL``.
+    rejects non-finite entries and any vector whose norm deviates from 1 by
+    more than ``NORM_TOL``; a caller holding an unnormalized vector divides
+    it by its norm before constructing.
     """
 
     __slots__ = ("_amps",)
 
-    def __init__(self, amplitudes, *, renormalize: bool = False):
+    def __init__(self, amplitudes):
         amps = np.array(amplitudes, dtype=np.complex128).ravel()
         if amps.size < 1:
             raise ValueError("state vector needs at least one amplitude")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("state amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
-        if renormalize:
-            if norm == 0.0:
-                raise ValueError("cannot renormalize the zero vector")
-            amps = amps / norm
-        elif abs(norm - 1.0) > NORM_TOL:
+        if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state vector not normalized: |norm - 1| = {abs(norm - 1.0):.3e}"
             )
@@ -93,6 +90,8 @@ class StateVector:
 
     @classmethod
     def uniform(cls, dim: int) -> "StateVector":
+        if dim < 1:
+            raise ValueError(f"uniform state needs dimension >= 1, got {dim}")
         return cls(np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
     @classmethod
@@ -113,7 +112,7 @@ class StateVector:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict, *, renormalize: bool = False) -> "StateVector":
+    def from_json_dict(cls, obj: dict) -> "StateVector":
         """Parse ``{"dim": d, "amplitudes": [{"re": x, "im": y}, ...]}``;
         any other shape raises ValueError."""
         if not isinstance(obj, dict) or not {"dim", "amplitudes"} <= obj.keys():
@@ -135,13 +134,11 @@ class StateVector:
             raise ValueError(
                 f"amplitude list length {len(amps)} does not match dim {dim}"
             )
-        return cls(
-            [complex(a["re"], a["im"]) for a in amps], renormalize=renormalize
-        )
+        return cls([complex(a["re"], a["im"]) for a in amps])
 
     @classmethod
-    def from_json(cls, text: str, *, renormalize: bool = False) -> "StateVector":
-        return cls.from_json_dict(json.loads(text), renormalize=renormalize)
+    def from_json(cls, text: str) -> "StateVector":
+        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

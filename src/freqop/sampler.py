@@ -15,7 +15,7 @@ so it counts the draws inside j's CDF interval and builds no indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,9 @@ RNG_ALGORITHM = "philox4x64"
 
 # Odd multiplier for deriving per-trial stream seeds from the master seed.
 STREAM_CONSTANT = 0x9E3779B97F4A7C15
+
+# How run_trials derives each trial's stream seed (see stream_seed).
+STREAM_RULE = f"stream_seed = master ^ (trial_index * {STREAM_CONSTANT:#x}) mod 2**64"
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -84,49 +87,32 @@ def _uniforms(keys, n: int):
 
 
 @dataclass(frozen=True)
-class OutcomeRecord:
-    """Outcomes of measuring every system of one ensemble."""
-
-    n: int
-    outcomes: np.ndarray
-    seed: int
-    rng_algorithm: str = RNG_ALGORITHM
-
-
-@dataclass(frozen=True)
 class TrialSummary:
     """Empirical frequency statistics over repeated ensemble measurements.
 
-    The seed, RNG identifier, and stream derivation rule are embedded so a
-    summary is reproducible from its own metadata.
+    ``frequencies`` holds one read-only entry per trial, in trial order.
+    The seed, trial count, RNG and stream rule that reproduce a summary
+    are the caller's inputs and the constants ``RNG_ALGORITHM`` and
+    ``STREAM_RULE``.
     """
 
-    trials: int
     mean_frequency: float
     sample_variance: float
     frequencies: np.ndarray
-    seed: int
-    rng_algorithm: str = RNG_ALGORITHM
-    stream_rule: str = field(
-        default=f"stream_seed = master ^ (trial_index * {STREAM_CONSTANT:#x}) mod 2**64"
-    )
 
 
-def sample_outcomes(state: StateVector, n: int, seed: int) -> OutcomeRecord:
-    """Draw N i.i.d. outcomes with Born weights, deterministically per seed."""
+def sample_outcomes(state: StateVector, n: int, seed: int) -> np.ndarray:
+    """Draw N i.i.d. outcomes with Born weights, deterministically per seed.
+
+    Returns a read-only integer array of N outcome indices in draw order.
+    """
     _check_seed(seed)
     u = next(_uniforms([seed], n))
     # side='left' sends a draw landing exactly on a CDF boundary to the
     # lower outcome index.
     outcomes = np.searchsorted(_born_cdf(state), u, side="left")
     outcomes.flags.writeable = False
-    return OutcomeRecord(n=n, outcomes=outcomes, seed=seed)
-
-
-def empirical_frequency(rec: OutcomeRecord, j: int) -> tuple[int, float]:
-    """Count and fraction of outcomes equal to j: (k, k/N)."""
-    k = int(np.count_nonzero(rec.outcomes == j))
-    return k, k / rec.n
+    return outcomes
 
 
 def run_trials(
@@ -160,9 +146,7 @@ def run_trials(
         freqs[t] = (np.count_nonzero(u <= hi) - np.count_nonzero(u <= lo)) / n
     freqs.flags.writeable = False
     return TrialSummary(
-        trials=trials,
         mean_frequency=float(freqs.mean()),
         sample_variance=float(freqs.var(ddof=1)),
         frequencies=freqs,
-        seed=seed,
     )

@@ -165,7 +165,7 @@ def test_criterion_6_noncollapse():
             float(
                 np.max(
                     np.abs(
-                        analytic.spectral_weights(spec).weights
+                        analytic.spectral_weights(spec)
                         - dense.spectral_weights_dense(spec)
                     )
                 )

@@ -10,6 +10,9 @@ from freqop.analysis import (
 )
 from freqop.hilbert import EnsembleSpec, StateVector
 
+# Largest N whose 1000-trial sampled sweep fits the draw budget on its own.
+_TOP = sampler.MAX_DRAWS // 1000
+
 
 class TestConvergenceSweep:
     def test_known_distances_and_slope(self):
@@ -85,32 +88,39 @@ class TestConvergenceSweep:
             )
         assert calls == []
 
-    def test_rejects_over_budget_sampled_sweep_before_any_work(self, monkeypatch):
+    @pytest.mark.parametrize("refused, n_list, match, accepted, accepted_n_list", [
+        # 1000 trials x (10 + top) draws: the last N alone fits the budget;
+        # exactly at the budget the sweep starts on its first N.
+        (SamplingConfig(trials=1000, seed=1), [10, _TOP], "draws",
+         SamplingConfig(trials=1000, seed=1), [10, _TOP - 10]),
+        (SamplingConfig(trials=1, seed=1), [10, 100], "two trials",
+         SamplingConfig(trials=2, seed=1), [10, 100]),
+        (SamplingConfig(trials=3, seed=-1), [10, 100], "seed",
+         SamplingConfig(trials=3, seed=0), [10, 100]),
+        (SamplingConfig(trials=3, seed=2**64), [10, 100], "seed",
+         SamplingConfig(trials=3, seed=2**64 - 1), [10, 100]),
+    ], ids=["draws", "trials", "seed-negative", "seed-65-bits"])
+    def test_rejects_over_budget_sampled_sweep_before_any_work(
+        self, monkeypatch, refused, n_list, match, accepted, accepted_n_list
+    ):
         calls = []
 
-        def refused(fn):
+        def refused_call(fn):
             def wrapper(*args, **kwargs):
                 calls.append(fn.__name__)
                 raise RuntimeError(f"{fn.__name__} ran")
             return wrapper
 
         monkeypatch.setattr(
-            analytic, "noncollapse_metrics", refused(analytic.noncollapse_metrics)
+            analytic, "noncollapse_metrics", refused_call(analytic.noncollapse_metrics)
         )
-        monkeypatch.setattr(sampler, "run_trials", refused(sampler.run_trials))
+        monkeypatch.setattr(sampler, "run_trials", refused_call(sampler.run_trials))
         state = StateVector.two_level(0.5)
-        # 1000 trials x (10 + 10**6) draws: the last N alone fits the budget.
-        with pytest.raises(ValueError, match="draws"):
-            convergence_sweep(
-                state, 0, [10, 10**6], SamplingConfig(trials=1000, seed=1)
-            )
+        with pytest.raises(ValueError, match=match):
+            convergence_sweep(state, 0, n_list, refused)
         assert calls == []
-        # Exactly at the budget the sweep starts on its first N.
-        assert sampler.MAX_DRAWS == 1000 * (10 + (10**6 - 10))
         with pytest.raises(RuntimeError, match="noncollapse_metrics ran"):
-            convergence_sweep(
-                state, 0, [10, 10**6 - 10], SamplingConfig(trials=1000, seed=1)
-            )
+            convergence_sweep(state, 0, accepted_n_list, accepted)
         assert calls == ["noncollapse_metrics"]
 
 

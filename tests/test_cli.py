@@ -62,6 +62,10 @@ class TestParseState:
         path.write_text(json.dumps(doc))
         assert_usage_error(capsys, "stats", "--state", str(path), "--n", "3")
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_empty_uniform_exit_2(self, capsys, dim):
+        assert_usage_error(capsys, "stats", "--state", f"uniform:{dim}", "--n", "3")
+
 
 class TestVerify:
     def test_pass_d2(self, capsys):

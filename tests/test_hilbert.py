@@ -24,10 +24,6 @@ class TestStateVector:
         with pytest.raises(ValueError, match="not normalized"):
             StateVector([1.0, 1.0])
 
-    def test_renormalize_flag(self):
-        s = StateVector([1.0, 1.0], renormalize=True)
-        assert s.probability(0) == pytest.approx(0.5, abs=1e-15)
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             StateVector([np.nan, 0.0])
@@ -161,5 +157,6 @@ class TestEnsembleSpec:
 )
 @settings(max_examples=100, deadline=None)
 def test_renormalized_states_always_valid(pairs):
-    s = StateVector([complex(re, im) for re, im in pairs], renormalize=True)
+    v = np.array([complex(re, im) for re, im in pairs])
+    s = StateVector(v / np.linalg.norm(v))
     assert inner_product(s, s) == pytest.approx(1.0, abs=1e-12)
