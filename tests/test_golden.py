@@ -66,6 +66,9 @@ CASES = {
         "--seed", "7", *CSV),
     "spectrum": ("spectrum", *TWO_LEVEL, "--n", "20"),
     "spectrum_csv": ("spectrum", *TWO_LEVEL, "--j", "1", "--n", "20", *CSV),
+    # Degenerate p: the whole mass on one eigenspace.
+    "spectrum_p0": ("spectrum", "--state", "two-level:0.0", "--n", "20"),
+    "spectrum_p1_csv": ("spectrum", "--state", "two-level:1.0", "--n", "20", *CSV),
 }
 
 
