@@ -11,12 +11,6 @@ from .hilbert import EnsembleSpec, StateVector
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class ConvergenceRow:
     """One ensemble size of a sweep: the closed forms, and the sampled
     moments when the sweep samples."""
@@ -55,34 +49,26 @@ def _validate_n_list(n_list) -> list[int]:
 
 
 def convergence_sweep(
-    state: StateVector,
-    j: int,
-    n_list,
-    sampling: SamplingConfig | None = None,
+    state: StateVector, j: int, n_list, trials: int | None = None, seed: int = 0
 ) -> SweepResult:
     """Evaluate the distance law and spectral peak across ensemble sizes.
 
-    Analytic columns are always present; sampled columns are filled when a
-    sampling configuration is given, each N reusing the same master seed so
-    the sweep is reproducible as a whole. A sampled sweep with fewer than two
-    trials, a seed outside [0, 2**64) or above ``sampler.MAX_DRAWS`` draws in
-    all is refused before its first N.
+    Analytic columns are always present. When ``trials`` is given the
+    sampled columns are filled too, each N running ``trials`` trials from
+    the same master ``seed`` so the sweep is reproducible as a whole; the
+    whole sweep's draws pass :func:`sampler.check_sampling` before its
+    first N. Without ``trials`` the seed is not read.
     """
     ns = _validate_n_list(n_list)
-    if sampling is not None:
-        if sampling.trials < 2:
-            raise ValueError(f"need at least two trials, got {sampling.trials}")
-        sampler._check_seed(sampling.seed)
-        sampler.check_draws(sampling.trials * sum(ns))
+    if trials is not None:
+        sampler.check_sampling(trials, seed, trials * sum(ns))
     rows = []
     for n in ns:
         spec = EnsembleSpec(state, n, j)
         d2, max_w, off_peak = analytic.noncollapse_metrics(spec)
         sampled_mean = sampled_var = None
-        if sampling is not None:
-            summary = sampler.run_trials(
-                state, n, sampling.trials, sampling.seed, j
-            )
+        if trials is not None:
+            summary = sampler.run_trials(state, n, trials, seed, j)
             sampled_mean = summary.mean_frequency
             sampled_var = summary.sample_variance
         rows.append(

@@ -61,26 +61,19 @@ def spectral_weights(spec: EnsembleSpec) -> np.ndarray:
     Terms come from ``scipy.special._ufuncs._binom_pmf``, the kernel behind
     ``scipy.stats.binom.pmf``, which neither overflows nor loses the peak
     for N up to 10**6; terms below the underflow floor are reported as
-    exact zeros. The kernel is imported here, after the scale check and
-    only for 0 < p < 1, as in :func:`noncollapse_metrics`: loading it
-    pulls in all of ``scipy.special``, which processes that compute no
-    binomial term (``verify``, ``stats``, ``sample``, refused jobs) never
-    pay for.
+    exact zeros. At p = 0 and p = 1 the kernel gives the one-hot array at
+    k = 0 and k = N exactly. The kernel is imported here, after the scale
+    check, as in :func:`noncollapse_metrics`: loading it pulls in all of
+    ``scipy.special``, which processes that compute no binomial term
+    (``verify``, ``stats``, ``sample``, refused jobs) never pay for.
     """
     n = spec.n
     check_spectral_n(n)
-    p = spec.born_probability
-    weights = np.zeros(n + 1)
-    if p == 0.0:
-        weights[0] = 1.0
-    elif p == 1.0:
-        weights[n] = 1.0
-    else:
-        from scipy.special._ufuncs import _binom_pmf
+    from scipy.special._ufuncs import _binom_pmf
 
-        with np.errstate(under="ignore"):
-            weights = _binom_pmf(np.arange(n + 1), n, p)
-        weights[weights < WEIGHT_FLOOR] = 0.0
+    with np.errstate(under="ignore"):
+        weights = _binom_pmf(np.arange(n + 1), n, spec.born_probability)
+    weights[weights < WEIGHT_FLOOR] = 0.0
     return weights
 
 
@@ -89,23 +82,21 @@ def noncollapse_metrics(spec: EnsembleSpec) -> tuple[float, float, float]:
 
     For 0 < p < 1 the distance to the Born-scaled state vanishes as 1/N
     while the spectral mass off the single largest eigenspace grows toward
-    1: the product state approaches no frequency eigenvector.
+    1: the product state approaches no frequency eigenvector. At p = 0 and
+    p = 1 the state is an eigenstate: distance 0, max weight exactly 1.
 
     The peak is read at the binomial mode floor((N+1)p) rather than from
     the full table: the kernel is evaluated at the mode and its two
-    neighbours, which covers the two-mode tie when (N+1)p is an integer,
-    the rounding of (N+1)p, and the kernel's own rounding, which can put
-    the table's maximum one step above the mode.
+    neighbours (clipped to [0, N]), which covers the two-mode tie when
+    (N+1)p is an integer, the rounding of (N+1)p, and the kernel's own
+    rounding, which can put the table's maximum one step above the mode.
     """
     n = spec.n
     check_spectral_n(n)
-    p = spec.born_probability
-    if p in (0.0, 1.0):
-        max_w = 1.0
-    else:
-        from scipy.special._ufuncs import _binom_pmf
+    from scipy.special._ufuncs import _binom_pmf
 
-        m = int((n + 1) * p)
-        k = np.arange(max(m - 1, 0), min(m + 1, n) + 1)
-        max_w = float(_binom_pmf(k, n, p).max())
+    p = spec.born_probability
+    m = int((n + 1) * p)
+    k = np.arange(max(m - 1, 0), min(m + 1, n) + 1)
+    max_w = float(_binom_pmf(k, n, p).max())
     return distance_sq(spec), max_w, 1.0 - max_w

@@ -15,7 +15,6 @@ import json
 import sys
 
 from . import __version__, analysis, analytic, dense, sampler
-from .analysis import SamplingConfig
 from .hilbert import EnsembleSpec, StateVector, check_vector_scale
 
 EXIT_OK = 0
@@ -138,16 +137,8 @@ def cmd_stats(args) -> int:
     }
     ok = True
     if args.cross_check:
-        vec, fvec = dense._vectors(spec)
-        dense_vals = {
-            "expectation": dense._expectation(vec, fvec),
-            "distance_sq": dense._distance_sq(vec, fvec, spec.born_probability),
-            "gram": dense._gram(vec, fvec),
-        }
-        deviation = max(
-            abs(dense_vals[k] - result[k]) for k in dense_vals
-        )
-        result["dense"] = dense_vals
+        result["dense"] = dense.statistics_dense(spec)
+        deviation = max(abs(v - result[k]) for k, v in result["dense"].items())
         result["cross_check_deviation"] = deviation
         ok = deviation <= CROSS_CHECK_TOL
         result["cross_check"] = "PASS" if ok else "FAIL"
@@ -161,17 +152,19 @@ def _parse_n_list(text: str) -> list[int]:
 
 def cmd_converge(args) -> int:
     state = parse_state(args.state)
-    sampling = None
     extra = None
     if args.sample:
-        sampling = SamplingConfig(trials=args.trials, seed=args.seed)
         extra = {
             "seed": args.seed,
             "rng": sampler.RNG_ALGORITHM,
             "stream_rule": f"master ^ (trial_index * {sampler.STREAM_CONSTANT:#x})",
         }
     sweep = analysis.convergence_sweep(
-        state, args.j, _parse_n_list(args.n_list), sampling
+        state,
+        args.j,
+        _parse_n_list(args.n_list),
+        args.trials if args.sample else None,
+        args.seed,
     )
     table = _table(CONVERGE_COLUMNS, sweep.rows)
     result = {

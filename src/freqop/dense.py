@@ -134,38 +134,36 @@ def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
     return diag_route
 
 
-def _vectors(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(|psi^N>, F|psi^N>) as coefficient vectors, built once for all three
-    scalar oracles below."""
+def statistics_dense(spec: EnsembleSpec) -> dict:
+    """The scalar statistics of the closed forms, computed directly from
+    coefficient vectors, in the order ``stats`` prints them:
+    ``expectation`` <psi^N| F |psi^N>, ``distance_sq`` the squared norm of
+    F|psi^N> - |c_j|^2 |psi^N>, and ``gram`` <F psi^N | F psi^N>.
+    |psi^N> and F|psi^N> are built once for all three."""
     vec = product_state_vector(spec)
-    return vec, frequency_diagonal(spec.state.dim, spec.n, spec.j) * vec
-
-
-def _expectation(vec: np.ndarray, fvec: np.ndarray) -> float:
-    return float(np.vdot(vec, fvec).real)
-
-
-def _gram(vec: np.ndarray, fvec: np.ndarray) -> float:
-    return float(np.vdot(fvec, fvec).real)
-
-
-def _distance_sq(vec: np.ndarray, fvec: np.ndarray, p: float) -> float:
-    return float(np.linalg.norm(fvec - p * vec) ** 2)
+    fvec = frequency_diagonal(spec.state.dim, spec.n, spec.j) * vec
+    return {
+        "expectation": float(np.vdot(vec, fvec).real),
+        "distance_sq": float(
+            np.linalg.norm(fvec - spec.born_probability * vec) ** 2
+        ),
+        "gram": float(np.vdot(fvec, fvec).real),
+    }
 
 
 def expectation_dense(spec: EnsembleSpec) -> float:
     """<psi^N| F |psi^N> computed directly from coefficient vectors."""
-    return _expectation(*_vectors(spec))
+    return statistics_dense(spec)["expectation"]
 
 
 def gram_dense(spec: EnsembleSpec) -> float:
     """<F psi^N | F psi^N> computed directly from coefficient vectors."""
-    return _gram(*_vectors(spec))
+    return statistics_dense(spec)["gram"]
 
 
 def distance_sq_dense(spec: EnsembleSpec) -> float:
     """Squared norm of F|psi^N> - |c_j|^2 |psi^N>, directly from vectors."""
-    return _distance_sq(*_vectors(spec), spec.born_probability)
+    return statistics_dense(spec)["distance_sq"]
 
 
 def spectral_weights_dense(spec: EnsembleSpec) -> np.ndarray:

@@ -74,11 +74,6 @@ class StateVector:
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StateVector) and np.array_equal(
-            self._amps, other._amps
-        )
-
     # -- presets ---------------------------------------------------------
 
     @classmethod
@@ -102,14 +97,6 @@ class StateVector:
         return cls(np.array([np.sqrt(p), np.sqrt(1.0 - p)], dtype=np.complex128))
 
     # -- JSON wire format ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "amplitudes": [
-                {"re": float(a.real), "im": float(a.imag)} for a in self._amps
-            ],
-        }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "StateVector":

@@ -48,7 +48,13 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-def check_draws(draws: int) -> None:
+def check_sampling(trials: int, seed: int, draws: int) -> None:
+    """Refuse a sampling request before any draw: fewer than two trials, a
+    seed outside [0, 2**64), or more than ``MAX_DRAWS`` draws in all,
+    checked in that order."""
+    if trials < 2:
+        raise ValueError(f"need at least two trials, got {trials}")
+    _check_seed(seed)
     if draws > MAX_DRAWS:
         raise ValueError(
             f"sampling limited to N x trials <= {MAX_DRAWS} draws, got {draws}"
@@ -127,14 +133,12 @@ def run_trials(
     A draw u is outcome j when ``cdf[j-1] < u <= cdf[j]`` (``-inf`` below
     j = 0), the ``side='left'`` rule of :func:`sample_outcomes`, so a trial
     counts the draws in that interval without building outcome indices.
-    Requests above ``MAX_DRAWS`` draws in all are refused before any draw.
+    An outcome index out of range, then whatever :func:`check_sampling`
+    refuses for the N x trials draws, is refused before any draw.
     """
-    if trials < 2:
-        raise ValueError(f"need at least two trials, got {trials}")
     if not 0 <= j < state.dim:
         raise ValueError(f"outcome index {j} out of range [0, {state.dim})")
-    _check_seed(seed)
-    check_draws(n * trials)
+    check_sampling(trials, seed, n * trials)
     cdf = _born_cdf(state)
     # The CDF is non-decreasing, so count(u <= hi) - count(u <= lo) is
     # count(lo < u <= hi).

@@ -3,11 +3,7 @@ import math
 import pytest
 
 from freqop import analytic, dense, sampler
-from freqop.analysis import (
-    SamplingConfig,
-    convergence_sweep,
-    noncollapse_report,
-)
+from freqop.analysis import convergence_sweep, noncollapse_report
 from freqop.hilbert import EnsembleSpec, StateVector
 
 # Largest N whose 1000-trial sampled sweep fits the draw budget on its own.
@@ -50,7 +46,8 @@ class TestConvergenceSweep:
             StateVector.two_level(0.5),
             0,
             [100, 200],
-            SamplingConfig(trials=2000, seed=13),
+            trials=2000,
+            seed=13,
         )
         for row in sweep.rows:
             assert row.sampled_mean is not None
@@ -84,21 +81,18 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="limited to N <= "):
             convergence_sweep(
                 StateVector.two_level(0.5), 0, [10, analytic.MAX_SPECTRAL_N + 1],
-                SamplingConfig(trials=3, seed=1),
+                trials=3, seed=1,
             )
         assert calls == []
 
     @pytest.mark.parametrize("refused, n_list, match, accepted, accepted_n_list", [
-        # 1000 trials x (10 + top) draws: the last N alone fits the budget;
-        # exactly at the budget the sweep starts on its first N.
-        (SamplingConfig(trials=1000, seed=1), [10, _TOP], "draws",
-         SamplingConfig(trials=1000, seed=1), [10, _TOP - 10]),
-        (SamplingConfig(trials=1, seed=1), [10, 100], "two trials",
-         SamplingConfig(trials=2, seed=1), [10, 100]),
-        (SamplingConfig(trials=3, seed=-1), [10, 100], "seed",
-         SamplingConfig(trials=3, seed=0), [10, 100]),
-        (SamplingConfig(trials=3, seed=2**64), [10, 100], "seed",
-         SamplingConfig(trials=3, seed=2**64 - 1), [10, 100]),
+        # Each request is (trials, seed). 1000 trials x (10 + top) draws:
+        # the last N alone fits the budget; exactly at the budget the sweep
+        # starts on its first N.
+        ((1000, 1), [10, _TOP], "draws", (1000, 1), [10, _TOP - 10]),
+        ((1, 1), [10, 100], "two trials", (2, 1), [10, 100]),
+        ((3, -1), [10, 100], "seed", (3, 0), [10, 100]),
+        ((3, 2**64), [10, 100], "seed", (3, 2**64 - 1), [10, 100]),
     ], ids=["draws", "trials", "seed-negative", "seed-65-bits"])
     def test_rejects_over_budget_sampled_sweep_before_any_work(
         self, monkeypatch, refused, n_list, match, accepted, accepted_n_list
@@ -117,10 +111,10 @@ class TestConvergenceSweep:
         monkeypatch.setattr(sampler, "run_trials", refused_call(sampler.run_trials))
         state = StateVector.two_level(0.5)
         with pytest.raises(ValueError, match=match):
-            convergence_sweep(state, 0, n_list, refused)
+            convergence_sweep(state, 0, n_list, *refused)
         assert calls == []
         with pytest.raises(RuntimeError, match="noncollapse_metrics ran"):
-            convergence_sweep(state, 0, accepted_n_list, accepted)
+            convergence_sweep(state, 0, accepted_n_list, *accepted)
         assert calls == ["noncollapse_metrics"]
 
 

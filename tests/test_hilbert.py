@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -45,9 +44,11 @@ class TestStateVector:
         assert s.amplitude(1) == pytest.approx(0.8)
 
     def test_json_round_trip(self):
-        s = StateVector([0.6, 0.8j])
-        again = StateVector.from_json(json.dumps(s.to_json_dict()))
-        assert again == s
+        s = StateVector.from_json(
+            '{"dim": 2, "amplitudes": '
+            '[{"re": 0.6, "im": 0}, {"re": 0, "im": 0.8}]}'
+        )
+        assert np.array_equal(s.amplitudes, [0.6, 0.8j])
 
     def test_json_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match dim"):
