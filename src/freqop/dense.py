@@ -30,6 +30,15 @@ LITERAL_ROUTE_GUARD = 2**12
 
 
 def check_literal_scale(d: int, n: int) -> int:
+    """Return d**n, or raise ScaleError if it exceeds the literal-route
+    guard; N above log2 of the guard is refused before d**n is computed,
+    as in :func:`check_vector_scale`."""
+    max_n = LITERAL_ROUTE_GUARD.bit_length() - 1
+    if n > max_n:
+        raise ScaleError(
+            f"literal construction over N = {n} sites exceeds the guard of "
+            f"N <= {max_n} sites; use the implicit diagonal"
+        )
     total = d**n
     if total > LITERAL_ROUTE_GUARD:
         raise ScaleError(
@@ -202,7 +211,8 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     decides the tolerance.
     """
     total = check_vector_scale(d, n)
-    literal = total <= LITERAL_ROUTE_GUARD
+    # Where check_literal_scale admits the literal routes.
+    literal = n < LITERAL_ROUTE_GUARD.bit_length() and total <= LITERAL_ROUTE_GUARD
 
     all_counts = [frequency_counts(d, n, j) for j in range(d)]
     diag_sum = sum(c / n for c in all_counts)

@@ -65,8 +65,9 @@ class StateVector:
         return complex(self._amps[i])
 
     def probability(self, i: int) -> float:
-        """Born weight |c_i|^2 of outcome index i."""
-        return float(abs(self._amps[i]) ** 2)
+        """Born weight |c_i|^2 of outcome index i, at most 1.0: a state
+        within ``NORM_TOL`` of unit norm can have |c_i|^2 just above 1."""
+        return min(float(abs(self._amps[i]) ** 2), 1.0)
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self._amps) ** 2
@@ -121,7 +122,11 @@ class StateVector:
             raise ValueError(
                 f"amplitude list length {len(amps)} does not match dim {dim}"
             )
-        return cls([complex(a["re"], a["im"]) for a in amps])
+        try:
+            return cls([complex(a["re"], a["im"]) for a in amps])
+        except OverflowError:
+            # A JSON integer too large for a float.
+            raise ValueError("state amplitudes must be finite") from None
 
     @classmethod
     def from_json(cls, text: str) -> "StateVector":
@@ -184,7 +189,17 @@ def index_to_string(index: int, d: int, n: int) -> tuple[int, ...]:
 
 
 def check_vector_scale(d: int, n: int) -> int:
-    """Return d**n, or raise ScaleError if it exceeds the vector guard."""
+    """Return d**n, or raise ScaleError if it exceeds the vector guard.
+
+    N above log2 of the guard is refused before d**n is computed: for
+    d >= 2 that space exceeds the guard anyway, and for d = 1 the N-site
+    loops would still run N times."""
+    max_n = DENSE_VECTOR_GUARD.bit_length() - 1
+    if n > max_n:
+        raise ScaleError(
+            f"ensemble size N = {n} exceeds the dense vector guard of "
+            f"N <= {max_n} sites; use the analytic engine"
+        )
     total = d**n
     if total > DENSE_VECTOR_GUARD:
         raise ScaleError(

@@ -30,6 +30,7 @@ def assert_usage_error(capsys, *argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 class TestParseState:
@@ -55,12 +56,33 @@ class TestParseState:
         {"dim": 2, "amplitudes": [1, 0]},
         {"dim": 2, "amplitudes": [{"re": "1", "im": 0}, {"re": 0, "im": 0}]},
         {"dim": 2, "amplitudes": [{"re": 1.0}, {"re": 0.0, "im": 0.0}]},
+        # A JSON integer too large for a float.
+        {"dim": 2, "amplitudes": [{"re": 10**400, "im": 0}, {"re": 0, "im": 0}]},
     ], ids=["not-object", "no-dim", "no-amplitudes", "string-dim",
-            "bare-numbers", "string-re", "no-im"])
+            "bare-numbers", "string-re", "no-im", "overflowing-re"])
     def test_bad_schema_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         assert_usage_error(capsys, "stats", "--state", str(path), "--n", "3")
+
+    def test_born_weight_above_one_is_an_eigenstate(self, tmp_path, capsys):
+        # |c_0|^2 = 1 + 8e-13 passes the norm tolerance; p is read as 1.0.
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dim": 2, "amplitudes": [
+            {"re": 1.0000000000004, "im": 0}, {"re": 0, "im": 0}]}))
+        state = ("--state", str(path))
+        code, doc = run_json(capsys, "stats", *state, "--n", "10")
+        assert code == 0
+        result = doc["result"]
+        assert (result["expectation"], result["uncertainty"]) == (1.0, 0.0)
+        assert (result["distance_sq"], result["gram"]) == (0.0, 1.0)
+        code, doc = run_json(capsys, "converge", *state, "--n-list", "10,100")
+        assert code == 0 and doc["result"]["slope"] == "undefined"
+        code, doc = run_json(capsys, "noncollapse", *state, "--n-list", "10,100")
+        assert code == 0
+        assert doc["result"]["verdict"].startswith("exact eigenstate")
+        assert [r["max_weight"] for r in doc["result"]["rows"]] == [1.0, 1.0]
+        assert [r["off_peak_mass"] for r in doc["result"]["rows"]] == [0.0, 0.0]
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_empty_uniform_exit_2(self, capsys, dim):
@@ -106,6 +128,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert "guard" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    # 10**5000 has more digits than Python prints as an integer.
+    ("verify", "--dim", "10", "--n-max", "5000"),
+    # 1**21 = 1 fits any size guard; the N-site loops would still run.
+    ("stats", "--state", "uniform:1", "--n", "21", "--cross-check"),
+], ids=["d10-n5000", "uniform1-n21"])
+def test_vector_guard_decides_by_n(capsys, argv):
+    assert "guard" in assert_usage_error(capsys, *argv)
 
 
 class TestStats:

@@ -45,6 +45,14 @@ class TestBuild:
         with pytest.raises(ScaleError):
             build_frequency_operator(EnsembleSpec(StateVector.uniform(2), 13, 0))
 
+    def test_literal_guard_refuses_n_above_12_at_d1(self):
+        # 1**13 = 1 basis string, yet N = 13 is above log2 of the guard;
+        # verify takes the implicit diagonal there instead of failing.
+        with pytest.raises(ScaleError, match="guard of N <= 12 sites"):
+            build_frequency_operator(EnsembleSpec(StateVector.uniform(1), 13, 0))
+        assert verify_operator_algebra(1, 12)["dense_matrices"] is True
+        assert verify_operator_algebra(1, 13)["dense_matrices"] is False
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_route_equivalence(self, d):
         for n in range(1, 7):

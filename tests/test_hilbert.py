@@ -9,6 +9,7 @@ from freqop.hilbert import (
     EnsembleSpec,
     ScaleError,
     StateVector,
+    check_vector_scale,
     index_to_string,
     inner_product,
     product_state_vector,
@@ -131,6 +132,14 @@ class TestProductState:
     def test_scale_guard(self):
         with pytest.raises(ScaleError):
             product_state_vector(EnsembleSpec(StateVector.uniform(2), 21, 0))
+
+    @pytest.mark.parametrize("d, n", [(1, 21), (10, 3 * 10**6)])
+    def test_scale_guard_refuses_n_above_log2_of_guard(self, d, n):
+        # Decided from N alone: 10**(3*10**6) is never computed, and a
+        # single-outcome state cannot slip through with 1**N = 1.
+        with pytest.raises(ScaleError, match="guard of N <= 20 sites"):
+            check_vector_scale(d, n)
+        assert check_vector_scale(1, 20) == 1
 
 
 class TestEnsembleSpec:
