@@ -159,13 +159,10 @@ def cmd_converge(args) -> int:
             "rng": sampler.RNG_ALGORITHM,
             "stream_rule": f"master ^ (trial_index * {sampler.STREAM_CONSTANT:#x})",
         }
-    sweep = analysis.convergence_sweep(
-        state,
-        args.j,
-        _parse_n_list(args.n_list),
-        args.trials if args.sample else None,
-        args.seed,
-    )
+    # Without --sample the sweep ignores --trials and --seed.
+    trials = args.trials if args.sample else None
+    n_list = _parse_n_list(args.n_list)
+    sweep = analysis.convergence_sweep(state, args.j, n_list, trials, args.seed)
     table = _table(CONVERGE_COLUMNS, sweep.rows)
     result = {
         "slope": "undefined" if sweep.slope is None else sweep.slope,

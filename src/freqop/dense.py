@@ -34,18 +34,12 @@ def check_literal_scale(d: int, n: int) -> int:
     guard; N above log2 of the guard is refused before d**n is computed,
     as in :func:`check_vector_scale`."""
     max_n = LITERAL_ROUTE_GUARD.bit_length() - 1
-    if n > max_n:
+    if n > max_n or d**n > LITERAL_ROUTE_GUARD:
         raise ScaleError(
-            f"literal construction over N = {n} sites exceeds the guard of "
-            f"N <= {max_n} sites; use the implicit diagonal"
+            f"literal construction over {d}**{n} basis strings exceeds the guard "
+            f"of {LITERAL_ROUTE_GUARD} and N <= {max_n}; use the implicit diagonal"
         )
-    total = d**n
-    if total > LITERAL_ROUTE_GUARD:
-        raise ScaleError(
-            f"literal construction over {total} basis strings exceeds the "
-            f"guard {LITERAL_ROUTE_GUARD}; use the implicit diagonal"
-        )
-    return total
+    return d**n
 
 
 def frequency_counts(d: int, n: int, j: int) -> np.ndarray:

@@ -124,8 +124,7 @@ class StateVector:
             )
         try:
             return cls([complex(a["re"], a["im"]) for a in amps])
-        except OverflowError:
-            # A JSON integer too large for a float.
+        except OverflowError:  # a JSON integer too large for a float
             raise ValueError("state amplitudes must be finite") from None
 
     @classmethod
@@ -195,18 +194,12 @@ def check_vector_scale(d: int, n: int) -> int:
     d >= 2 that space exceeds the guard anyway, and for d = 1 the N-site
     loops would still run N times."""
     max_n = DENSE_VECTOR_GUARD.bit_length() - 1
-    if n > max_n:
+    if n > max_n or d**n > DENSE_VECTOR_GUARD:
         raise ScaleError(
-            f"ensemble size N = {n} exceeds the dense vector guard of "
-            f"N <= {max_n} sites; use the analytic engine"
+            f"product space {d}**{n} exceeds the dense vector guard of "
+            f"{DENSE_VECTOR_GUARD} entries and N <= {max_n}; use the analytic engine"
         )
-    total = d**n
-    if total > DENSE_VECTOR_GUARD:
-        raise ScaleError(
-            f"product space of size {d}**{n} = {total} exceeds the dense "
-            f"vector guard {DENSE_VECTOR_GUARD}; use the analytic engine"
-        )
-    return total
+    return d**n
 
 
 def product_state_vector(spec: EnsembleSpec) -> np.ndarray:

@@ -48,7 +48,7 @@ class TestBuild:
     def test_literal_guard_refuses_n_above_12_at_d1(self):
         # 1**13 = 1 basis string, yet N = 13 is above log2 of the guard;
         # verify takes the implicit diagonal there instead of failing.
-        with pytest.raises(ScaleError, match="guard of N <= 12 sites"):
+        with pytest.raises(ScaleError, match="guard of 4096 and N <= 12"):
             build_frequency_operator(EnsembleSpec(StateVector.uniform(1), 13, 0))
         assert verify_operator_algebra(1, 12)["dense_matrices"] is True
         assert verify_operator_algebra(1, 13)["dense_matrices"] is False

@@ -137,7 +137,7 @@ class TestProductState:
     def test_scale_guard_refuses_n_above_log2_of_guard(self, d, n):
         # Decided from N alone: 10**(3*10**6) is never computed, and a
         # single-outcome state cannot slip through with 1**N = 1.
-        with pytest.raises(ScaleError, match="guard of N <= 20 sites"):
+        with pytest.raises(ScaleError, match="guard of 1048576 entries and N <= 20"):
             check_vector_scale(d, n)
         assert check_vector_scale(1, 20) == 1
 
