@@ -123,15 +123,15 @@ class TestSpectralWeights:
         np.testing.assert_allclose(w, dense.spectral_weights_dense(spec), atol=1e-14)
         np.testing.assert_allclose(w, [0.25, 0.5, 0.25], atol=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 5, 10**6])
-    @pytest.mark.parametrize("p", [0.0, 1.0])
-    def test_degenerate_p(self, p, n):
+    def test_degenerate_p(self):
         # The whole mass sits on k = N (p = 1) or k = 0 (p = 0), bit for bit.
-        w = spectral_weights(EnsembleSpec(StateVector.two_level(p), n, 0))
-        expected = np.zeros(n + 1)
-        expected[n if p == 1.0 else 0] = 1.0
-        assert w.dtype == np.float64
-        assert w.tobytes() == expected.tobytes()
+        for p in (0.0, 1.0):
+            for n in (1, 5, 10**6):
+                w = spectral_weights(EnsembleSpec(StateVector.two_level(p), n, 0))
+                expected = np.zeros(n + 1)
+                expected[n if p == 1.0 else 0] = 1.0
+                assert w.dtype == np.float64, (p, n)
+                assert w.tobytes() == expected.tobytes(), (p, n)
 
     def test_central_term_n1000(self):
         # Exact-rational oracle: C(1000, 500) / 2**1000.
