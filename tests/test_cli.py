@@ -301,6 +301,20 @@ class TestReproducibility:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        # Without --sample the sampled columns are empty cells.
+        ("converge", "--state", "two-level:0.36", "--n-list", "10,100,1000"),
+        ("spectrum", "--state", "two-level:0.36", "--n", "5000"),
+    ], ids=["converge", "spectrum"])
+    def test_out_file_matches_stdout(self, tmp_path, capsys, argv):
+        argv = [*argv, "--format", "csv"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode()
+
     def test_invalid_state_exit_2(self, capsys):
         assert main(["stats", "--state", "two-level:1.5", "--n", "5"]) == 2
 

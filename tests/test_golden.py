@@ -69,6 +69,8 @@ CASES = {
     # Degenerate p: the whole mass on one eigenspace.
     "spectrum_p0": ("spectrum", "--state", "two-level:0.0", "--n", "20"),
     "spectrum_p1_csv": ("spectrum", "--state", "two-level:1.0", "--n", "20", *CSV),
+    # Most of the 2001 rows are weights that underflow to 0.
+    "spectrum_tail_csv": ("spectrum", "--state", "two-level:0.01", "--n", "2000", *CSV),
 }
 
 
