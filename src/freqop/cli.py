@@ -11,7 +11,9 @@ scale errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import sys
 
 from . import __version__, analysis, analytic, dense, sampler
@@ -22,6 +24,11 @@ EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
 
 CROSS_CHECK_TOL = 1e-11
+
+# Rows of a CSV table formatted and written per write call: large enough
+# that the per-chunk overhead vanishes, small enough that a chunk's text
+# stays far below the table's own arrays.
+CSV_CHUNK_ROWS = 4096
 
 # Row schemas: JSON rows and CSV rows both take their columns from these.
 CONVERGE_COLUMNS = (
@@ -45,14 +52,6 @@ def parse_state(text: str) -> StateVector:
         return StateVector.from_json(f.read())
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (int,)):
-        return str(x)
-    return f"{x:.17g}"
-
-
 def _meta(args, extra=None) -> dict:
     config = {
         k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None
@@ -63,28 +62,54 @@ def _meta(args, extra=None) -> dict:
     return meta
 
 
+def _csv_lines(meta, header, rows):
+    """Yield the meta and header lines, then the rows formatted by one
+    template, ``CSV_CHUNK_ROWS`` rows per string (see :func:`_emit`)."""
+    yield "".join(
+        f"# {k}={json.dumps(v, sort_keys=True)}\n" for k, v in meta.items()
+    ) + ",".join(header) + "\n"
+    rows = iter(rows)
+    first = next(rows)
+    rows = itertools.chain((first,), rows)
+    kept = [i for i, v in enumerate(first) if v is not None]
+    if len(kept) < len(first):
+        rows = map(operator.itemgetter(*kept), rows)
+    template = ",".join(
+        "" if v is None else "%d" if isinstance(v, int) else "%.17g" for v in first
+    ) + "\n"
+    lines = map(template.__mod__, rows)
+    while chunk := "".join(itertools.islice(lines, CSV_CHUNK_ROWS)):
+        yield chunk
+
+
 def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     """Write one command's output to --out or stdout.
 
-    JSON (the default) is the meta block plus ``result``. CSV is the meta
-    block, then the ``result`` fields named in ``csv_meta``, one per
-    ``# key=value`` line, then ``table``, a ``(header, rows)`` pair.
+    JSON (the default) is the meta block plus ``result``, written at once.
+    CSV is the meta block, then the ``result`` fields named in
+    ``csv_meta``, one per ``# key=value`` line, then ``table``, a
+    ``(header, rows)`` pair with at least one row, written
+    ``CSV_CHUNK_ROWS`` rows at a time so the table is never held whole as
+    text. One ``%``-template, taken from the first row's cell types,
+    formats every row: an ``int`` prints as ``%d`` (its ``str``), a
+    ``float`` as ``%.17g``, and ``None`` as an empty cell whose value is
+    dropped from every row. One template fits the whole table because the
+    columns are homogeneous by construction: ``n``, ``k`` and ``trial`` are
+    always ``int``, the closed forms always ``float``, and a sweep samples
+    every N or none.
     """
     meta = _meta(args, extra_meta)
     if getattr(args, "format", "json") == "csv":
         header, rows = table
         meta.update((k, result[k]) for k in csv_meta)
-        lines = [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in meta.items()]
-        lines.append(",".join(header))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        payload = "\n".join(lines) + "\n"
+        pieces = _csv_lines(meta, header, rows)
     else:
-        payload = json.dumps({"meta": meta, "result": result}, indent=2) + "\n"
+        pieces = [json.dumps({"meta": meta, "result": result}, indent=2) + "\n"]
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(payload)
+            f.writelines(pieces)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(pieces)
 
 
 def _table(columns, records):

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from freqop import dense
-from freqop.cli import main, parse_state
+from freqop.cli import CSV_CHUNK_ROWS, main, parse_state
 
 
 def run(capsys, *argv):
@@ -320,6 +324,71 @@ class TestReproducibility:
 
     def test_bad_j_exit_2(self, capsys):
         assert main(["stats", "--state", "uniform:2", "--j", "5", "--n", "3"]) == 2
+
+
+def per_cell(x) -> str:
+    """The per-cell CSV rule the row templates reproduce."""
+    if x is None:
+        return ""
+    if isinstance(x, int):
+        return str(x)
+    return f"{x:.17g}"
+
+
+class TestCsvRows:
+    @given(st.floats())
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072009e-308)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(1e17)
+    @example(2.0**60)
+    @example(-1.2345678901234567e300)
+    def test_float_template_is_per_cell_rule(self, x):
+        assert "%.17g" % x == per_cell(x)
+
+    @given(st.integers())
+    def test_int_template_is_per_cell_rule(self, k):
+        assert "%d" % k == per_cell(k)
+
+    def test_float_template_nan(self):
+        assert "%.17g" % math.nan == per_cell(math.nan) == "nan"
+
+    @pytest.mark.parametrize("argv,column", [
+        (("spectrum", "--state", "two-level:0.36", "--n", "100000"), "weights"),
+        (("sample", "--state", "two-level:0.36", "--n", "10", "--trials", "20000",
+          "--seed", "11"), "frequencies"),
+    ], ids=["spectrum", "sample"])
+    def test_rows_follow_per_cell_rule(self, capsys, argv, column):
+        _, doc = run_json(capsys, *argv)
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        values = doc["result"][column]
+        assert len(lines) - header - 1 == len(values)
+        expected = [",".join(map(per_cell, row)) for row in enumerate(values)]
+        assert lines[header + 1:] == expected
+
+    def test_writes_at_most_a_chunk_of_rows(self, monkeypatch):
+        class Recording(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, s):
+                self.writes.append(s)
+                return super().write(s)
+
+        stdout = Recording()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = ["spectrum", "--state", "two-level:0.36", "--n", "100000",
+                "--format", "csv"]
+        assert main(argv) == 0
+        # Three meta lines, the header, and N + 1 rows.
+        assert stdout.getvalue().count("\n") == 4 + 100001
+        assert max(s.count("\n") for s in stdout.writes) <= CSV_CHUNK_ROWS
 
 
 def test_cli_import_skips_scipy_stats():
