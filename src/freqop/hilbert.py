@@ -35,7 +35,9 @@ class StateVector:
     rejects non-finite entries and any vector whose norm deviates from 1 by
     more than ``NORM_TOL``; a caller holding an unnormalized vector divides
     it by its norm before constructing. States are read from JSON, never
-    written; two states compare by their ``amplitudes``.
+    written; two states compare by their ``amplitudes``. A single system is
+    the N = 1 product space, so ``uniform`` and the JSON reader refuse a
+    dimension above ``DENSE_VECTOR_GUARD`` before building any array.
     """
 
     __slots__ = ("_amps",)
@@ -46,7 +48,9 @@ class StateVector:
             raise ValueError("state vector needs at least one amplitude")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("state amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
+        # A pairwise sum: np.linalg.norm's accumulation error passes
+        # NORM_TOL from about a million entries.
+        norm = float(np.sqrt(np.sum(amps.real**2 + amps.imag**2)))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state vector not normalized: |norm - 1| = {abs(norm - 1.0):.3e}"
@@ -89,6 +93,7 @@ class StateVector:
     def uniform(cls, dim: int) -> "StateVector":
         if dim < 1:
             raise ValueError(f"uniform state needs dimension >= 1, got {dim}")
+        check_vector_scale(dim, 1)
         return cls(np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
     @classmethod
@@ -111,6 +116,7 @@ class StateVector:
         dim, amps = obj["dim"], obj["amplitudes"]
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f'"dim" must be an integer, got {dim!r}')
+        check_vector_scale(dim, 1)
         if not isinstance(amps, list) or not all(
             isinstance(a, dict) and _is_json_number(a.get("re"))
             and _is_json_number(a.get("im"))

@@ -144,6 +144,14 @@ def test_vector_guard_decides_by_n(capsys, argv):
     assert "guard" in assert_usage_error(capsys, *argv)
 
 
+def test_single_system_dimension_guard(capsys):
+    state = ("--state", "uniform:1048577")
+    assert "guard" in assert_usage_error(capsys, "stats", *state, "--n", "3")
+    code, doc = run_json(capsys, "stats", "--state", "uniform:1048576", "--n", "3")
+    assert code == 0
+    assert doc["result"]["expectation"] == pytest.approx(2.0**-20)
+
+
 class TestStats:
     def test_known_values(self, capsys):
         code, doc = run_json(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqop.hilbert import (
+    DENSE_VECTOR_GUARD,
     EnsembleSpec,
     ScaleError,
     StateVector,
@@ -50,6 +51,17 @@ class TestStateVector:
             '[{"re": 0.6, "im": 0}, {"re": 0, "im": 0.8}]}'
         )
         assert np.array_equal(s.amplitudes, [0.6, 0.8j])
+
+    @pytest.mark.parametrize("dim", [659465, 1048531])
+    def test_large_uniform_is_normalized(self, dim):
+        assert StateVector.uniform(dim).dim == dim
+
+    def test_dimension_guard_before_allocation(self):
+        dim = DENSE_VECTOR_GUARD + 1
+        with pytest.raises(ScaleError, match="guard"):
+            StateVector.uniform(dim)
+        with pytest.raises(ScaleError, match="guard"):
+            StateVector.from_json_dict({"dim": dim, "amplitudes": []})
 
     def test_json_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match dim"):
