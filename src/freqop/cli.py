@@ -4,8 +4,10 @@ Every command emits machine-readable output (JSON by default, CSV where a
 row schema exists) with an embedded metadata block: tool version, the
 parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
-files. Exit codes: 0 all checks pass, 1 tolerance breach, 2 usage or
-scale errors.
+files. A JSON document is written at once; a CSV table is streamed in
+chunks of ``CSV_CHUNK_ROWS`` rows, each row formatted by one template per
+table, so the table's text is never held whole. Exit codes: 0 all checks
+pass, 1 tolerance breach, 2 usage or scale errors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ CROSS_CHECK_TOL = 1e-11
 
 # Rows of a CSV table formatted and written per write call: large enough
 # that the per-chunk overhead vanishes, small enough that a chunk's text
-# stays far below the table's own arrays.
+# stays far below the table's own arrays (at N = 10^5 a 16384-row chunk
+# already raises the spectrum's tracemalloc peak above a 4096-row one).
 CSV_CHUNK_ROWS = 4096
 
 # Row schemas: JSON rows and CSV rows both take their columns from these.
