@@ -4,10 +4,10 @@ Every command emits machine-readable output (JSON by default, CSV where a
 row schema exists) with an embedded metadata block: tool version, the
 parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
-files. A JSON document is written at once; a CSV table is streamed in
-chunks of ``CSV_CHUNK_ROWS`` rows, each row formatted by one template per
-table, so the table's text is never held whole. Exit codes: 0 all checks
-pass, 1 tolerance breach, 2 usage or scale errors.
+files. A JSON document is written at once; a CSV table is streamed from
+the computed values in chunks of ``CSV_CHUNK_ROWS`` rows, each formatted
+by one template per table, so the table is never held whole. Exit codes:
+0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import operator
 import sys
 
 from . import __version__, analysis, analytic, dense, sampler
@@ -65,6 +64,10 @@ def _meta(args, extra=None) -> dict:
     return meta
 
 
+def _json_default(value):
+    return value.tolist()  # a numpy array or integer; np.float64 is a float
+
+
 def _csv_lines(meta, header, rows):
     """Yield the meta and header lines, then the rows formatted by one
     template, ``CSV_CHUNK_ROWS`` rows per string (see :func:`_emit`)."""
@@ -74,11 +77,8 @@ def _csv_lines(meta, header, rows):
     rows = iter(rows)
     first = next(rows)
     rows = itertools.chain((first,), rows)
-    kept = [i for i, v in enumerate(first) if v is not None]
-    if len(kept) < len(first):
-        rows = map(operator.itemgetter(*kept), rows)
     template = ",".join(
-        "" if v is None else "%d" if isinstance(v, int) else "%.17g" for v in first
+        "%.0s" if v is None else "%d" if isinstance(v, int) else "%.17g" for v in first
     ) + "\n"
     lines = map(template.__mod__, rows)
     while chunk := "".join(itertools.islice(lines, CSV_CHUNK_ROWS)):
@@ -88,18 +88,18 @@ def _csv_lines(meta, header, rows):
 def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     """Write one command's output to --out or stdout.
 
-    JSON (the default) is the meta block plus ``result``, written at once.
-    CSV is the meta block, then the ``result`` fields named in
-    ``csv_meta``, one per ``# key=value`` line, then ``table``, a
-    ``(header, rows)`` pair with at least one row, written
-    ``CSV_CHUNK_ROWS`` rows at a time so the table is never held whole as
-    text. One ``%``-template, taken from the first row's cell types,
-    formats every row: an ``int`` prints as ``%d`` (its ``str``), a
-    ``float`` as ``%.17g``, and ``None`` as an empty cell whose value is
-    dropped from every row. One template fits the whole table because the
-    columns are homogeneous by construction: ``n``, ``k`` and ``trial`` are
-    always ``int``, the closed forms always ``float``, and a sweep samples
-    every N or none.
+    The only place values turn into text: ``result`` and ``table`` hold what
+    the layers return. JSON (the default) is the meta block plus ``result``,
+    written at once, numpy values converted as they are encoded. CSV is the
+    meta block, then the ``result`` fields named in ``csv_meta``, one per
+    ``# key=value`` line, then ``table``, a ``(header, rows)`` pair with at
+    least one row, read lazily and written ``CSV_CHUNK_ROWS`` rows at a
+    time, so the table is never held whole. One ``%``-template, from the
+    first row's cell types, formats every row: ``int`` as ``%d`` (its
+    ``str``), ``float`` as ``%.17g`` and ``None`` as ``%.0s``, an empty
+    cell. One template fits because the columns are homogeneous by
+    construction: ``n``, ``k`` and ``trial`` are always ``int``, the closed
+    forms ``float``, and a sweep samples every N or none.
     """
     meta = _meta(args, extra_meta)
     if getattr(args, "format", "json") == "csv":
@@ -107,7 +107,8 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
         meta.update((k, result[k]) for k in csv_meta)
         pieces = _csv_lines(meta, header, rows)
     else:
-        pieces = [json.dumps({"meta": meta, "result": result}, indent=2) + "\n"]
+        doc = {"meta": meta, "result": result}
+        pieces = [json.dumps(doc, indent=2, default=_json_default) + "\n"]
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as f:
             f.writelines(pieces)
@@ -212,19 +213,18 @@ def cmd_noncollapse(args) -> int:
 def cmd_sample(args) -> int:
     state = parse_state(args.state)
     summary = sampler.run_trials(state, args.n, args.trials, args.seed, args.j)
-    frequencies = summary.frequencies.tolist()
     result = {
         "trials": args.trials,
         "mean_frequency": summary.mean_frequency,
         "sample_variance": summary.sample_variance,
-        "frequencies": frequencies,
+        "frequencies": summary.frequencies,
     }
     extra = {
         "seed": args.seed,
         "rng": sampler.RNG_ALGORITHM,
         "stream_rule": sampler.STREAM_RULE,
     }
-    table = (("trial", "frequency"), enumerate(frequencies))
+    table = (("trial", "frequency"), enumerate(summary.frequencies))
     _emit(args, result, table, ("mean_frequency", "sample_variance"), extra)
     return EXIT_OK
 
@@ -232,14 +232,13 @@ def cmd_sample(args) -> int:
 def cmd_spectrum(args) -> int:
     state = parse_state(args.state)
     w = analytic.spectral_weights(EnsembleSpec(state, args.n, args.j))
-    weights = w.tolist()
     result = {
         "n": args.n,
-        "weights": weights,
-        "max_weight": float(w.max()),
-        "argmax": int(w.argmax()),
+        "weights": w,
+        "max_weight": w.max(),
+        "argmax": w.argmax(),
     }
-    _emit(args, result, (("k", "weight"), enumerate(weights)))
+    _emit(args, result, (("k", "weight"), enumerate(w)))
     return EXIT_OK
 
 

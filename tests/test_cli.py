@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,17 @@ class TestSampleAndSpectrum:
         )
         assert doc["result"]["weights"] == pytest.approx([0.25, 0.5, 0.25])
 
+    def test_spectrum_json_types(self, capsys):
+        _, doc = run_json(
+            capsys, "spectrum", "--state", "two-level:0.36", "--n", "50"
+        )
+        result = doc["result"]
+        weights = result["weights"]
+        assert type(result["argmax"]) is int
+        assert weights[result["argmax"]] == max(weights)
+        assert type(result["max_weight"]) is float
+        assert result["max_weight"] == max(weights)
+
     def test_noncollapse_rows(self, capsys):
         code, doc = run_json(
             capsys, "noncollapse", "--state", "two-level:0.5",
@@ -395,6 +407,25 @@ class TestCsvRows:
         # Three meta lines, the header, and N + 1 rows.
         assert stdout.getvalue().count("\n") == 4 + 100001
         assert max(s.count("\n") for s in stdout.writes) <= CSV_CHUNK_ROWS
+
+
+def test_spectrum_csv_rows_come_from_the_weight_array(tmp_path):
+    """A Python list of the N + 1 weights takes four times the array's
+    bytes (an 8-byte pointer plus a 24-byte float each), so a run that
+    peaks below that builds no such list."""
+    n = 100000
+    argv = ["spectrum", "--state", "two-level:0.36", "--n", str(n),
+            "--format", "csv", "--out", str(tmp_path / "spectrum.csv")]
+    assert main(argv) == 0  # lazy imports and caches settle first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * (n + 1)
 
 
 def test_cli_import_skips_scipy_stats():
