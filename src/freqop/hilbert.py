@@ -136,7 +136,11 @@ class StateVector:
 
     @classmethod
     def from_json(cls, text: str) -> "StateVector":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:  # the parser recurses once per nesting level
+            raise ValueError("state JSON nests too deeply") from None
+        return cls.from_json_dict(obj)
 
 
 @dataclass(frozen=True)

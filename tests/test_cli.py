@@ -70,6 +70,15 @@ class TestParseState:
         path.write_text(json.dumps(doc))
         assert_usage_error(capsys, "stats", "--state", str(path), "--n", "3")
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200000 + "]" * 200000,
+        '{"dim": 2, "amplitudes": ' + "[" * 5000 + "]" * 5000 + "}",
+    ], ids=["bare-lists", "nested-amplitudes"])
+    def test_deeply_nested_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        assert_usage_error(capsys, "stats", "--state", str(path), "--n", "3")
+
     def test_born_weight_above_one_is_an_eigenstate(self, tmp_path, capsys):
         # |c_0|^2 = 1 + 8e-13 passes the norm tolerance; p is read as 1.0.
         path = tmp_path / "state.json"
@@ -200,6 +209,15 @@ class TestStats:
         )
         assert code == 0 and doc["result"]["cross_check"] == "PASS"
         assert sorted(calls) == ["frequency_diagonal", "product_state_vector"]
+
+    @pytest.mark.parametrize("cross_check", [(), ("--cross-check",)],
+                             ids=["closed-forms", "cross-check"])
+    def test_overflowing_n_exit_2(self, capsys, cross_check):
+        # N = 10^400 overflows a float in the closed forms.
+        assert_usage_error(
+            capsys, "stats", "--state", "two-level:0.36", "--n", str(10**400),
+            *cross_check,
+        )
 
     def test_metadata_block(self, capsys):
         _, doc = run_json(
