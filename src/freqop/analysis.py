@@ -56,12 +56,12 @@ def convergence_sweep(
     Analytic columns are always present. When ``trials`` is given the
     sampled columns are filled too, each N running ``trials`` trials from
     the same master ``seed`` so the sweep is reproducible as a whole; the
-    whole sweep's draws pass :func:`sampler.check_sampling` before its
-    first N. Without ``trials`` the seed is not read.
+    whole sweep passes :func:`sampler.check_sampling` before its first N.
+    Without ``trials`` the seed is not read.
     """
     ns = _validate_n_list(n_list)
     if trials is not None:
-        sampler.check_sampling(trials, seed, trials * sum(ns))
+        sampler.check_sampling(trials, seed, ns)
     rows = []
     for n in ns:
         spec = EnsembleSpec(state, n, j)

@@ -35,6 +35,11 @@ _SEED_MASK = (1 << 64) - 1
 # would run for hours, so it is refused before any draw.
 MAX_DRAWS = 10**9
 
+# Most trial runs (trials x ensemble sizes) one request may ask for. Each
+# run costs ~10 us however small N is, so 10^6 runs take ~10 s; without
+# this cap the draw budget alone admits ~3 h of one-draw trials.
+MAX_TRIAL_RUNS = 10**6
+
 
 def stream_seed(master_seed: int, trial_index: int) -> int:
     """Derived seed for one trial: master XOR (index * odd constant), mod 2**64."""
@@ -48,16 +53,24 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-def check_sampling(trials: int, seed: int, draws: int) -> None:
-    """Refuse a sampling request before any draw: fewer than two trials, a
-    seed outside [0, 2**64), or more than ``MAX_DRAWS`` draws in all,
-    checked in that order."""
+def check_sampling(trials: int, seed: int, ns) -> None:
+    """Refuse a request to run ``trials`` trials at each ensemble size in
+    ``ns`` before any draw: fewer than two trials, a seed outside
+    [0, 2**64), more than ``MAX_DRAWS`` draws in all, or more than
+    ``MAX_TRIAL_RUNS`` trial runs in all, checked in that order."""
     if trials < 2:
         raise ValueError(f"need at least two trials, got {trials}")
     _check_seed(seed)
+    draws = trials * sum(ns)
     if draws > MAX_DRAWS:
         raise ValueError(
             f"sampling limited to N x trials <= {MAX_DRAWS} draws, got {draws}"
+        )
+    runs = trials * len(ns)
+    if runs > MAX_TRIAL_RUNS:
+        raise ValueError(
+            f"sampling limited to trials x ensemble sizes <= {MAX_TRIAL_RUNS} "
+            f"trial runs, got {runs}"
         )
 
 
@@ -134,11 +147,12 @@ def run_trials(
     j = 0), the ``side='left'`` rule of :func:`sample_outcomes`, so a trial
     counts the draws in that interval without building outcome indices.
     An outcome index out of range, then whatever :func:`check_sampling`
-    refuses for the N x trials draws, is refused before any draw.
+    refuses for ``trials`` trials at the one size N, is refused before any
+    draw.
     """
     if not 0 <= j < state.dim:
         raise ValueError(f"outcome index {j} out of range [0, {state.dim})")
-    check_sampling(trials, seed, n * trials)
+    check_sampling(trials, seed, [n])
     cdf = _born_cdf(state)
     # The CDF is non-decreasing, so count(u <= hi) - count(u <= lo) is
     # count(lo < u <= hi).

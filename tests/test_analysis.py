@@ -90,10 +90,13 @@ class TestConvergenceSweep:
         # the last N alone fits the budget; exactly at the budget the sweep
         # starts on its first N.
         ((1000, 1), [10, _TOP], "draws", (1000, 1), [10, _TOP - 10]),
+        # 1000 trials x 1001 sizes: half the draw budget, one run too many.
+        ((1000, 1), list(range(1, 1002)), "trial runs", (1000, 1),
+         list(range(1, 1001))),
         ((1, 1), [10, 100], "two trials", (2, 1), [10, 100]),
         ((3, -1), [10, 100], "seed", (3, 0), [10, 100]),
         ((3, 2**64), [10, 100], "seed", (3, 2**64 - 1), [10, 100]),
-    ], ids=["draws", "trials", "seed-negative", "seed-65-bits"])
+    ], ids=["draws", "runs", "trials", "seed-negative", "seed-65-bits"])
     def test_rejects_over_budget_sampled_sweep_before_any_work(
         self, monkeypatch, refused, n_list, match, accepted, accepted_n_list
     ):

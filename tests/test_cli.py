@@ -284,7 +284,12 @@ class TestSampleAndSpectrum:
     @pytest.mark.parametrize("command", [
         ("sample", "--n", "1000000", "--trials", "1000000"),
         ("converge", "--n-list", "10,1000000", "--sample", "--trials", "1000"),
-    ], ids=["sample", "converge"])
+        # Within the draw budget, above the trial-run cap.
+        ("sample", "--n", "1", "--trials", "1000000000"),
+        ("converge", "--n-list", ",".join(map(str, range(1, 1002))), "--sample",
+         "--trials", "1000"),
+        ("sample", "--j", "2", "--n", "10", "--trials", "3"),
+    ], ids=["sample", "converge", "sample-runs", "converge-runs", "sample-j"])
     def test_draw_budget_exit_2(self, capsys, monkeypatch, command):
         def no_draws(*args, **kwargs):
             raise AssertionError("a draw started")

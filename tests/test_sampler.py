@@ -6,6 +6,7 @@ import pytest
 from freqop.hilbert import StateVector
 from freqop.sampler import (
     MAX_DRAWS,
+    MAX_TRIAL_RUNS,
     _born_cdf,
     _uniforms,
     run_trials,
@@ -223,4 +224,18 @@ def test_draw_budget_refused_before_any_draw(monkeypatch):
     # Exactly at the budget the job reaches its first draw.
     with pytest.raises(_Drew):
         run_trials(state, 10**6, MAX_DRAWS // 10**6, seed=0)
+    assert len(built) == 1
+
+
+def test_trial_run_cap_refused_before_any_draw(monkeypatch):
+    built = []
+    monkeypatch.setattr(np.random, "Philox", _refusing_philox(built))
+    state = StateVector.uniform(2)
+    # One draw per trial keeps far inside the draw budget.
+    with pytest.raises(ValueError, match="trial runs"):
+        run_trials(state, 1, MAX_TRIAL_RUNS + 1, seed=0)
+    assert built == []
+    # Exactly at the cap the job reaches its first draw.
+    with pytest.raises(_Drew):
+        run_trials(state, 1, MAX_TRIAL_RUNS, seed=0)
     assert len(built) == 1
