@@ -53,7 +53,7 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-def check_sampling(trials: int, seed: int, ns) -> None:
+def check_sampling(trials: int, seed: int, ns: list[int]) -> None:
     """Refuse a request to run ``trials`` trials at each ensemble size in
     ``ns`` before any draw: fewer than two trials, a seed outside
     [0, 2**64), more than ``MAX_DRAWS`` draws in all, or more than
