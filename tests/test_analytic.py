@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,23 @@ def spec_with_p(n: int, p: float) -> SimpleNamespace:
 def exact_binomial_weight(n: int, k: int, p: Fraction) -> float:
     """Independent oracle: exact-rational binomial term."""
     return float(comb(n, k) * p**k * (1 - p) ** (n - k))
+
+
+def mp_binomial_weight(n: int, k: int, p: float) -> mpmath.mpf:
+    """Independent 50-digit oracle for the binomial term at the float p,
+    with 1 - p taken exactly from ``Fraction``."""
+    q = 1 - Fraction(p)
+    with mpmath.workdps(50):
+        return (
+            mpmath.binomial(n, k)
+            * mpmath.mpf(p) ** k
+            * (mpmath.mpf(q.numerator) / q.denominator) ** (n - k)
+        )
+
+
+def relative_error(weight: float, reference: mpmath.mpf) -> float:
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(weight) - reference) / reference)
 
 
 class TestExpectation:
@@ -188,6 +206,28 @@ class TestSpectralWeights:
                 weights = spectral_weights(spec_with_p(n, p))
                 assert weights.dtype == expected.dtype
                 assert weights.tobytes() == expected.tobytes(), (n, p)
+
+
+@pytest.mark.parametrize("p", [1e-7, 0.01, 0.3712, 0.5, 0.9999, 3 / 11])
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**6])
+def test_spectrum_against_mpmath(n, p):
+    """The weights against a 50-digit reference: to 1e-14 relative at the
+    mode and its neighbours, to 1e-11 across the nonzero span, and exactly
+    zero only where the exact term is below the floor."""
+    w = spectral_weights(spec_with_p(n, p))
+    mode = min(int((n + 1) * Fraction(p)), n)
+    for k in range(max(mode - 1, 0), min(mode + 1, n) + 1):
+        assert relative_error(w[k], mp_binomial_weight(n, k, p)) <= 1e-14, k
+    nonzero = np.flatnonzero(w)
+    lo, hi = int(nonzero[0]), int(nonzero[-1])
+    assert hi - lo + 1 == len(nonzero)
+    for k in np.unique(np.linspace(lo, hi, 25).round().astype(int)).tolist():
+        reference = mp_binomial_weight(n, k, p)
+        if reference >= analytic.WEIGHT_FLOOR:
+            assert relative_error(w[k], reference) <= 1e-11, k
+    for k in (lo - 1, hi + 1):
+        if 0 <= k <= n:
+            assert mp_binomial_weight(n, k, p) < analytic.WEIGHT_FLOOR, k
 
 
 class TestNoncollapse:

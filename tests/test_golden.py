@@ -2,15 +2,18 @@
 
 Each case runs ``freqop.cli.main`` in process from ``tests/golden`` (the
 config block echoes the state path, so the JSON state file lives there too)
-and compares stdout with ``tests/golden/<case>.<json|csv>``. A change that
+and compares stdout with ``tests/golden/<case>.<json|csv>``. The spectra at
+N = 10^5 and 10^6 are too large to keep, so ``LARGE_CASES`` pins the sha256
+of their stdout in ``tests/golden/large_n.sha256`` instead. A change that
 alters any output byte fails here; rewrite the files only when the output is
 meant to change, by running this module as a script, which also rewrites the
-demos' pinned stdout (see ``test_demos.py``):
+digests and the demos' pinned stdout (see ``test_demos.py``):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import runpy
@@ -73,6 +76,48 @@ CASES = {
     "spectrum_tail_csv": ("spectrum", "--state", "two-level:0.01", "--n", "2000", *CSV),
 }
 
+# At scale, where the golden spectra above stop (N = 2000): the far tails
+# underflow to exact zeros, and p near 0 or 1 puts the mass at one end.
+LARGE_CASES = {
+    **{
+        f"spectrum_{p}_n1e6_csv": (
+            "spectrum", "--state", f"two-level:{p}", "--n", "1000000", *CSV)
+        for p in ("0.3712", "1e-7", "0.9999", "0.5", "0.0", "1.0")
+    },
+    **{
+        f"spectrum_{p}_n1e5": ("spectrum", "--state", f"two-level:{p}", "--n", "100000")
+        for p in ("0.3712", "1e-7", "0.9999", "0.5")
+    },
+}
+LARGE_DIGESTS = GOLDEN / "large_n.sha256"
+
+
+class _Sha256Writer:
+    """A stdout stand-in that keeps only the sha256 of what is written."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+
+def stdout_sha256(argv) -> str:
+    out = _Sha256Writer()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.sha.hexdigest()
+
+
+def read_digests() -> dict:
+    lines = LARGE_DIGESTS.read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
 
 def golden_path(name: str) -> Path:
     ext = "csv" if "csv" in CASES[name] else "json"
@@ -86,6 +131,15 @@ def test_golden_output(name, monkeypatch, capsys):
     assert capsys.readouterr().out.encode() == golden_path(name).read_bytes()
 
 
+def test_large_cases_pinned():
+    assert sorted(read_digests()) == sorted(LARGE_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_CASES))
+def test_large_n_digest(name):
+    assert stdout_sha256(LARGE_CASES[name]) == read_digests()[name]
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for name, argv in CASES.items():
@@ -96,6 +150,12 @@ if __name__ == "__main__":
             raise SystemExit(f"{name}: exit code {code}")
         golden_path(name).write_bytes(out.getvalue().encode())
         print(f"wrote {golden_path(name).name}")
+
+    LARGE_DIGESTS.write_text(
+        "".join(f"{stdout_sha256(argv)}  {name}\n" for name, argv in LARGE_CASES.items()),
+        encoding="utf-8",
+    )
+    print(f"wrote {LARGE_DIGESTS.name}")
 
     from test_demos import DEMOS, demo_golden_path
 
