@@ -5,8 +5,8 @@ row schema exists) with an embedded metadata block: tool version, the
 parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
 files. A JSON document is written at once; a CSV table is streamed from
-the computed values in chunks of ``CSV_CHUNK_ROWS`` rows, each formatted
-by one template per table, so the table is never held whole. Exit codes:
+the computed values in chunks of at most ``CSV_CHUNK_ROWS`` rows, so the
+table is never held whole. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 """
 
@@ -16,6 +16,8 @@ import argparse
 import itertools
 import json
 import sys
+
+import numpy as np
 
 from . import __version__, analysis, analytic, dense, sampler
 from .hilbert import EnsembleSpec, StateVector, check_vector_scale
@@ -68,12 +70,44 @@ def _json_default(value):
     return value.tolist()  # a numpy array or integer; np.float64 is a float
 
 
-def _csv_lines(meta, header, rows):
-    """Yield the meta and header lines, then the rows formatted by one
-    template, ``CSV_CHUNK_ROWS`` rows per string (see :func:`_emit`)."""
-    yield "".join(
-        f"# {k}={json.dumps(v, sort_keys=True)}\n" for k, v in meta.items()
-    ) + ",".join(header) + "\n"
+def _runs(w):
+    """(start, stop, nonzero) of each maximal run of exact zeros or of
+    nonzeros in the 1-D array ``w``, in order."""
+    nonzero = w != 0
+    cuts = (nonzero[1:] != nonzero[:-1]).nonzero()[0] + 1
+    bounds = [0, *cuts.tolist(), len(w)]
+    return [(c, d, bool(nonzero[c])) for c, d in zip(bounds, bounds[1:])]
+
+
+def _column_rows(w):
+    """The CSV rows ``k,w[k]`` of a weight column, at most
+    ``CSV_CHUNK_ROWS`` rows per string. A zero run needs only its indices;
+    a nonzero run repeats the ``%d,%.17g`` row template over its cells."""
+    for c, d, nonzero in _runs(w):
+        for s in range(c, d, CSV_CHUNK_ROWS):
+            e = min(s + CSV_CHUNK_ROWS, d)
+            if nonzero:
+                cells = itertools.chain.from_iterable(zip(range(s, e), w[s:e].tolist()))
+                yield ("%d,%.17g\n" * (e - s)) % tuple(cells)
+            else:
+                yield ("%d,0\n" * (e - s)) % tuple(range(s, e))
+
+
+def _column_json(w, depth):
+    """``w.tolist()`` as ``json.dumps(indent=2)`` lays out a list value at
+    ``depth``: a float's JSON text is its ``repr``, and a zero's is
+    ``0.0``."""
+    sep = ",\n" + "  " * (depth + 1)
+    items = "".join(
+        sep + sep.join(map(repr, w[c:d].tolist())) if nonzero else (sep + "0.0") * (d - c)
+        for c, d, nonzero in _runs(w)
+    )
+    return "[" + items[1:] + "\n" + "  " * depth + "]"
+
+
+def _template_rows(rows):
+    """Rows formatted by one template from the first row's cell types,
+    ``CSV_CHUNK_ROWS`` rows per string (see :func:`_emit`)."""
     rows = iter(rows)
     first = next(rows)
     rows = itertools.chain((first,), rows)
@@ -85,6 +119,28 @@ def _csv_lines(meta, header, rows):
         yield chunk
 
 
+def _csv_lines(meta, header, rows):
+    """Yield the meta and header lines, then the rows in chunks."""
+    yield "".join(
+        f"# {k}={json.dumps(v, sort_keys=True)}\n" for k, v in meta.items()
+    ) + ",".join(header) + "\n"
+    yield from _column_rows(rows) if isinstance(rows, np.ndarray) else _template_rows(rows)
+
+
+def _json_text(doc, column=None):
+    """``json.dumps(doc, indent=2)``. A weight ``column`` must also be a
+    value of the result: it is rendered by :func:`_column_json` and spliced
+    in, sparing the encoder's pure-Python walk over its items."""
+    if column is None:
+        return json.dumps(doc, indent=2, default=_json_default)
+    result = doc["result"]
+    key = next(k for k, v in result.items() if v is column)
+    text = json.dumps({**doc, "result": {**result, key: []}}, indent=2, default=_json_default)
+    # The result comes last, so its own key: [] is the last one in the text.
+    head, empty, tail = text.rpartition(json.dumps(key) + ": []")
+    return head + empty[:-2] + _column_json(column, 2) + tail
+
+
 def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     """Write one command's output to --out or stdout.
 
@@ -93,13 +149,20 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     written at once, numpy values converted as they are encoded. CSV is the
     meta block, then the ``result`` fields named in ``csv_meta``, one per
     ``# key=value`` line, then ``table``, a ``(header, rows)`` pair with at
-    least one row, read lazily and written ``CSV_CHUNK_ROWS`` rows at a
-    time, so the table is never held whole. One ``%``-template, from the
-    first row's cell types, formats every row: ``int`` as ``%d`` (its
-    ``str``), ``float`` as ``%.17g`` and ``None`` as ``%.0s``, an empty
-    cell. One template fits because the columns are homogeneous by
-    construction: ``n``, ``k`` and ``trial`` are always ``int``, the closed
-    forms ``float``, and a sweep samples every N or none.
+    least one row, read lazily and written at most ``CSV_CHUNK_ROWS`` rows
+    at a time, so the table is never held whole.
+
+    Rows are tuples, or a 1-D float array ``w``, a weight column whose row
+    k is ``(k, w[k])``. Tuple rows are formatted by one ``%``-template,
+    from the first row's cell types: ``int`` as ``%d`` (its ``str``),
+    ``float`` as ``%.17g`` and ``None`` as ``%.0s``, an empty cell. One
+    template fits because the columns are homogeneous by construction:
+    ``n``, ``k`` and ``trial`` are always ``int``, the closed forms
+    ``float``, and a sweep samples every N or none. A weight column is
+    mostly exact zeros, so it is rendered run by run (:func:`_runs`) in
+    both formats, with the same bytes: in CSV a zero row is ``k,0``, and
+    in JSON the column, also a value of ``result``, is spliced into the
+    document.
     """
     meta = _meta(args, extra_meta)
     if getattr(args, "format", "json") == "csv":
@@ -107,8 +170,8 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
         meta.update((k, result[k]) for k in csv_meta)
         pieces = _csv_lines(meta, header, rows)
     else:
-        doc = {"meta": meta, "result": result}
-        pieces = [json.dumps(doc, indent=2, default=_json_default) + "\n"]
+        column = table[1] if table and isinstance(table[1], np.ndarray) else None
+        pieces = [_json_text({"meta": meta, "result": result}, column) + "\n"]
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as f:
             f.writelines(pieces)
@@ -238,7 +301,7 @@ def cmd_spectrum(args) -> int:
         "max_weight": w.max(),
         "argmax": w.argmax(),
     }
-    _emit(args, result, (("k", "weight"), enumerate(w)))
+    _emit(args, result, (("k", "weight"), w))
     return EXIT_OK
 
 

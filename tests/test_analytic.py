@@ -2,9 +2,13 @@ from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from freqop import analytic, dense
 from freqop.analytic import (
@@ -206,6 +210,64 @@ class TestSpectralWeights:
                 weights = spectral_weights(spec_with_p(n, p))
                 assert weights.dtype == expected.dtype
                 assert weights.tobytes() == expected.tobytes(), (n, p)
+
+
+def full_table_weights(n: int, p: float) -> np.ndarray:
+    """The kernel on all N + 1 counts, floored: the table the window must
+    reproduce."""
+    from scipy.special._ufuncs import _binom_pmf
+
+    with np.errstate(under="ignore"):
+        weights = _binom_pmf(np.arange(n + 1), n, p)
+    weights[weights < analytic.WEIGHT_FLOOR] = 0.0
+    return weights
+
+
+def edge_tight_p(n: int) -> float:
+    """The p with (1 - p)**N = WEIGHT_FLOOR: there the Chernoff bound is
+    exact at k = 0, so the window's margin is all that keeps the edge."""
+    return -math.expm1(math.log(analytic.WEIGHT_FLOOR) / n)
+
+
+def nudge(p: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        p = math.nextafter(p, math.copysign(math.inf, ulps))
+    return min(max(p, 0.0), 1.0)
+
+
+@st.composite
+def sizes_and_probabilities(draw):
+    n = draw(st.integers(0, 6).flatmap(lambda e: st.integers(1, 10**e)))
+    small = st.floats(0.0, 1e-3)
+    p = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        small,
+        small.map(lambda x: 1.0 - x),
+        # Two-mode ties: (N + 1)p is an integer.
+        st.integers(0, n + 1).map(lambda k: k / (n + 1)),
+        st.integers(-40, 40).map(lambda u: nudge(edge_tight_p(n), u)),
+        st.integers(-40, 40).map(lambda u: 1.0 - nudge(edge_tight_p(n), u)),
+    ))
+    return n, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes_and_probabilities())
+@example((10, 0.5))  # the window is every count
+@example((10**6, 1e-7))
+@example((10**6, 0.9999))
+@example((10**6, 0.5))
+@example((1000, 0.49881276637272776))  # (1 - p)**N just above the floor
+@example((2000, 0.29205421561586214))
+def test_window_matches_full_table(case):
+    n, p = case
+    try:
+        expected = full_table_weights(n, p)
+    except OverflowError:
+        # The kernel raises at some counts for p near 1e-308 (N = 2,
+        # p = 2**-1023): there is no full table to compare with.
+        reject()
+    assert spectral_weights(spec_with_p(n, p)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("p", [1e-7, 0.01, 0.3712, 0.5, 0.9999, 3 / 11])
