@@ -67,11 +67,12 @@ def _window(n: int, p: float) -> tuple[int, int]:
     """[a, b]: the counts k with N·D(k/N || p) <= -ln(WEIGHT_FLOOR) + margin.
 
     D is the Kullback-Leibler divergence of Bernoulli(k/N) from Bernoulli(p),
-    and the Chernoff point bound pmf(k) <= exp(-N·D(k/N || p)) holds for
-    every k, so each term outside [a, b] is below e**-WINDOW_MARGIN times
-    the floor. D falls to 0 at k = Np and rises on either side of it, and
-    the mode m is inside (pmf(m) >= 1/(N+1)), so each edge is found by
-    bisection between m and 0 or N, never evaluating D at every count.
+    and the Chernoff point bound pmf(k) <= exp(-N·D(k/N || p)) (Arratia and
+    Gordon 1989) holds for every k, so each term outside [a, b] is below
+    e**-WINDOW_MARGIN times the floor. D falls to 0 at k = Np and rises on
+    either side of it, and the mode m is inside (pmf(m) >= 1/(N+1), so
+    N·D(m/N || p) <= ln(N+1)), so each edge is found by bisection between m
+    and 0 or N, never evaluating D at every count.
     """
     m = _mode(n, p)
     if not 0.0 < p < 1.0:
@@ -113,7 +114,7 @@ def spectral_weights(spec: EnsembleSpec) -> np.ndarray:
     reach the floor (see :func:`_window`): by the Chernoff bound every term
     outside it is below e**-5 times the floor, so the zeros there are
     exact, the same zeros the floor would give the full table. At N = 10**6
-    and p = 0.3712 the window holds about 37,000 of the 10**6 + 1 counts.
+    and p = 0.3712 the window holds 36,040 of the 10**6 + 1 counts.
     At p = 0 and p = 1 the window is the single count k = 0 or k = N,
     where the kernel gives exactly 1. The kernel is imported here, after
     the scale check, as in :func:`noncollapse_metrics`: loading it pulls in

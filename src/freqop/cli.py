@@ -119,15 +119,14 @@ def _template_rows(rows):
         yield chunk
 
 
-def _csv_lines(meta, header, rows):
-    """Yield the meta and header lines, then the rows in chunks."""
-    yield "".join(
+def _csv_head(meta, header) -> str:
+    """The ``# key=value`` meta lines and the header line of a CSV table."""
+    return "".join(
         f"# {k}={json.dumps(v, sort_keys=True)}\n" for k, v in meta.items()
     ) + ",".join(header) + "\n"
-    yield from _column_rows(rows) if isinstance(rows, np.ndarray) else _template_rows(rows)
 
 
-def _json_text(doc, column=None):
+def _json_text(doc, column):
     """``json.dumps(doc, indent=2)``. A weight ``column`` must also be a
     value of the result: it is rendered by :func:`_column_json` and spliced
     in, sparing the encoder's pure-Python walk over its items."""
@@ -165,12 +164,13 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     document.
     """
     meta = _meta(args, extra_meta)
+    header, rows = table or ((), None)
+    column = rows if isinstance(rows, np.ndarray) else None
     if getattr(args, "format", "json") == "csv":
-        header, rows = table
         meta.update((k, result[k]) for k in csv_meta)
-        pieces = _csv_lines(meta, header, rows)
+        body = _template_rows(rows) if column is None else _column_rows(column)
+        pieces = itertools.chain((_csv_head(meta, header),), body)
     else:
-        column = table[1] if table and isinstance(table[1], np.ndarray) else None
         pieces = [_json_text({"meta": meta, "result": result}, column) + "\n"]
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as f:
