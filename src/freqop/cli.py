@@ -93,16 +93,16 @@ def _column_rows(w):
                 yield ("%d,0\n" * (e - s)) % tuple(range(s, e))
 
 
-def _column_json(w, depth):
-    """``w.tolist()`` as ``json.dumps(indent=2)`` lays out a list value at
-    ``depth``: a float's JSON text is its ``repr``, and a zero's is
-    ``0.0``."""
-    sep = ",\n" + "  " * (depth + 1)
+def _column_json(w):
+    """``w.tolist()`` as ``json.dumps(indent=2)`` lays out a value of the
+    result (two levels deep): a float's JSON text is its ``repr``, and a
+    zero's is ``0.0``."""
+    sep = ",\n      "
     items = "".join(
         sep + sep.join(map(repr, w[c:d].tolist())) if nonzero else (sep + "0.0") * (d - c)
         for c, d, nonzero in _runs(w)
     )
-    return "[" + items[1:] + "\n" + "  " * depth + "]"
+    return "[" + items[1:] + "\n    ]"
 
 
 def _template_rows(rows):
@@ -137,7 +137,7 @@ def _json_text(doc, column):
     text = json.dumps({**doc, "result": {**result, key: []}}, indent=2, default=_json_default)
     # The result comes last, so its own key: [] is the last one in the text.
     head, empty, tail = text.rpartition(json.dumps(key) + ": []")
-    return head + empty[:-2] + _column_json(column, 2) + tail
+    return head + empty[:-2] + _column_json(column) + tail
 
 
 def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
