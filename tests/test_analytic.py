@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
+from unittest import mock
 
 import math
 
@@ -198,29 +199,30 @@ class TestSpectralWeights:
         with pytest.raises(ValueError, match="limited"):
             spectral_weights(EnsembleSpec(StateVector.two_level(0.5), 10**6 + 1, 0))
 
-    def test_kernel_matches_scipy_stats(self):
-        # Reference: the public scipy.stats route the kernel is taken from.
-        from scipy.stats import binom
-
-        for n in (1, 7, 30, 1000, 10**5):
-            for p in (0.36, 0.5, 1 / 3, 1e-7, 0.9999):
-                with np.errstate(under="ignore"):
-                    expected = binom.pmf(np.arange(n + 1), n, p)
-                expected[expected < analytic.WEIGHT_FLOOR] = 0.0
+    def test_kernel_matches_exact_rationals(self):
+        # The exact term at the float p itself, over every count k: to
+        # 1e-14 relative at the mode and its neighbours, 1e-11 elsewhere,
+        # and exactly zero below the floor.
+        for n in (1, 2, 7, 16, 30):
+            for p in (0.0, 1.0, 0.36, 0.5, 1 / 3, 3 / 11, 1e-7, 0.9999, 1 - 1e-12):
                 weights = spectral_weights(spec_with_p(n, p))
-                assert weights.dtype == expected.dtype
-                assert weights.tobytes() == expected.tobytes(), (n, p)
+                exact_p = Fraction(p)
+                mode = min(int((n + 1) * exact_p), n)
+                for k in range(n + 1):
+                    exact = comb(n, k) * exact_p**k * (1 - exact_p) ** (n - k)
+                    if exact < analytic.WEIGHT_FLOOR:
+                        assert weights[k] == 0.0, (n, p, k)
+                        continue
+                    bound = 1e-14 if abs(k - mode) <= 1 else 1e-11
+                    assert abs(Fraction(weights[k]) - exact) <= bound * exact, (n, p, k)
 
 
 def full_table_weights(n: int, p: float) -> np.ndarray:
-    """The kernel on all N + 1 counts, floored: the table the window must
-    reproduce."""
-    from scipy.special._ufuncs import _binom_pmf
-
-    with np.errstate(under="ignore"):
-        weights = _binom_pmf(np.arange(n + 1), n, p)
-    weights[weights < analytic.WEIGHT_FLOOR] = 0.0
-    return weights
+    """The package's kernel on all N + 1 counts, floored: the table the
+    window must reproduce. It is ``spectral_weights`` with its window
+    widened to every count."""
+    with mock.patch.object(analytic, "_window", lambda n, p: (0, n)):
+        return spectral_weights(spec_with_p(n, p))
 
 
 def edge_tight_p(n: int) -> float:
