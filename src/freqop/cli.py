@@ -249,7 +249,7 @@ def cmd_converge(args) -> int:
         extra = {
             "seed": args.seed,
             "rng": sampler.RNG_ALGORITHM,
-            "stream_rule": f"master ^ (trial_index * {sampler.STREAM_CONSTANT:#x})",
+            "stream_rule": sampler.STREAM_RULE,
         }
     # Without --sample the sweep ignores --trials and --seed.
     trials = args.trials if args.sample else None
