@@ -1,15 +1,10 @@
 from fractions import Fraction
 from math import comb
-from types import SimpleNamespace
 from unittest import mock
 
-import math
-
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 from freqop import analytic, dense
 from freqop.analytic import (
@@ -22,36 +17,18 @@ from freqop.analytic import (
 )
 from freqop.hilbert import EnsembleSpec, StateVector
 
-from conftest import random_state
-
-
-def spec_with_p(n: int, p: float) -> SimpleNamespace:
-    """Stand-in for an EnsembleSpec with Born weight exactly p. The closed
-    forms read only ``n`` and ``born_probability``; no real amplitude
-    squares to exactly 0.5, so the exact tie cases need this."""
-    return SimpleNamespace(n=n, born_probability=p)
+from conftest import (
+    mp_binomial_weight,
+    random_state,
+    relative_error,
+    sizes_and_probabilities,
+    spec_with_p,
+)
 
 
 def exact_binomial_weight(n: int, k: int, p: Fraction) -> float:
     """Independent oracle: exact-rational binomial term."""
     return float(comb(n, k) * p**k * (1 - p) ** (n - k))
-
-
-def mp_binomial_weight(n: int, k: int, p: float) -> mpmath.mpf:
-    """Independent 50-digit oracle for the binomial term at the float p,
-    with 1 - p taken exactly from ``Fraction``."""
-    q = 1 - Fraction(p)
-    with mpmath.workdps(50):
-        return (
-            mpmath.binomial(n, k)
-            * mpmath.mpf(p) ** k
-            * (mpmath.mpf(q.numerator) / q.denominator) ** (n - k)
-        )
-
-
-def relative_error(weight: float, reference: mpmath.mpf) -> float:
-    with mpmath.workdps(50):
-        return float(abs(mpmath.mpf(weight) - reference) / reference)
 
 
 class TestExpectation:
@@ -225,34 +202,6 @@ def full_table_weights(n: int, p: float) -> np.ndarray:
         return spectral_weights(spec_with_p(n, p))
 
 
-def edge_tight_p(n: int) -> float:
-    """The p with (1 - p)**N = WEIGHT_FLOOR: there the Chernoff bound is
-    exact at k = 0, so the window's margin is all that keeps the edge."""
-    return -math.expm1(math.log(analytic.WEIGHT_FLOOR) / n)
-
-
-def nudge(p: float, ulps: int) -> float:
-    for _ in range(abs(ulps)):
-        p = math.nextafter(p, math.copysign(math.inf, ulps))
-    return min(max(p, 0.0), 1.0)
-
-
-@st.composite
-def sizes_and_probabilities(draw):
-    n = draw(st.integers(0, 6).flatmap(lambda e: st.integers(1, 10**e)))
-    small = st.floats(0.0, 1e-3)
-    p = draw(st.one_of(
-        st.floats(0.0, 1.0),
-        small,
-        small.map(lambda x: 1.0 - x),
-        # Two-mode ties: (N + 1)p is an integer.
-        st.integers(0, n + 1).map(lambda k: k / (n + 1)),
-        st.integers(-40, 40).map(lambda u: nudge(edge_tight_p(n), u)),
-        st.integers(-40, 40).map(lambda u: 1.0 - nudge(edge_tight_p(n), u)),
-    ))
-    return n, p
-
-
 @settings(max_examples=40, deadline=None)
 @given(sizes_and_probabilities())
 @example((10, 0.5))  # the window is every count
@@ -263,12 +212,7 @@ def sizes_and_probabilities(draw):
 @example((2000, 0.29205421561586214))
 def test_window_matches_full_table(case):
     n, p = case
-    try:
-        expected = full_table_weights(n, p)
-    except OverflowError:
-        # The kernel raises at some counts for p near 1e-308 (N = 2,
-        # p = 2**-1023): there is no full table to compare with.
-        reject()
+    expected = full_table_weights(n, p)
     assert spectral_weights(spec_with_p(n, p)).tobytes() == expected.tobytes()
 
 

@@ -335,6 +335,21 @@ class TestSampleAndSpectrum:
         assert rows[1]["max_weight"] == pytest.approx(0.00798, abs=5e-5)
         assert "never becomes" in doc["result"]["verdict"]
 
+    @pytest.mark.parametrize("p, n_list", [
+        # The smallest normal double: scipy's kernel raised OverflowError.
+        ("1.1125369292536007e-308", "10"),
+        # scipy's kernel put 1.0000000000000031 at the mode here.
+        ("1e-300", "3"),
+    ])
+    def test_noncollapse_tiny_p(self, capsys, p, n_list):
+        code, doc = run_json(
+            capsys, "noncollapse", "--state", f"two-level:{p}", "--n-list", n_list,
+        )
+        assert code == 0
+        row = doc["result"]["rows"][0]
+        assert row["max_weight"] <= 1.0
+        assert row["off_peak_mass"] >= 0.0
+
 
 class TestReproducibility:
     def test_byte_identical_outputs(self, tmp_path, capsys):
@@ -451,11 +466,9 @@ def test_spectrum_csv_rows_come_from_the_weight_array(tmp_path):
     assert peak < 4 * 8 * (n + 1)
 
 
-def test_cli_import_skips_scipy_stats():
-    """The closed forms load only the binomial kernel, so starting the CLI
-    never pays for importing scipy.stats; and the kernel is loaded only
-    where a binomial term is computed, so --version, verify, stats and
-    sample never import scipy at all."""
+def test_no_command_imports_scipy():
+    """Every closed form, the binomial terms included, is computed with
+    numpy alone, so no command imports scipy."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
     runs = [
         ["--version"],
@@ -463,11 +476,15 @@ def test_cli_import_skips_scipy_stats():
         ["stats", "--state", "two-level:0.36", "--n", "4", "--cross-check"],
         ["sample", "--state", "two-level:0.36", "--n", "10", "--trials", "3",
          "--seed", "1"],
+        ["noncollapse", "--state", "two-level:0.36", "--n-list", "10,100"],
+        ["converge", "--state", "two-level:0.36", "--n-list", "10,100",
+         "--sample", "--trials", "3", "--seed", "1"],
+        ["spectrum", "--state", "two-level:0.36", "--n", "20", "--format", "csv"],
     ]
     code = f"""
 import sys
 from freqop import cli
-assert 'scipy.stats' not in sys.modules
+assert 'scipy' not in sys.modules
 for argv in {runs!r}:
     try:
         assert cli.main(argv) == 0
