@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from freqop import analytic
 from freqop.hilbert import StateVector
 
-# The smallest normal double; below it p is subnormal.
-SMALLEST_NORMAL = 2.2250738585072014e-308
+# Below the smallest normal double, p is subnormal.
+SMALLEST_NORMAL = sys.float_info.min
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

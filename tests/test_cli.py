@@ -336,9 +336,9 @@ class TestSampleAndSpectrum:
         assert "never becomes" in doc["result"]["verdict"]
 
     @pytest.mark.parametrize("p, n_list", [
-        # The smallest normal double: scipy's kernel raised OverflowError.
+        # p = 2**-1023, a subnormal double: no term may overflow.
         ("1.1125369292536007e-308", "10"),
-        # scipy's kernel put 1.0000000000000031 at the mode here.
+        # (1 - p)**N is 1 to within an ulp: the peak may not exceed 1.
         ("1e-300", "3"),
     ])
     def test_noncollapse_tiny_p(self, capsys, p, n_list):
