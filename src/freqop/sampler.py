@@ -92,17 +92,18 @@ def _uniforms(keys, n: int):
     Before each key the Philox is re-keyed through its ``state``: counter
     0, key ``[k, 0]``, empty buffer. That is exactly the start state of
     ``Philox(key=k)``, so the draws for k equal
-    ``Generator(Philox(key=k)).random(n)``.
+    ``Generator(Philox(key=k)).random(n)``, which maps each word w to
+    ``(w >> 11) * 2**-53``.
     """
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
     bit_generator = np.random.Philox(key=0)
-    gen = np.random.Generator(bit_generator)
     start = bit_generator.state
     for key in keys:
         start["state"]["key"] = np.array([key, 0], dtype=np.uint64)
         bit_generator.state = start
-        yield gen.random(n)
+        # Generator.random's own map from a 64-bit word to a double.
+        yield (bit_generator.random_raw(n) >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)

@@ -92,38 +92,33 @@ class TestRunTrials:
             run_trials(StateVector.uniform(2), 10, 1, seed=0)
 
 
-class _TopOfUnitInterval:
-    """Stands in for np.random.Generator: every draw is the largest double
-    below 1, which lies above the last cumulative Born weight of uniform:2
-    (1 - 2**-52 after rounding)."""
+def _constant_philox(word):
+    """Stand-in for np.random.Philox whose every word is ``word``; it
+    takes any key and keeps whatever state is set on it."""
 
-    def __init__(self, bit_generator):
-        pass
+    class _Constant:
+        def __init__(self, key=None):
+            self.state = {"state": {}}
 
-    def random(self, n):
-        return np.full(n, np.nextafter(1.0, 0.0))
+        def random_raw(self, size):
+            return np.full(size, word, dtype=np.uint64)
+
+    return _Constant
 
 
 def test_draw_above_rounded_cdf_is_last_outcome(monkeypatch):
-    monkeypatch.setattr(np.random, "Generator", _TopOfUnitInterval)
+    # Word 2**64 - 1 is the draw 1 - 2**-53, the largest double below 1,
+    # which lies above the last cumulative Born weight of uniform:2
+    # (1 - 2**-52 after rounding).
+    monkeypatch.setattr(np.random, "Philox", _constant_philox(2**64 - 1))
     state = StateVector.uniform(2)
     assert run_trials(state, 10, 2, seed=0, j=1).mean_frequency == 1.0
     assert np.all(sample_outcomes(state, 10, seed=0) == 1)
 
 
-class _BottomOfUnitInterval:
-    """Stands in for np.random.Generator: every draw is exactly 0.0, which
-    Philox's random() returns with probability 2**-53."""
-
-    def __init__(self, bit_generator):
-        pass
-
-    def random(self, n):
-        return np.zeros(n)
-
-
 def test_zero_draw_skips_zero_weight_outcomes(monkeypatch):
-    monkeypatch.setattr(np.random, "Generator", _BottomOfUnitInterval)
+    # Word 0 is the draw 0.0, which Philox gives with probability 2**-53.
+    monkeypatch.setattr(np.random, "Philox", _constant_philox(0))
     assert list(sample_outcomes(StateVector.two_level(0.0), 3, 1)) == [1, 1, 1]
     assert list(sample_outcomes(StateVector.basis(3, 2), 3, 1)) == [2, 2, 2]
 
@@ -176,23 +171,11 @@ def test_trial_frequencies_match_searchsorted_reference(state, n):
         assert got.tobytes() == reference.tobytes()
 
 
-def _constant_generator(value):
-    """Stand-in for np.random.Generator whose every draw is ``value``."""
-
-    class _Constant:
-        def __init__(self, bit_generator):
-            pass
-
-        def random(self, n):
-            return np.full(n, value)
-
-    return _Constant
-
-
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_draw_on_cdf_boundary_is_lower_outcome(monkeypatch, j):
-    # uniform:4 has Born weights of exactly 1/4, so cdf[j] == (j + 1) / 4.
-    monkeypatch.setattr(np.random, "Generator", _constant_generator((j + 1) / 4))
+    # uniform:4 has Born weights of exactly 1/4, so cdf[j] == (j + 1) / 4,
+    # and word ((j + 1) << 51) << 11 is the draw (j + 1) / 4 exactly.
+    monkeypatch.setattr(np.random, "Philox", _constant_philox(((j + 1) << 51) << 11))
     state = StateVector.uniform(4)
     assert run_trials(state, 5, 2, seed=0, j=j).mean_frequency == 1.0
     assert run_trials(state, 5, 2, seed=0, j=j + 1).mean_frequency == 0.0
