@@ -5,16 +5,25 @@ i.i.d. with Born weights |c_i|^2 by inverse-CDF over the cumulative
 probabilities in ascending index order. The generator is Philox
 (counter-based): the stream of key k is the block cipher run over counters
 0, 1, 2, ..., so one Philox re-keyed per trial yields every trial's stream
-without building a generator for each, and streams derive reproducibly
-from one master seed.
+without building a generator for each, streams derive reproducibly from
+one master seed, and trials can run on separate threads in any order.
 
-``sample_outcomes`` turns each uniform into an outcome index.
-``run_trials`` needs only how many of a trial's draws land on outcome j,
-so it counts the draws inside j's CDF interval and builds no indices.
+A draw is the raw 64-bit word w, standing for the uniform
+``(w >> 11) * 2**-53`` that ``Generator.random`` would return; each CDF
+entry becomes a 53-bit integer threshold that the word's top 53 bits meet
+exactly when that uniform meets the entry, so no float is formed.
+``sample_outcomes`` turns each word into an outcome index by a search
+over the thresholds. ``run_trials`` needs only how many of a trial's words
+land on outcome j, so it counts the words inside j's interval, 2**16
+words at a time, and builds no indices; when a trial fills at least one
+such chunk, the trials are split into contiguous slices over the CPUs the
+process may use, one thread and one Philox each.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +45,15 @@ _SEED_MASK = (1 << 64) - 1
 MAX_DRAWS = 10**9
 
 # Most trial runs (trials x ensemble sizes) one request may ask for. Each
-# run costs ~10 us however small N is, so 10^6 runs take ~10 s; without
-# this cap the draw budget alone admits ~3 h of one-draw trials.
+# run costs ~9 us however small N is (re-keying the Philox and the calls
+# around one draw; 8.7 us at N = 1 on a 2-vCPU Xeon), so 10^6 runs take
+# ~9 s; without this cap the draw budget alone admits ~3 h of one-draw
+# trials.
 MAX_TRIAL_RUNS = 10**6
+
+# run_trials draws each trial _CHUNK words at a time, so a trial of any N
+# holds one chunk; only trials of at least one chunk run on several threads.
+_CHUNK = 2**16
 
 
 def stream_seed(master_seed: int, trial_index: int) -> int:
@@ -86,24 +101,88 @@ def _born_cdf(state: StateVector) -> np.ndarray:
     return cdf
 
 
-def _uniforms(keys, n: int):
-    """Yield n uniforms in [0, 1) for each key in turn, from one Philox.
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """53-bit integer thresholds t of the CDF entries.
 
-    Before each key the Philox is re-keyed through its ``state``: counter
-    0, key ``[k, 0]``, empty buffer. That is exactly the start state of
-    ``Philox(key=k)``, so the draws for k equal
-    ``Generator(Philox(key=k)).random(n)``, which maps each word w to
-    ``(w >> 11) * 2**-53``.
+    A Philox word w is the draw ``(w >> 11) * 2**-53``
+    (``Generator.random``'s map), so the draw is <= cdf[i] exactly when
+    ``w >> 11 <= t[i]``: t[i] is ``floor(cdf[i] * 2**53)`` for
+    0 <= cdf[i] < 1 (exact, a power-of-two scaling), -1 below 0 (no draw),
+    and 2**53 from 1 up (every draw, also for a middle entry that the
+    cumulative sum rounded above 1).
     """
-    if n < 1:
-        raise ValueError(f"need at least one draw, got n={n}")
-    bit_generator = np.random.Philox(key=0)
+    return np.floor(np.clip(cdf, -(2.0**-53), 1.0) * 2.0**53).astype(np.int64)
+
+
+def _count_at_most(words: np.ndarray, t: int) -> int:
+    """How many words w have ``w >> 11 <= t``, for a threshold t of
+    :func:`_thresholds` as a Python int; comparing w itself with
+    ``(t << 11) | 2047`` skips the shift."""
+    if t < 0:
+        return 0
+    if t >= 2**53:
+        return words.size
+    return np.count_nonzero(words <= ((t << 11) | 2047))
+
+
+def _rekeyed(bit_generator, keys):
+    """Yield ``bit_generator``, a fresh Philox, at the start of each key's
+    stream in turn.
+
+    Each key is set through the ``state`` read before the first: counter
+    0, key ``[k, 0]``, empty buffer. That is exactly the start state of
+    ``Philox(key=k)``, so the words drawn after key k are those of
+    ``Philox(key=k).random_raw``, however many calls draw them.
+    """
     start = bit_generator.state
     for key in keys:
         start["state"]["key"] = np.array([key, 0], dtype=np.uint64)
         bit_generator.state = start
-        # Generator.random's own map from a 64-bit word to a double.
-        yield (bit_generator.random_raw(n) >> 11) * 2.0**-53
+        yield bit_generator
+
+
+def _count_trials(bit_generator, keys, n: int, lo: int, hi: int, out) -> None:
+    """Write to out[i] the fraction of the first n words w of key i's
+    stream with ``lo < w >> 11 <= hi``, drawn ``_CHUNK`` words at a time."""
+    for i, stream in enumerate(_rekeyed(bit_generator, keys)):
+        count = 0
+        for start in range(0, n, _CHUNK):
+            words = stream.random_raw(min(_CHUNK, n - start))
+            count += _count_at_most(words, hi) - _count_at_most(words, lo)
+        out[i] = count / n
+
+
+def _run_threads(target, jobs) -> None:
+    """Call ``target(*job)`` for each job on a thread of its own, wait for
+    all of them, then re-raise the first exception any of them raised."""
+    errors = []
+
+    def run(job):
+        try:
+            target(*job)
+        except BaseException as exc:  # re-raised below, in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (Linux), else one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need at least one draw, got n={n}")
 
 
 @dataclass(frozen=True)
@@ -127,10 +206,14 @@ def sample_outcomes(state: StateVector, n: int, seed: int) -> np.ndarray:
     Returns a read-only integer array of N outcome indices in draw order.
     """
     _check_seed(seed)
-    u = next(_uniforms([seed], n))
+    _check_n(n)
+    words = np.random.Philox(key=seed).random_raw(n)
     # side='left' sends a draw landing exactly on a CDF boundary to the
-    # lower outcome index.
-    outcomes = np.searchsorted(_born_cdf(state), u, side="left")
+    # lower outcome index. The shifted words lie below 2**53, so the int64
+    # view keeps their values.
+    outcomes = np.searchsorted(
+        _thresholds(_born_cdf(state)), (words >> 11).view(np.int64), side="left"
+    )
     outcomes.flags.writeable = False
     return outcomes
 
@@ -147,6 +230,7 @@ def run_trials(
     A draw u is outcome j when ``cdf[j-1] < u <= cdf[j]`` (``-inf`` below
     j = 0), the ``side='left'`` rule of :func:`sample_outcomes`, so a trial
     counts the draws in that interval without building outcome indices.
+    The frequencies are the same bytes however many threads count them.
     An outcome index out of range, then whatever :func:`check_sampling`
     refuses for ``trials`` trials at the one size N, is refused before any
     draw.
@@ -154,15 +238,28 @@ def run_trials(
     if not 0 <= j < state.dim:
         raise ValueError(f"outcome index {j} out of range [0, {state.dim})")
     check_sampling(trials, seed, [n])
-    cdf = _born_cdf(state)
+    _check_n(n)
+    thresholds = _thresholds(_born_cdf(state))
     # The CDF is non-decreasing, so count(u <= hi) - count(u <= lo) is
     # count(lo < u <= hi).
-    lo = cdf[j - 1] if j else -np.inf
-    hi = cdf[j]
+    lo = int(thresholds[j - 1]) if j else -1
+    hi = int(thresholds[j])
     freqs = np.empty(trials)
-    keys = (stream_seed(seed, t) for t in range(trials))
-    for t, u in enumerate(_uniforms(keys, n)):
-        freqs[t] = (np.count_nonzero(u <= hi) - np.count_nonzero(u <= lo)) / n
+    # A trial shorter than one chunk is too short to release the GIL for
+    # long; threads then only queue on it.
+    workers = min(_cpus(), trials) if n >= _CHUNK else 1
+    bounds = [trials * w // workers for w in range(workers + 1)]
+    # Built here, one per worker, so a failure to build one raises before
+    # any thread starts.
+    bit_generators = [np.random.Philox(key=0) for _ in range(workers)]
+    jobs = [
+        (bg, (stream_seed(seed, t) for t in range(a, b)), n, lo, hi, freqs[a:b])
+        for bg, a, b in zip(bit_generators, bounds, bounds[1:])
+    ]
+    if workers == 1:
+        _count_trials(*jobs[0])
+    else:
+        _run_threads(_count_trials, jobs)
     freqs.flags.writeable = False
     return TrialSummary(
         mean_frequency=float(freqs.mean()),

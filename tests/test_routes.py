@@ -7,6 +7,11 @@ two-mode ties and at the p where the window's edge is tight; the peak that
 ``noncollapse_metrics`` reads is held to the table ``spectral_weights``
 returns; and the table is held to the dense oracle's projections wherever
 d**N <= 2**12.
+
+The sampler compares raw Philox words with integer thresholds; each count
+and each outcome index is held to the float route on the same words,
+``u = (w >> 11) * 2**-53`` (``Generator.random``'s map) against the CDF
+entries themselves.
 """
 
 import math
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 from freqop import dense
 from freqop.analytic import WEIGHT_FLOOR, noncollapse_metrics, spectral_weights
 from freqop.hilbert import EnsembleSpec, StateVector
+from freqop.sampler import _count_at_most, _thresholds
 
 from conftest import (
     SMALLEST_NORMAL,
@@ -99,4 +105,56 @@ def test_spectral_weights_match_dense(spec):
     np.testing.assert_allclose(
         spectral_weights(spec), dense.spectral_weights_dense(spec),
         rtol=1e-12, atol=1e-13,
+    )
+
+
+def _nearby(c: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        c = math.nextafter(c, math.copysign(math.inf, ulps))
+    return c
+
+
+# CDF entries: exact multiples of 2**-53 and their neighbours, zero,
+# subnormals, 1 - 2**-53, values just above 1 (a cumulative sum can round
+# a middle entry there) and the +-inf that _born_cdf puts at the ends.
+CDF_VALUES = st.one_of(
+    st.tuples(st.integers(0, 2**53), st.integers(-2, 2)).map(
+        lambda ku: _nearby(ku[0] * 2.0**-53, ku[1])),
+    st.floats(0.0, SMALLEST_NORMAL),
+    st.floats(0.0, 1.0),
+    st.integers(0, 4).map(lambda u: _nearby(1.0, u)),
+    st.sampled_from([0.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def cdf_and_words(draw):
+    """Sorted CDF entries, and words that include 0, 2047, 2048, 2**64 - 1
+    and, for each entry, the first and last word of the draws just below,
+    at and just above it."""
+    cdf = sorted(draw(st.lists(CDF_VALUES, min_size=1, max_size=6)))
+    words = [0, 2047, 2048, 2**64 - 1]
+    for c in cdf:
+        if 0.0 <= c < 1.0:
+            m = math.floor(Fraction(c) * 2**53)
+            for k in (m - 1, m, m + 1):
+                if 0 <= k < 2**53:
+                    words += [k << 11, (k << 11) | 2047]
+    words += draw(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    return np.array(cdf), np.array(words, dtype=np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cdf_and_words())
+@example((np.array([-math.inf, 0.5, 1.0 + 2.0**-52, math.inf]),
+          np.array([0, 2047, 2048, 2**63, (2**63) | 2047, 2**64 - 1], dtype=np.uint64)))
+def test_word_thresholds_match_float_draws(case):
+    cdf, words = case
+    u = (words >> 11) * 2.0**-53
+    thresholds = _thresholds(cdf)
+    for c, t in zip(cdf, thresholds.tolist()):
+        assert _count_at_most(words, t) == np.count_nonzero(u <= c), c
+    np.testing.assert_array_equal(
+        np.searchsorted(thresholds, (words >> 11).view(np.int64), side="left"),
+        np.searchsorted(cdf, u, side="left"),
     )

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from freqop.sampler import (
     MAX_DRAWS,
     MAX_TRIAL_RUNS,
     _born_cdf,
-    _uniforms,
+    _rekeyed,
     run_trials,
     sample_outcomes,
     stream_seed,
 )
+
+_Philox = np.random.Philox
 
 
 class TestSampleOutcomes:
@@ -134,17 +138,23 @@ def test_seed_outside_64_bits_rejected(seed):
 
 @pytest.mark.parametrize("n", [1, 3, 6, 101])
 def test_uniforms_match_fresh_philox(n):
-    # One Philox serves every key, so each key's draws must not depend on
+    # One Philox serves every key, so each key's words must not depend on
     # what the previous key left in the buffer; 0 comes back at the end.
+    # Each key's words are drawn in two calls, as run_trials draws chunks.
     keys = [0, 1, 2**64 - 1, 0]
-    drawn = list(_uniforms(keys, n))
+    m = n // 2
+    drawn = [np.concatenate([s.random_raw(m), s.random_raw(n - m)])
+             for s in _rekeyed(_Philox(key=0), keys)]
     assert len(drawn) == len(keys)
-    for key, u in zip(keys, drawn):
-        fresh = np.random.Generator(np.random.Philox(key=key)).random(n)
-        assert u.tobytes() == fresh.tobytes()
+    for key, words in zip(keys, drawn):
+        assert words.tobytes() == _Philox(key=key).random_raw(n).tobytes()
+        fresh = np.random.Generator(_Philox(key=key)).random(n)
+        assert ((words >> 11) * 2.0**-53).tobytes() == fresh.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 3, 101])
+# From 2**16 words on a trial is drawn in chunks, and its trials run on
+# several threads where the process may use several CPUs.
+@pytest.mark.parametrize("n", [1, 3, 101, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
 @pytest.mark.parametrize("state", [
     StateVector.two_level(0.36),
     StateVector.two_level(0.0),
@@ -154,19 +164,21 @@ def test_uniforms_match_fresh_philox(n):
     StateVector(np.array([1.0, 2.0 - 1.0j, 0.3, 0.0, 1.5j]) / np.sqrt(8.34)),
 ], ids=["two_level", "p0", "basis_d3", "zero_middle", "zero_last", "complex_d5"])
 def test_trial_frequencies_match_searchsorted_reference(state, n):
-    """Counting the draws in outcome j's CDF interval gives the bytes of
-    building every outcome index and counting those equal to j."""
+    """Counting the words in outcome j's CDF interval gives the bytes of
+    building every outcome index from fresh Generator floats and counting
+    those equal to j."""
     trials, seed = 4, 2026
     cdf = _born_cdf(state)
+    outcomes = [
+        np.searchsorted(
+            cdf,
+            np.random.Generator(np.random.Philox(key=stream_seed(seed, t))).random(n),
+            side="left",
+        )
+        for t in range(trials)
+    ]
     for j in range(state.dim):
-        reference = np.array([
-            np.count_nonzero(np.searchsorted(
-                cdf,
-                np.random.Generator(np.random.Philox(key=stream_seed(seed, t))).random(n),
-                side="left",
-            ) == j) / n
-            for t in range(trials)
-        ])
+        reference = np.array([np.count_nonzero(o == j) / n for o in outcomes])
         got = run_trials(state, n, trials, seed, j).frequencies
         assert got.tobytes() == reference.tobytes()
 
@@ -222,3 +234,69 @@ def test_trial_run_cap_refused_before_any_draw(monkeypatch):
     with pytest.raises(_Drew):
         run_trials(state, 1, MAX_TRIAL_RUNS, seed=0)
     assert len(built) == 1
+
+
+class _RecordedPhilox:
+    """A real Philox that records, into ``log``, its construction and the
+    key and thread of every draw; a draw from stream ``fail_key`` raises
+    ``_Drew``."""
+
+    def __init__(self, log, fail_key, key):
+        self._bg = _Philox(key=key)
+        self._log = log
+        self._fail_key = fail_key
+        log.append("built")
+
+    @property
+    def state(self):
+        return self._bg.state
+
+    @state.setter
+    def state(self, value):
+        self._bg.state = value
+
+    def random_raw(self, size):
+        key = int(self._bg.state["state"]["key"][0])
+        self._log.append((key, threading.current_thread()))
+        if key == self._fail_key:
+            raise _Drew
+        return self._bg.random_raw(size)
+
+
+def _record_philox(monkeypatch, cpus, fail_key=None):
+    log = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(
+        np.random, "Philox", lambda key: _RecordedPhilox(log, fail_key, key))
+    return log
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 5])
+def test_worker_count_leaves_frequencies_unchanged(monkeypatch, n):
+    # 7 trials on 3 workers split 2, 2, 3. Below one chunk a trial runs on
+    # the calling thread whatever the CPUs.
+    state, trials = StateVector([0.6, 0.0, 0.8j]), 7
+    summaries = {}
+    for cpus in (1, 3):
+        log = _record_philox(monkeypatch, cpus)
+        summaries[cpus] = run_trials(state, n, trials, seed=5, j=2)
+        workers = min(cpus, trials) if n >= 2**16 else 1
+        assert log.count("built") == workers
+        assert len({entry[1] for entry in log if entry != "built"}) == workers
+    one, three = summaries[1], summaries[3]
+    assert three.frequencies.tobytes() == one.frequencies.tobytes()
+    assert three.mean_frequency == one.mean_frequency
+    assert three.sample_variance == one.sample_variance
+
+
+def test_worker_exception_propagates(monkeypatch):
+    # The last of three workers fails on its only trial while the other
+    # two finish theirs; run_trials must raise, not return.
+    seed, trials = 9, 3
+    log = _record_philox(monkeypatch, 3, fail_key=stream_seed(seed, trials - 1))
+    with pytest.raises(_Drew):
+        run_trials(StateVector.uniform(2), 2**16, trials, seed)
+    draws = [e for e in log if e != "built"]
+    assert {key for key, _ in draws} == {stream_seed(seed, t) for t in range(trials)}
+    failed = [thread for key, thread in draws if key == stream_seed(seed, trials - 1)]
+    assert failed and failed[0] is not threading.main_thread()
