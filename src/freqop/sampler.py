@@ -152,9 +152,10 @@ def _count_trials(bit_generator, keys, n: int, lo: int, hi: int, out) -> None:
         out[i] = count / n
 
 
-def _run_threads(target, jobs) -> None:
-    """Call ``target(*job)`` for each job on a thread of its own, wait for
-    all of them, then re-raise the first exception any of them raised."""
+def _run_parallel(target, jobs) -> None:
+    """Call ``target(*job)`` for each job: the first on the calling thread,
+    each other on a thread of its own. Once all have ended, re-raise the
+    calling thread's exception, else the first one a thread raised."""
     errors = []
 
     def run(job):
@@ -163,11 +164,14 @@ def _run_threads(target, jobs) -> None:
         except BaseException as exc:  # re-raised below, in the caller
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+    threads = [threading.Thread(target=run, args=(job,)) for job in jobs[1:]]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join()
+    try:
+        target(*jobs[0])
+    finally:
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[0]
 
@@ -256,10 +260,7 @@ def run_trials(
         (bg, (stream_seed(seed, t) for t in range(a, b)), n, lo, hi, freqs[a:b])
         for bg, a, b in zip(bit_generators, bounds, bounds[1:])
     ]
-    if workers == 1:
-        _count_trials(*jobs[0])
-    else:
-        _run_threads(_count_trials, jobs)
+    _run_parallel(_count_trials, jobs)
     freqs.flags.writeable = False
     return TrialSummary(
         mean_frequency=float(freqs.mean()),
