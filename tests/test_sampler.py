@@ -265,7 +265,9 @@ class _RecordedPhilox:
 
 def _record_philox(monkeypatch, cpus, fail_key=None):
     log = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    # raising=False: a platform without an affinity mask gains one here.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     monkeypatch.setattr(
         np.random, "Philox", lambda key: _RecordedPhilox(log, fail_key, key))
     return log
