@@ -4,10 +4,11 @@ Each case runs ``freqop.cli.main`` in process from ``tests/golden`` (the
 config block echoes the state path, so the JSON state file lives there too)
 and compares stdout with ``tests/golden/<case>.<json|csv>``. The spectra at
 N = 10^5 and 10^6 are too large to keep, so ``LARGE_CASES`` pins the sha256
-of their stdout in ``tests/golden/large_n.sha256`` instead. A change that
-alters any output byte fails here; rewrite the files only when the output is
-meant to change, by running this module as a script, which also rewrites the
-digests and the demos' pinned stdout (see ``test_demos.py``):
+of their stdout in ``tests/golden/large_n.sha256`` instead, as it does for
+sampling at the benchmark's trial counts. A change that alters any output
+byte fails here; rewrite the files only when the output is meant to change,
+by running this module as a script, which also rewrites the digests and the
+demos' pinned stdout (see ``test_demos.py``):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -88,6 +89,23 @@ LARGE_CASES = {
         f"spectrum_{p}_n1e5": ("spectrum", "--state", f"two-level:{p}", "--n", "100000")
         for p in ("0.3712", "1e-7", "0.9999", "0.5")
     },
+    # The benchmark's short-trial sampling shapes, and a frequency column of
+    # exact zeros but one (p = 1e-6 over 10 draws; trial 896 draws outcome 0)
+    # in both formats.
+    "sample_n100_t1e4": (
+        "sample", *TWO_LEVEL, "--n", "100", "--trials", "10000", "--seed", "101"),
+    "sample_n1000_t2e4_csv": (
+        "sample", *TWO_LEVEL, "--j", "1", "--n", "1000", "--trials", "20000",
+        "--seed", "102", *CSV),
+    **{
+        f"sample_1e-6_n10_t1000{suffix}": (
+            "sample", "--state", "two-level:1e-6", "--n", "10", "--trials", "1000",
+            "--seed", "124", *fmt)
+        for suffix, fmt in (("", ()), ("_csv", CSV))
+    },
+    "converge_sample_n1e4": (
+        "converge", *TWO_LEVEL, "--n-list", "10,100,1000,10000", "--sample",
+        "--seed", "104"),
 }
 LARGE_DIGESTS = GOLDEN / "large_n.sha256"
 

@@ -153,8 +153,12 @@ def test_uniforms_match_fresh_philox(n):
 
 
 # From 2**16 words on a trial is drawn in chunks, and its trials run on
-# several threads where the process may use several CPUs.
-@pytest.mark.parametrize("n", [1, 3, 101, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
+# several threads where the process may use several CPUs. Shorter trials
+# are counted 2**16 // n at a time: at n = 1000 two blocks of 65 and one
+# of 7, at n = 2**15 two blocks of 2 and one of 1, and one trial a block
+# from n = 2**15 + 1.
+@pytest.mark.parametrize("n", [1, 3, 101, 1000, 2**15, 2**15 + 1, 2**16 - 1, 2**16,
+                               2**16 + 1, 2**17 + 3])
 @pytest.mark.parametrize("state", [
     StateVector.two_level(0.36),
     StateVector.two_level(0.0),
@@ -167,7 +171,7 @@ def test_trial_frequencies_match_searchsorted_reference(state, n):
     """Counting the words in outcome j's CDF interval gives the bytes of
     building every outcome index from fresh Generator floats and counting
     those equal to j."""
-    trials, seed = 4, 2026
+    trials, seed = {1000: 2 * 65 + 7, 2**15: 5}.get(n, 4), 2026
     cdf = _born_cdf(state)
     outcomes = [
         np.searchsorted(
