@@ -70,27 +70,27 @@ def _json_default(value):
     return value.tolist()  # a numpy array or integer; np.float64 is a float
 
 
-def _runs(w):
-    """(start, stop, nonzero) of each maximal run of exact zeros or of
-    nonzeros in the 1-D array ``w``, in order."""
-    nonzero = w != 0
-    cuts = (nonzero[1:] != nonzero[:-1]).nonzero()[0] + 1
-    bounds = [0, *cuts.tolist(), len(w)]
-    return [(c, d, bool(nonzero[c])) for c, d in zip(bounds, bounds[1:])]
+def _slices(w):
+    """(start, stop, nonzero) of each ``CSV_CHUNK_ROWS``-cell slice of the
+    1-D array ``w``, in order; ``nonzero`` is False for a slice of exact
+    zeros. Fixed slices, not runs of zeros and nonzeros: a sampled
+    frequency column may switch between the two at every cell."""
+    return [
+        (c, min(c + CSV_CHUNK_ROWS, len(w)), bool(w[c : c + CSV_CHUNK_ROWS].any()))
+        for c in range(0, len(w), CSV_CHUNK_ROWS)
+    ]
 
 
 def _column_rows(w):
-    """The CSV rows ``k,w[k]`` of a weight column, at most
-    ``CSV_CHUNK_ROWS`` rows per string. A zero run needs only its indices;
-    a nonzero run repeats the ``%d,%.17g`` row template over its cells."""
-    for c, d, nonzero in _runs(w):
-        for s in range(c, d, CSV_CHUNK_ROWS):
-            e = min(s + CSV_CHUNK_ROWS, d)
-            if nonzero:
-                cells = itertools.chain.from_iterable(zip(range(s, e), w[s:e].tolist()))
-                yield ("%d,%.17g\n" * (e - s)) % tuple(cells)
-            else:
-                yield ("%d,0\n" * (e - s)) % tuple(range(s, e))
+    """The CSV rows ``k,w[k]`` of a column, one string per slice. A slice of
+    zeros needs only its indices; any other repeats the ``%d,%.17g`` row
+    template over its cells (``"%.17g" % 0.0`` is ``0``)."""
+    for c, d, nonzero in _slices(w):
+        if nonzero:
+            cells = itertools.chain.from_iterable(zip(range(c, d), w[c:d].tolist()))
+            yield ("%d,%.17g\n" * (d - c)) % tuple(cells)
+        else:
+            yield ("%d,0\n" * (d - c)) % tuple(range(c, d))
 
 
 def _column_json(w):
@@ -100,7 +100,7 @@ def _column_json(w):
     sep = ",\n      "
     items = "".join(
         sep + sep.join(map(repr, w[c:d].tolist())) if nonzero else (sep + "0.0") * (d - c)
-        for c, d, nonzero in _runs(w)
+        for c, d, nonzero in _slices(w)
     )
     return "[" + items[1:] + "\n    ]"
 
@@ -127,9 +127,9 @@ def _csv_head(meta, header) -> str:
 
 
 def _json_text(doc, column):
-    """``json.dumps(doc, indent=2)``. A weight ``column`` must also be a
-    value of the result: it is rendered by :func:`_column_json` and spliced
-    in, sparing the encoder's pure-Python walk over its items."""
+    """``json.dumps(doc, indent=2)``. A ``column`` must also be a value of
+    the result: it is rendered by :func:`_column_json` and spliced in,
+    sparing the encoder's pure-Python walk over its items."""
     if column is None:
         return json.dumps(doc, indent=2, default=_json_default)
     result = doc["result"]
@@ -151,15 +151,16 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     least one row, read lazily and written at most ``CSV_CHUNK_ROWS`` rows
     at a time, so the table is never held whole.
 
-    Rows are tuples, or a 1-D float array ``w``, a weight column whose row
-    k is ``(k, w[k])``. Tuple rows are formatted by one ``%``-template,
-    from the first row's cell types: ``int`` as ``%d`` (its ``str``),
-    ``float`` as ``%.17g`` and ``None`` as ``%.0s``, an empty cell. One
-    template fits because the columns are homogeneous by construction:
-    ``n``, ``k`` and ``trial`` are always ``int``, the closed forms
-    ``float``, and a sweep samples every N or none. A weight column is
-    mostly exact zeros, so it is rendered run by run (:func:`_runs`) in
-    both formats, with the same bytes: in CSV a zero row is ``k,0``, and
+    Rows are tuples, or a 1-D float array ``w``, a column whose row k is
+    ``(k, w[k])``: the spectrum's weights or the sampled frequencies, by
+    trial. Tuple rows are formatted by one ``%``-template, from the first
+    row's cell types: ``int`` as ``%d`` (its ``str``), ``float`` as
+    ``%.17g`` and ``None`` as ``%.0s``, an empty cell. One template fits
+    because the columns are homogeneous by construction: ``n`` and ``k``
+    are always ``int``, the closed forms ``float``, and a sweep samples
+    every N or none. A column is rendered slice by slice (:func:`_slices`)
+    in both formats, with the same bytes as its rows would give, a slice of
+    exact zeros from its indices alone: in CSV a zero row is ``k,0``, and
     in JSON the column, also a value of ``result``, is spliced into the
     document.
     """
@@ -287,7 +288,7 @@ def cmd_sample(args) -> int:
         "rng": sampler.RNG_ALGORITHM,
         "stream_rule": sampler.STREAM_RULE,
     }
-    table = (("trial", "frequency"), enumerate(summary.frequencies))
+    table = (("trial", "frequency"), summary.frequencies)
     _emit(args, result, table, ("mean_frequency", "sample_variance"), extra)
     return EXIT_OK
 

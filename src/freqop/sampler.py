@@ -14,10 +14,10 @@ entry becomes a 53-bit integer threshold that the word's top 53 bits meet
 exactly when that uniform meets the entry, so no float is formed.
 ``sample_outcomes`` turns each word into an outcome index by a search
 over the thresholds. ``run_trials`` needs only how many of a trial's words
-land on outcome j, so it counts the words inside j's interval, 2**16
-words at a time, and builds no indices; when a trial fills at least one
-such chunk, the trials are split into contiguous slices over the CPUs the
-process may use, one thread and one Philox each.
+land on outcome j, so it counts the words inside j's interval, a block of
+short trials or 2**16 words of a long one at a time, and builds no
+indices; from 2**13 words a trial, the trials are split into contiguous
+slices over the CPUs the process may use, one thread and one Philox each.
 """
 
 from __future__ import annotations
@@ -45,15 +45,22 @@ _SEED_MASK = (1 << 64) - 1
 MAX_DRAWS = 10**9
 
 # Most trial runs (trials x ensemble sizes) one request may ask for. Each
-# run costs ~9 us however small N is (re-keying the Philox and the calls
-# around one draw; 8.7 us at N = 1 on a 2-vCPU Xeon), so 10^6 runs take
-# ~9 s; without this cap the draw budget alone admits ~3 h of one-draw
+# run costs ~3 us however small N is (re-keying the Philox and drawing one
+# row of a block; 3.2-3.3 us at N = 1 on a 2-vCPU Xeon), so 10^6 runs take
+# ~3.5 s; without this cap the draw budget alone admits ~1 h of one-draw
 # trials.
 MAX_TRIAL_RUNS = 10**6
 
-# run_trials draws each trial _CHUNK words at a time, so a trial of any N
-# holds one chunk; only trials of at least one chunk run on several threads.
+# run_trials holds at most _CHUNK words of a trial at a time. Trials of at
+# most _BLOCK_N words are counted a block of _CHUNK // n trials at a time
+# (n = 100: 2.4 us a trial, 4.6 alone); from ~4096 words, copying the words
+# into a block costs more than it saves (n = 10^4: 69 against 58 us).
 _CHUNK = 2**16
+_BLOCK_N = 2**11
+
+# Only trials of at least _THREADS_N words run on several threads: shorter
+# ones queue on the GIL (two CPUs, n = 3000 x 1000: 33 -> 46 ms CPU).
+_THREADS_N = 2**13
 
 
 def stream_seed(master_seed: int, trial_index: int) -> int:
@@ -114,37 +121,53 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     return np.floor(np.clip(cdf, -(2.0**-53), 1.0) * 2.0**53).astype(np.int64)
 
 
-def _count_at_most(words: np.ndarray, t: int) -> int:
-    """How many words w have ``w >> 11 <= t``, for a threshold t of
-    :func:`_thresholds` as a Python int; comparing w itself with
-    ``(t << 11) | 2047`` skips the shift."""
+def _count_at_most(words: np.ndarray, t: int):
+    """How many words w of 1-D ``words`` (of each row, if 2-D) have
+    ``w >> 11 <= t``, for a threshold t of :func:`_thresholds` as a Python
+    int; comparing w itself with ``(t << 11) | 2047`` skips the shift. A
+    count along an axis costs ~4 us more, so 1-D words are counted whole."""
     if t < 0:
         return 0
     if t >= 2**53:
-        return words.size
-    return np.count_nonzero(words <= ((t << 11) | 2047))
+        return words.shape[-1]
+    axis = 1 if words.ndim == 2 else None
+    return np.count_nonzero(words <= ((t << 11) | 2047), axis=axis)
 
 
 def _rekeyed(bit_generator, keys):
-    """Yield ``bit_generator``, a fresh Philox, at the start of each key's
-    stream in turn.
-
-    Each key is set through the ``state`` read before the first: counter
-    0, key ``[k, 0]``, empty buffer. That is exactly the start state of
-    ``Philox(key=k)``, so the words drawn after key k are those of
-    ``Philox(key=k).random_raw``, however many calls draw them.
-    """
-    start = bit_generator.state
-    for key in keys:
-        start["state"]["key"] = np.array([key, 0], dtype=np.uint64)
+    """Yield ``bit_generator``, a Philox, at the start of each key's stream
+    in turn: counter 0, key ``[k, 0]`` and an empty buffer (``buffer_pos``
+    4), exactly the state of ``Philox(key=k)``, so the words drawn after key
+    k are those of ``Philox(key=k).random_raw``, however many calls draw
+    them. The state is held once as Python ints and only ``key[0]`` changes:
+    the setter takes ~1 us on ints, ~3 us on the arrays ``state`` returns."""
+    key = [0, 0]
+    start = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for k in keys:
+        key[0] = k
         bit_generator.state = start
         yield bit_generator
 
 
 def _count_trials(bit_generator, keys, n: int, lo: int, hi: int, out) -> None:
     """Write to out[i] the fraction of the first n words w of key i's
-    stream with ``lo < w >> 11 <= hi``, drawn ``_CHUNK`` words at a time."""
-    for i, stream in enumerate(_rekeyed(bit_generator, keys)):
+    stream with ``lo < w >> 11 <= hi``: up to ``_BLOCK_N`` words a trial,
+    ``_CHUNK // n`` trials at a time, one a row of a block, by one compare
+    per threshold (exact integer counts, so ``counts / n`` are the doubles
+    ``count / n``); a longer trial on its own, ``_CHUNK`` words at a time."""
+    streams = _rekeyed(bit_generator, keys)
+    if n <= _BLOCK_N:
+        block = np.empty((_CHUNK // n, n), dtype=np.uint64)
+        for a in range(0, len(out), len(block)):
+            rows = block[: len(out) - a]
+            # zip takes a row first, so it re-keys no stream past the block.
+            for row, stream in zip(rows, streams):
+                row[:] = stream.random_raw(n)
+            counts = _count_at_most(rows, hi) - _count_at_most(rows, lo)
+            out[a : a + len(rows)] = counts / n
+        return
+    for i, stream in enumerate(streams):
         count = 0
         for start in range(0, n, _CHUNK):
             words = stream.random_raw(min(_CHUNK, n - start))
@@ -249,9 +272,7 @@ def run_trials(
     lo = int(thresholds[j - 1]) if j else -1
     hi = int(thresholds[j])
     freqs = np.empty(trials)
-    # A trial shorter than one chunk is too short to release the GIL for
-    # long; threads then only queue on it.
-    workers = min(_cpus(), trials) if n >= _CHUNK else 1
+    workers = min(_cpus(), trials) if n >= _THREADS_N else 1
     bounds = [trials * w // workers for w in range(workers + 1)]
     # Built here, one per worker, so a failure to build one raises before
     # any thread starts.

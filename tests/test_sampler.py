@@ -152,13 +152,30 @@ def test_uniforms_match_fresh_philox(n):
         assert ((words >> 11) * 2.0**-53).tobytes() == fresh.tobytes()
 
 
-# From 2**16 words on a trial is drawn in chunks, and its trials run on
-# several threads where the process may use several CPUs. Shorter trials
-# are counted 2**16 // n at a time: at n = 1000 two blocks of 65 and one
-# of 7, at n = 2**15 two blocks of 2 and one of 1, and one trial a block
-# from n = 2**15 + 1.
-@pytest.mark.parametrize("n", [1, 3, 101, 1000, 2**15, 2**15 + 1, 2**16 - 1, 2**16,
-                               2**16 + 1, 2**17 + 3])
+def _plain(state):
+    """A bit generator's ``state`` with its arrays as lists."""
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for k, v in state.items()}
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1])
+def test_rekeyed_state_is_fresh_philox_state(key):
+    # Words and a 32-bit draw first move the counter, fill the buffer and
+    # keep half a word, all of which the re-key must reset.
+    bit_generator = _Philox(key=5)
+    bit_generator.random_raw(2)
+    np.random.Generator(bit_generator).integers(2**32, dtype=np.uint32)
+    stream = next(_rekeyed(bit_generator, [key]))
+    assert _plain(stream.state) == _plain(_Philox(key=key).state)
+
+
+# Trials of at most 2**11 words are counted in blocks of 2**16 // n: at
+# n = 1000 two blocks of 65 and one of 7, at n = 2**11 two of 32 and one
+# of 3. Longer trials are counted one by one, from 2**13 words on several
+# threads where the process may use several CPUs, and from 2**16 words a
+# trial is drawn in chunks.
+@pytest.mark.parametrize("n", [1, 3, 101, 1000, 2**11, 2**11 + 1, 2**15, 2**15 + 1,
+                               2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
 @pytest.mark.parametrize("state", [
     StateVector.two_level(0.36),
     StateVector.two_level(0.0),
@@ -171,7 +188,7 @@ def test_trial_frequencies_match_searchsorted_reference(state, n):
     """Counting the words in outcome j's CDF interval gives the bytes of
     building every outcome index from fresh Generator floats and counting
     those equal to j."""
-    trials, seed = {1000: 2 * 65 + 7, 2**15: 5}.get(n, 4), 2026
+    trials, seed = {1000: 2 * 65 + 7, 2**11: 2 * 32 + 3}.get(n, 4), 2026
     cdf = _born_cdf(state)
     outcomes = [
         np.searchsorted(
@@ -277,16 +294,16 @@ def _record_philox(monkeypatch, cpus, fail_key=None):
     return log
 
 
-@pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 5])
+@pytest.mark.parametrize("n", [2**13 - 1, 2**13, 2**16 - 1, 2**16 + 5])
 def test_worker_count_leaves_frequencies_unchanged(monkeypatch, n):
-    # 7 trials on 3 workers split 2, 2, 3. Below one chunk a trial runs on
-    # the calling thread whatever the CPUs.
+    # 7 trials on 3 workers split 2, 2, 3. Below 2**13 words a trial runs
+    # on the calling thread whatever the CPUs.
     state, trials = StateVector([0.6, 0.0, 0.8j]), 7
     summaries = {}
     for cpus in (1, 3):
         log = _record_philox(monkeypatch, cpus)
         summaries[cpus] = run_trials(state, n, trials, seed=5, j=2)
-        workers = min(cpus, trials) if n >= 2**16 else 1
+        workers = min(cpus, trials) if n >= 2**13 else 1
         assert log.count("built") == workers
         assert len({entry[1] for entry in log if entry != "built"}) == workers
     one, three = summaries[1], summaries[3]
