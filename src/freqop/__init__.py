@@ -11,8 +11,6 @@ from .hilbert import (
     EnsembleSpec,
     ScaleError,
     StateVector,
-    index_to_string,
-    inner_product,
     product_state_vector,
     string_to_index,
 )
@@ -21,8 +19,6 @@ __all__ = [
     "EnsembleSpec",
     "ScaleError",
     "StateVector",
-    "index_to_string",
-    "inner_product",
     "product_state_vector",
     "string_to_index",
     "__version__",

@@ -1,4 +1,4 @@
-"""Convergence studies over ensemble size and the non-collapse report."""
+"""Convergence studies over ensemble size and the non-collapse verdict."""
 
 from __future__ import annotations
 
@@ -24,20 +24,6 @@ class ConvergenceRow:
     sampled_variance: float | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: list[ConvergenceRow]
-    # OLS slope of ln(distance_sq) against ln(N); None when any distance is
-    # exactly zero (degenerate p), which is a legitimate input, not an error.
-    slope: float | None
-
-
-@dataclass(frozen=True)
-class NoncollapseReport:
-    rows: list[ConvergenceRow]
-    verdict: str
-
-
 def _validate_n_list(n_list) -> list[int]:
     ns = [int(n) for n in n_list]
     if not ns or any(n < 1 for n in ns):
@@ -50,8 +36,8 @@ def _validate_n_list(n_list) -> list[int]:
 
 def convergence_sweep(
     state: StateVector, j: int, n_list, trials: int | None = None, seed: int = 0
-) -> SweepResult:
-    """Evaluate the distance law and spectral peak across ensemble sizes.
+) -> list[ConvergenceRow]:
+    """Evaluate the distance law and spectral peak at each N, one row each.
 
     Analytic columns are always present. When ``trials`` is given the
     sampled columns are filled too, each N running ``trials`` trials from
@@ -82,10 +68,13 @@ def convergence_sweep(
                 sampled_variance=sampled_var,
             )
         )
-    return SweepResult(rows=rows, slope=_loglog_slope(rows))
+    return rows
 
 
-def _loglog_slope(rows) -> float | None:
+def loglog_slope(rows) -> float | None:
+    """OLS slope of ln(distance_sq) against ln(N) over a sweep's rows; None
+    for a single row or when any distance is exactly zero (degenerate p),
+    which is a legitimate input, not an error."""
     d2 = np.array([r.distance_sq for r in rows], dtype=float)
     if len(rows) < 2 or np.any(d2 == 0.0):
         return None
@@ -94,27 +83,25 @@ def _loglog_slope(rows) -> float | None:
     return float(slope)
 
 
-def noncollapse_report(state: StateVector, j: int, n_list) -> NoncollapseReport:
-    """Pair the vanishing distance with the spreading spectral mass.
+def noncollapse_verdict(state: StateVector, j: int, rows) -> str:
+    """Pair the vanishing distance with the spreading spectral mass, read
+    off the last of the sweep ``rows`` of ``state`` and outcome ``j``.
 
     The point made quantitative: convergence in norm to the Born-scaled
     state does not make the product state a frequency eigenstate, since the
     mass off the single largest eigenspace grows toward 1.
     """
-    rows = convergence_sweep(state, j, n_list).rows
     p = state.probability(j)
     if p == 0.0 or p == 1.0:
-        verdict = (
+        return (
             f"exact eigenstate: the product state lies entirely in the "
             f"eigenspace of eigenvalue {p:g} for every N"
         )
-    else:
-        last = rows[-1]
-        verdict = (
-            f"at N={last.n} the squared distance to the Born-scaled state is "
-            f"{last.distance_sq:.3e}, yet {last.off_peak_mass:.4f} of the "
-            f"spectral mass lies off the largest eigenspace "
-            f"(max weight {last.max_weight:.3e}): the product state never "
-            f"becomes a frequency eigenstate"
-        )
-    return NoncollapseReport(rows=rows, verdict=verdict)
+    last = rows[-1]
+    return (
+        f"at N={last.n} the squared distance to the Born-scaled state is "
+        f"{last.distance_sq:.3e}, yet {last.off_peak_mass:.4f} of the "
+        f"spectral mass lies off the largest eigenspace "
+        f"(max weight {last.max_weight:.3e}): the product state never "
+        f"becomes a frequency eigenstate"
+    )

@@ -4,9 +4,11 @@ Every command emits machine-readable output (JSON by default, CSV where a
 row schema exists) with an embedded metadata block: tool version, the
 parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
-files. A JSON document is written at once; a CSV table is streamed from
-the computed values in chunks of at most ``CSV_CHUNK_ROWS`` rows, so the
-table is never held whole. Exit codes:
+files. A JSON document is written at once; a CSV table's text is written
+in chunks of at most ``CSV_CHUNK_ROWS`` rows. Only a column table
+(``spectrum``, ``sample``) is never held whole: it is formatted from its
+array. A sweep (``converge``, ``noncollapse``, one row per N) is held as
+records, tuples and dicts. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 """
 
@@ -148,8 +150,9 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     written at once, numpy values converted as they are encoded. CSV is the
     meta block, then the ``result`` fields named in ``csv_meta``, one per
     ``# key=value`` line, then ``table``, a ``(header, rows)`` pair with at
-    least one row, read lazily and written at most ``CSV_CHUNK_ROWS`` rows
-    at a time, so the table is never held whole.
+    least one row, written at most ``CSV_CHUNK_ROWS`` rows at a time. A
+    column's text is never held whole; a sweep's tuple rows are a list the
+    caller already holds, with its records and ``result`` dicts.
 
     Rows are tuples, or a 1-D float array ``w``, a column whose row k is
     ``(k, w[k])``: the spectrum's weights or the sampled frequencies, by
@@ -188,6 +191,11 @@ def _table(columns, records):
 def _row_dicts(table) -> list[dict]:
     header, rows = table
     return [dict(zip(header, row)) for row in rows]
+
+
+def _sampling_meta(seed: int) -> dict:
+    """The meta fields of a sampling command: its master seed and RNG."""
+    return {"seed": seed, "rng": sampler.RNG_ALGORITHM, "stream_rule": sampler.STREAM_RULE}
 
 
 # -- commands ------------------------------------------------------------
@@ -245,20 +253,15 @@ def _parse_n_list(text: str) -> list[int]:
 
 def cmd_converge(args) -> int:
     state = parse_state(args.state)
-    extra = None
-    if args.sample:
-        extra = {
-            "seed": args.seed,
-            "rng": sampler.RNG_ALGORITHM,
-            "stream_rule": sampler.STREAM_RULE,
-        }
+    extra = _sampling_meta(args.seed) if args.sample else None
     # Without --sample the sweep ignores --trials and --seed.
     trials = args.trials if args.sample else None
     n_list = _parse_n_list(args.n_list)
-    sweep = analysis.convergence_sweep(state, args.j, n_list, trials, args.seed)
-    table = _table(CONVERGE_COLUMNS, sweep.rows)
+    rows = analysis.convergence_sweep(state, args.j, n_list, trials, args.seed)
+    slope = analysis.loglog_slope(rows)
+    table = _table(CONVERGE_COLUMNS, rows)
     result = {
-        "slope": "undefined" if sweep.slope is None else sweep.slope,
+        "slope": "undefined" if slope is None else slope,
         "rows": _row_dicts(table),
     }
     _emit(args, result, table, ("slope",), extra)
@@ -267,9 +270,10 @@ def cmd_converge(args) -> int:
 
 def cmd_noncollapse(args) -> int:
     state = parse_state(args.state)
-    report = analysis.noncollapse_report(state, args.j, _parse_n_list(args.n_list))
-    table = _table(NONCOLLAPSE_COLUMNS, report.rows)
-    result = {"rows": _row_dicts(table), "verdict": report.verdict}
+    rows = analysis.convergence_sweep(state, args.j, _parse_n_list(args.n_list))
+    table = _table(NONCOLLAPSE_COLUMNS, rows)
+    verdict = analysis.noncollapse_verdict(state, args.j, rows)
+    result = {"rows": _row_dicts(table), "verdict": verdict}
     _emit(args, result, table, ("verdict",))
     return EXIT_OK
 
@@ -283,13 +287,9 @@ def cmd_sample(args) -> int:
         "sample_variance": summary.sample_variance,
         "frequencies": summary.frequencies,
     }
-    extra = {
-        "seed": args.seed,
-        "rng": sampler.RNG_ALGORITHM,
-        "stream_rule": sampler.STREAM_RULE,
-    }
     table = (("trial", "frequency"), summary.frequencies)
-    _emit(args, result, table, ("mean_frequency", "sample_variance"), extra)
+    _emit(args, result, table, ("mean_frequency", "sample_variance"),
+          _sampling_meta(args.seed))
     return EXIT_OK
 
 

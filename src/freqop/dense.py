@@ -159,16 +159,6 @@ def expectation_dense(spec: EnsembleSpec) -> float:
     return statistics_dense(spec)["expectation"]
 
 
-def gram_dense(spec: EnsembleSpec) -> float:
-    """<F psi^N | F psi^N> computed directly from coefficient vectors."""
-    return statistics_dense(spec)["gram"]
-
-
-def distance_sq_dense(spec: EnsembleSpec) -> float:
-    """Squared norm of F|psi^N> - |c_j|^2 |psi^N>, directly from vectors."""
-    return statistics_dense(spec)["distance_sq"]
-
-
 def spectral_weights_dense(spec: EnsembleSpec) -> np.ndarray:
     """Probability mass of the product state on each frequency eigenspace.
 
@@ -180,12 +170,6 @@ def spectral_weights_dense(spec: EnsembleSpec) -> np.ndarray:
     counts = frequency_counts(d, n, j)
     probs = np.abs(product_state_vector(spec)) ** 2
     return np.bincount(counts, weights=probs, minlength=n + 1)
-
-
-def eigenspace_dimensions(d: int, n: int, j: int) -> np.ndarray:
-    """Multiplicity of each eigenvalue k/N, counted by enumerating basis
-    strings. Closed form: C(N, k) * (d-1)**(N-k)."""
-    return np.bincount(frequency_counts(d, n, j), minlength=n + 1)
 
 
 def verify_operator_algebra(d: int, n: int) -> dict:
@@ -204,9 +188,12 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     largest entrywise gap between the two constructions over j. The caller
     decides the tolerance.
     """
-    total = check_vector_scale(d, n)
-    # Where check_literal_scale admits the literal routes.
-    literal = n < LITERAL_ROUTE_GUARD.bit_length() and total <= LITERAL_ROUTE_GUARD
+    check_vector_scale(d, n)
+    try:
+        check_literal_scale(d, n)
+        literal = True
+    except ScaleError:
+        literal = False
 
     all_counts = [frequency_counts(d, n, j) for j in range(d)]
     diag_sum = sum(c / n for c in all_counts)

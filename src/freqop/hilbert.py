@@ -1,4 +1,4 @@
-"""State vectors, inner products, and product-basis index arithmetic.
+"""State vectors and product-basis index arithmetic.
 
 A single system lives in a d-dimensional Hilbert space with the measurement
 eigenbasis as coordinate basis; an ensemble of N identically prepared copies
@@ -83,13 +83,6 @@ class StateVector:
     # -- presets ---------------------------------------------------------
 
     @classmethod
-    def basis(cls, dim: int, i: int) -> "StateVector":
-        """Coordinate basis state |i> in dimension dim."""
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[i] = 1.0
-        return cls(amps)
-
-    @classmethod
     def uniform(cls, dim: int) -> "StateVector":
         if dim < 1:
             raise ValueError(f"uniform state needs dimension >= 1, got {dim}")
@@ -169,13 +162,6 @@ class EnsembleSpec:
         return self.state.probability(self.j)
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def string_to_index(indices, d: int) -> int:
     """Flatten a basis string to its row-major index (leftmost digit most
     significant)."""
@@ -185,17 +171,6 @@ def string_to_index(indices, d: int) -> int:
             raise ValueError(f"basis index {i} out of range [0, {d})")
         idx = idx * d + i
     return idx
-
-
-def index_to_string(index: int, d: int, n: int) -> tuple[int, ...]:
-    """Inverse of :func:`string_to_index` for strings of length n."""
-    if not 0 <= index < d**n:
-        raise ValueError(f"index {index} out of range [0, {d**n})")
-    digits = []
-    for _ in range(n):
-        index, r = divmod(index, d)
-        digits.append(r)
-    return tuple(reversed(digits))
 
 
 def check_vector_scale(d: int, n: int) -> int:

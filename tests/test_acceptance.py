@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from freqop import analytic, dense, sampler
-from freqop.analysis import convergence_sweep
+from freqop.analysis import convergence_sweep, loglog_slope
 from freqop.hilbert import EnsembleSpec, StateVector
 
 from conftest import random_state
@@ -99,11 +99,12 @@ def test_criterion_4_central_numbers():
         n = int(rng.integers(1, 8))
         j = int(rng.integers(0, d))
         spec = EnsembleSpec(random_state(rng, d), n, j)
+        oracle = dense.statistics_dense(spec)
         worst = max(
             worst,
-            abs(analytic.expectation(spec) - dense.expectation_dense(spec)),
-            abs(analytic.gram(spec) - dense.gram_dense(spec)),
-            abs(analytic.distance_sq(spec) - dense.distance_sq_dense(spec)),
+            abs(analytic.expectation(spec) - oracle["expectation"]),
+            abs(analytic.gram(spec) - oracle["gram"]),
+            abs(analytic.distance_sq(spec) - oracle["distance_sq"]),
         )
     spec_half = EnsembleSpec(StateVector.two_level(0.5), 10, 0)
     instances_ok = (
@@ -124,17 +125,17 @@ def test_criterion_4_central_numbers():
 
 def test_criterion_5_one_over_n_law():
     start = time.monotonic()
-    sweep = convergence_sweep(
-        StateVector.two_level(0.5), 0, [10, 100, 1000, 10000]
+    slope = loglog_slope(
+        convergence_sweep(StateVector.two_level(0.5), 0, [10, 100, 1000, 10000])
     )
     elapsed = time.monotonic() - start
     report(
         5,
         "log-log slope of distance_sq over N is -1",
-        sweep.slope is not None
-        and abs(sweep.slope + 1.0) < 1e-9
+        slope is not None
+        and abs(slope + 1.0) < 1e-9
         and elapsed < 1,
-        f"slope {sweep.slope:.12f}, {elapsed:.2f}s",
+        f"slope {slope:.12f}, {elapsed:.2f}s",
     )
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from freqop import analytic, dense, sampler
-from freqop.analysis import convergence_sweep, noncollapse_report
+from freqop.analysis import convergence_sweep, loglog_slope, noncollapse_verdict
 from freqop.hilbert import EnsembleSpec, StateVector
 
 # Largest N whose 1000-trial sampled sweep fits the draw budget on its own.
@@ -12,44 +12,42 @@ _TOP = sampler.MAX_DRAWS // 1000
 
 class TestConvergenceSweep:
     def test_known_distances_and_slope(self):
-        sweep = convergence_sweep(StateVector.two_level(0.5), 0, [10, 100, 1000])
-        d2 = [r.distance_sq for r in sweep.rows]
+        rows = convergence_sweep(StateVector.two_level(0.5), 0, [10, 100, 1000])
+        d2 = [r.distance_sq for r in rows]
         assert d2 == pytest.approx([0.025, 0.0025, 0.00025], abs=1e-15)
-        assert sweep.slope == pytest.approx(-1.0, abs=1e-9)
+        assert loglog_slope(rows) == pytest.approx(-1.0, abs=1e-9)
 
     def test_degenerate_slope_marker(self):
-        sweep = convergence_sweep(StateVector.two_level(1.0), 0, [10, 100])
-        assert all(r.distance_sq == 0.0 for r in sweep.rows)
-        assert sweep.slope is None
+        rows = convergence_sweep(StateVector.two_level(1.0), 0, [10, 100])
+        assert all(r.distance_sq == 0.0 for r in rows)
+        assert loglog_slope(rows) is None
 
     def test_dense_cross_check_small_n(self):
         state = StateVector.two_level(0.3)
-        sweep = convergence_sweep(state, 0, [2, 3, 5, 7])
-        for row in sweep.rows:
+        for row in convergence_sweep(state, 0, [2, 3, 5, 7]):
             spec = EnsembleSpec(state, row.n, 0)
             assert row.distance_sq == pytest.approx(
-                dense.distance_sq_dense(spec), abs=1e-11
+                dense.statistics_dense(spec)["distance_sq"], abs=1e-11
             )
 
     def test_identity_per_row(self):
-        sweep = convergence_sweep(StateVector.two_level(0.42), 0, [3, 30, 300])
-        for row in sweep.rows:
+        for row in convergence_sweep(StateVector.two_level(0.42), 0, [3, 30, 300]):
             assert row.uncertainty**2 == pytest.approx(row.distance_sq, abs=1e-14)
 
     def test_monotone_decrease(self):
-        sweep = convergence_sweep(StateVector.two_level(0.2), 0, [1, 2, 5, 50, 500])
-        d2 = [r.distance_sq for r in sweep.rows]
+        rows = convergence_sweep(StateVector.two_level(0.2), 0, [1, 2, 5, 50, 500])
+        d2 = [r.distance_sq for r in rows]
         assert all(b < a for a, b in zip(d2, d2[1:]))
 
     def test_sampled_columns(self):
-        sweep = convergence_sweep(
+        rows = convergence_sweep(
             StateVector.two_level(0.5),
             0,
             [100, 200],
             trials=2000,
             seed=13,
         )
-        for row in sweep.rows:
+        for row in rows:
             assert row.sampled_mean is not None
             assert abs(row.sampled_mean - 0.5) < 0.01
             assert row.sampled_variance / row.uncertainty**2 == pytest.approx(
@@ -123,37 +121,34 @@ class TestConvergenceSweep:
 
 class TestNoncollapseReport:
     def test_large_n_numbers(self):
-        report = noncollapse_report(StateVector.two_level(0.5), 0, [10**4])
-        row = report.rows[0]
+        row = convergence_sweep(StateVector.two_level(0.5), 0, [10**4])[0]
         assert row.distance_sq == pytest.approx(2.5e-5, abs=1e-18)
         assert row.max_weight == pytest.approx(0.00798, abs=5e-5)
         assert row.off_peak_mass > 0.99
 
     def test_eigenstate_verdict(self):
-        report = noncollapse_report(StateVector.two_level(0.0), 0, [10, 100])
-        assert "exact eigenstate" in report.verdict
-        assert all(r.off_peak_mass == 0.0 for r in report.rows)
+        state = StateVector.two_level(0.0)
+        rows = convergence_sweep(state, 0, [10, 100])
+        assert "exact eigenstate" in noncollapse_verdict(state, 0, rows)
+        assert all(r.off_peak_mass == 0.0 for r in rows)
 
     def test_generic_verdict_mentions_spread(self):
-        report = noncollapse_report(StateVector.two_level(0.5), 0, [100, 1000])
-        assert "never becomes" in report.verdict
+        state = StateVector.two_level(0.5)
+        rows = convergence_sweep(state, 0, [100, 1000])
+        assert "never becomes" in noncollapse_verdict(state, 0, rows)
 
     def test_peak_scaling_constant(self):
         # De Moivre-Laplace: max weight ~ 1/sqrt(2 pi N p(1-p)), so
         # max_weight * sqrt(N) ~ sqrt(2/pi) = 0.7979 at p = 0.5.
-        report = noncollapse_report(
-            StateVector.two_level(0.5), 0, [10**2, 10**4, 10**6]
-        )
-        scaled = [r.max_weight * math.sqrt(r.n) for r in report.rows]
+        rows = convergence_sweep(StateVector.two_level(0.5), 0, [10**2, 10**4, 10**6])
+        scaled = [r.max_weight * math.sqrt(r.n) for r in rows]
         ref = math.sqrt(2 / math.pi)
         for value in scaled:
             assert value == pytest.approx(ref, rel=0.02)
 
     def test_distance_vs_spread_opposition(self):
-        report = noncollapse_report(
-            StateVector.two_level(0.3), 0, [10, 100, 1000, 10000]
-        )
-        d2 = [r.distance_sq for r in report.rows]
-        off = [r.off_peak_mass for r in report.rows]
+        rows = convergence_sweep(StateVector.two_level(0.3), 0, [10, 100, 1000, 10000])
+        d2 = [r.distance_sq for r in rows]
+        off = [r.off_peak_mass for r in rows]
         assert all(b < a for a, b in zip(d2, d2[1:]))
         assert all(b > a for a, b in zip(off, off[1:]))

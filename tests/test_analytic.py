@@ -89,10 +89,9 @@ class TestDistanceAndGram:
             d = int(rng.integers(2, 3))
             n = int(rng.integers(2, 9))
             spec = EnsembleSpec(random_state(rng, d), n, int(rng.integers(0, d)))
-            assert distance_sq(spec) == pytest.approx(
-                dense.distance_sq_dense(spec), abs=1e-11
-            )
-            assert gram(spec) == pytest.approx(dense.gram_dense(spec), abs=1e-11)
+            oracle = dense.statistics_dense(spec)
+            assert distance_sq(spec) == pytest.approx(oracle["distance_sq"], abs=1e-11)
+            assert gram(spec) == pytest.approx(oracle["gram"], abs=1e-11)
 
     def test_variance_equals_distance_sq(self):
         for p in np.linspace(0.0, 1.0, 1000):

@@ -1,26 +1,24 @@
 import itertools
 import tracemalloc
-from math import comb
 
 import numpy as np
 import pytest
 
 from freqop import dense
 from freqop.dense import (
+    LITERAL_ROUTE_GUARD,
     apply_to_product,
     build_frequency_operator,
     build_frequency_operator_projector_sum,
-    distance_sq_dense,
+    check_literal_scale,
     eigenrelation_check,
-    eigenspace_dimensions,
-    expectation_dense,
     frequency_counts,
     frequency_diagonal,
-    gram_dense,
     spectral_weights_dense,
+    statistics_dense,
     verify_operator_algebra,
 )
-from freqop.hilbert import EnsembleSpec, ScaleError, StateVector, index_to_string
+from freqop.hilbert import EnsembleSpec, ScaleError, StateVector
 
 from conftest import random_state
 
@@ -44,6 +42,19 @@ class TestBuild:
     def test_matrix_scale_guard(self):
         with pytest.raises(ScaleError):
             build_frequency_operator(EnsembleSpec(StateVector.uniform(2), 13, 0))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    def test_dense_matrices_exactly_where_literal_guard_admits(self, d):
+        edge = max(n for n in range(1, 13) if d**n <= LITERAL_ROUTE_GUARD)
+        admitted = []
+        for n in (edge, edge + 1):
+            try:
+                check_literal_scale(d, n)
+                admitted.append(True)
+            except ScaleError:
+                admitted.append(False)
+            assert verify_operator_algebra(d, n)["dense_matrices"] is admitted[-1]
+        assert admitted == [True, False]
 
     def test_literal_guard_refuses_n_above_12_at_d1(self):
         # 1**13 = 1 basis string, yet N = 13 is above log2 of the guard;
@@ -78,7 +89,7 @@ def test_frequency_counts_match_strings(d, n):
         assert counts.dtype == np.int64
         assert counts.shape == (d**n,)
         assert counts.tolist() == [
-            index_to_string(s, d, n).count(j) for s in range(d**n)
+            s.count(j) for s in itertools.product(range(d), repeat=n)
         ]
 
 
@@ -111,14 +122,14 @@ class TestEigenrelation:
 
 class TestApplyToProduct:
     def test_eigenstate_case(self):
-        spec = EnsembleSpec(StateVector.basis(2, 0), 3, 0)
+        spec = EnsembleSpec(StateVector([1, 0]), 3, 0)
         vec = apply_to_product(spec)
         expected = np.zeros(8)
         expected[0] = 1.0
         np.testing.assert_allclose(vec, expected, atol=1e-15)
 
     def test_zero_amplitude_gives_zero(self):
-        spec = EnsembleSpec(StateVector.basis(2, 0), 3, 1)
+        spec = EnsembleSpec(StateVector([1, 0]), 3, 1)
         np.testing.assert_allclose(apply_to_product(spec), np.zeros(8), atol=1e-15)
 
     def test_uniform_qubit_pair(self):
@@ -140,16 +151,16 @@ class TestApplyToProduct:
 class TestScalars:
     def test_distance_known_value(self):
         spec = EnsembleSpec(StateVector.two_level(0.5), 10, 0)
-        assert distance_sq_dense(spec) == pytest.approx(0.025, abs=1e-14)
+        assert statistics_dense(spec)["distance_sq"] == pytest.approx(0.025, abs=1e-14)
 
     def test_gram_known_value(self):
         spec = EnsembleSpec(StateVector.two_level(0.5), 2, 0)
-        assert gram_dense(spec) == pytest.approx(0.375, abs=1e-14)
+        assert statistics_dense(spec)["gram"] == pytest.approx(0.375, abs=1e-14)
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_exact_eigenstate_distance_zero(self, p):
         spec = EnsembleSpec(StateVector.two_level(p), 8, 0)
-        assert distance_sq_dense(spec) == pytest.approx(0.0, abs=1e-28)
+        assert statistics_dense(spec)["distance_sq"] == pytest.approx(0.0, abs=1e-28)
 
     def test_expansion_identity(self, rng):
         # distance_sq == gram - 2 p <F> + p^2, the polarization expansion
@@ -160,9 +171,9 @@ class TestScalars:
             j = int(rng.integers(0, d))
             spec = EnsembleSpec(random_state(rng, d), n, j)
             p = spec.born_probability
-            lhs = distance_sq_dense(spec)
-            rhs = gram_dense(spec) - 2 * p * expectation_dense(spec) + p**2
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+            s = statistics_dense(spec)
+            rhs = s["gram"] - 2 * p * s["expectation"] + p**2
+            assert s["distance_sq"] == pytest.approx(rhs, abs=1e-12)
 
 
 class TestAlgebra:
@@ -193,11 +204,20 @@ class TestAlgebra:
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_eigenspace_multiplicities(self, d, n):
-        for j in range(d):
-            mult = eigenspace_dimensions(d, n, j)
-            for k in range(n + 1):
-                assert mult[k] == comb(n, k) * (d - 1) ** (n - k)
+    def test_eigenspace_multiplicities(self, d, n, monkeypatch):
+        # Multiplicities C(N, k) * (d-1)**(N-k), checked inside verify.
+        assert verify_operator_algebra(d, n)["multiplicity_ok"] is True
+        # One string's count moved down by one: still a valid eigenvalue,
+        # but eigenspaces k and k-1 change size.
+        def moved(d, n, j):
+            counts = frequency_counts(d, n, j)
+            counts[int(np.argmax(counts))] -= 1
+            return counts
+
+        monkeypatch.setattr(dense, "frequency_counts", moved)
+        report = verify_operator_algebra(d, n)
+        assert report["spectrum_membership"] == 0.0
+        assert report["multiplicity_ok"] is False
 
     def test_spectrum_of_f0_n4(self):
         vals = sorted(set(frequency_diagonal(2, 4, 0)))
@@ -219,6 +239,6 @@ class TestSpectralWeightsDense:
 
 def test_determinism():
     spec = EnsembleSpec(StateVector.two_level(0.3), 5, 0)
-    a = dense.distance_sq_dense(spec)
-    b = dense.distance_sq_dense(spec)
+    a = statistics_dense(spec)
+    b = statistics_dense(spec)
     assert a == b

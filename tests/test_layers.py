@@ -4,6 +4,13 @@ Each ``src/freqop/*.py`` is parsed, not imported. A module may not read an
 underscore name of another freqop module, either as ``module._name`` on a
 module it imported or through ``from .module import _name``. Dunder names
 (``__version__``) are public.
+
+Every public name of the package has a caller outside the tests: each
+public top-level function and class, and each public method of a
+top-level class, is read by code in the package outside its own
+definition, in ``demos/`` or in ``bench/``, as a name, an attribute or a
+string constant that is the bare identifier. Imports, ``__all__`` and
+docstrings name without reading, so they do not count.
 """
 
 import ast
@@ -11,8 +18,17 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freqop"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "freqop"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    (ROOT / "bench").glob("*.py")
+)
+
+# The brute-force reference the tests hold analytic.spectral_weights to:
+# only the tests call it, but a reference implementation stays in the
+# package beside the dense routes it is built from.
+TEST_ORACLES = {"dense.spectral_weights_dense"}
 
 
 def _private(name: str) -> bool:
@@ -74,3 +90,79 @@ def test_detector_finds_both_forms():
         "hilbert._is_json_number",
         "sampler._check_seed",
     ]
+
+
+def public_defs(tree) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each public top-level function and class and each
+    public method of a top-level class, a method named ``Class.method``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{m.name}", m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+    return found
+
+
+def _lists_without_reading(node) -> bool:
+    """An import, ``__all__`` or a docstring: it names without calling."""
+    return (
+        isinstance(node, (ast.Import, ast.ImportFrom))
+        or isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        or isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    )
+
+
+def words_read(tree, skip=None) -> set[str]:
+    """Every name the code of ``tree`` reads outside the node ``skip``:
+    names, attributes, and string constants that are one identifier
+    (``bench`` looks kernels up by name)."""
+    words, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip or _lists_without_reading(node):
+            continue
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                words.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return words
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_public_names_have_callers_outside_tests(path):
+    tree = _tree(path)
+    elsewhere = set().union(*(words_read(_tree(p)) for p in CALLERS if p != path))
+    uncalled = [
+        name
+        for name, node in public_defs(tree)
+        if f"{path.stem}.{name}" not in TEST_ORACLES
+        and name.rsplit(".", 1)[-1] not in elsewhere | words_read(tree, skip=node)
+    ]
+    assert uncalled == []
+
+
+def test_imports_all_and_docstrings_are_not_reads():
+    tree = ast.parse(
+        "from .hilbert import inner_product\n"
+        '__all__ = ["inner_product"]\n'
+        "def f():\n"
+        '    """Calls inner_product."""\n'
+        '    return getattr(m, "expectation_dense")(g.h, "not one identifier")\n'
+    )
+    assert words_read(tree) == {"getattr", "m", "expectation_dense", "g", "h"}

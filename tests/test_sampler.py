@@ -21,7 +21,7 @@ _Philox = np.random.Philox
 
 class TestSampleOutcomes:
     def test_degenerate_state(self):
-        outcomes = sample_outcomes(StateVector.basis(2, 1), 50, seed=123)
+        outcomes = sample_outcomes(StateVector([0, 1]), 50, seed=123)
         assert np.all(outcomes == 1)
 
     def test_determinism(self):
@@ -124,7 +124,7 @@ def test_zero_draw_skips_zero_weight_outcomes(monkeypatch):
     # Word 0 is the draw 0.0, which Philox gives with probability 2**-53.
     monkeypatch.setattr(np.random, "Philox", _constant_philox(0))
     assert list(sample_outcomes(StateVector.two_level(0.0), 3, 1)) == [1, 1, 1]
-    assert list(sample_outcomes(StateVector.basis(3, 2), 3, 1)) == [2, 2, 2]
+    assert list(sample_outcomes(StateVector([0, 0, 1]), 3, 1)) == [2, 2, 2]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -179,7 +179,7 @@ def test_rekeyed_state_is_fresh_philox_state(key):
 @pytest.mark.parametrize("state", [
     StateVector.two_level(0.36),
     StateVector.two_level(0.0),
-    StateVector.basis(3, 2),
+    StateVector([0, 0, 1]),
     StateVector([0.0, 0.6, 0.0, 0.8j]),
     StateVector([0.5, 0.5j, -0.5, 0.5, 0.0]),
     StateVector(np.array([1.0, 2.0 - 1.0j, 0.3, 0.0, 1.5j]) / np.sqrt(8.34)),
