@@ -1,7 +1,7 @@
 """Brute-force oracle for the frequency operator at small ensemble sizes.
 
-Everything here works with explicit coefficient vectors on the d**N product
-space. The frequency operator is diagonal in the product basis, so an
+Everything here works with explicit vectors (coefficients, Born weights) on
+the d**N product space. The frequency operator is diagonal in the product basis, so an
 operator is its complex128 diagonal, a vector of length d**N; no d**N x d**N
 matrix is ever built. The closed forms in :mod:`freqop.analytic` are
 validated against these routines.
@@ -18,6 +18,7 @@ from .hilbert import (
     EnsembleSpec,
     ScaleError,
     StateVector,
+    born_weights,
     check_vector_scale,
     product_state_vector,
     string_to_index,
@@ -138,24 +139,21 @@ def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
 
 
 def statistics_dense(spec: EnsembleSpec) -> dict:
-    """The scalar statistics of the closed forms, computed directly from
-    coefficient vectors, in the order ``stats`` prints them:
-    ``expectation`` <psi^N| F |psi^N>, ``distance_sq`` the squared norm of
-    F|psi^N> - |c_j|^2 |psi^N>, and ``gram`` <F psi^N | F psi^N>.
-    |psi^N> and F|psi^N> are built once for all three."""
-    vec = product_state_vector(spec)
-    fvec = frequency_diagonal(spec.state.dim, spec.n, spec.j) * vec
+    """<psi^N| F |psi^N>, |F psi^N - p psi^N|^2 (p = |c_j|^2) and
+    <F psi^N | F psi^N>, in ``stats`` order. F is diagonal, so each is a sum
+    over basis strings of the Born weight w times f, (f - p)^2 or f^2, taken
+    by numpy's pairwise sums: no BLAS call, so no CPU-count dependence."""
+    w = born_weights(spec)
+    f = frequency_diagonal(spec.state.dim, spec.n, spec.j)
     return {
-        "expectation": float(np.vdot(vec, fvec).real),
-        "distance_sq": float(
-            np.linalg.norm(fvec - spec.born_probability * vec) ** 2
-        ),
-        "gram": float(np.vdot(fvec, fvec).real),
+        "expectation": float(np.sum(w * f)),
+        "distance_sq": float(np.sum(w * (f - spec.born_probability) ** 2)),
+        "gram": float(np.sum(w * f * f)),
     }
 
 
 def expectation_dense(spec: EnsembleSpec) -> float:
-    """<psi^N| F |psi^N> computed directly from coefficient vectors."""
+    """The ``expectation`` of :func:`statistics_dense`."""
     return statistics_dense(spec)["expectation"]
 
 
@@ -163,13 +161,11 @@ def spectral_weights_dense(spec: EnsembleSpec) -> np.ndarray:
     """Probability mass of the product state on each frequency eigenspace.
 
     Entry k is the squared norm of the projection of |psi>^N onto the span
-    of basis strings containing exactly k occurrences of j. Oracle for the
-    binomial closed form.
+    of basis strings containing exactly k occurrences of j: the sum of their
+    Born weights. Oracle for the binomial closed form.
     """
-    d, n, j = spec.state.dim, spec.n, spec.j
-    counts = frequency_counts(d, n, j)
-    probs = np.abs(product_state_vector(spec)) ** 2
-    return np.bincount(counts, weights=probs, minlength=n + 1)
+    counts = frequency_counts(spec.state.dim, spec.n, spec.j)
+    return np.bincount(counts, weights=born_weights(spec), minlength=spec.n + 1)
 
 
 def verify_operator_algebra(d: int, n: int) -> dict:
@@ -180,7 +176,8 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     multiplicities from the exact integer counts up to the vector guard.
     Up to the literal-route guard it also builds each literal diagonal once
     per j, checks the identities on it and compares it with the projector
-    sum; no explicit matrix is ever built.
+    sum. No explicit matrix is ever built, and only one count vector is
+    held at a time, so memory does not grow with d.
 
     Returns the whole ``verify`` entry for this N: the maximum deviation of
     each identity, ``max_deviation`` over them, and, where the literal
@@ -195,8 +192,18 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     except ScaleError:
         literal = False
 
-    all_counts = [frequency_counts(d, n, j) for j in range(d)]
-    diag_sum = sum(c / n for c in all_counts)
+    # Counts are exact integers, so spectrum membership is checked exactly:
+    # every diagonal entry must be k/N for an integer k in [0, N].
+    expected = np.array(
+        [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)], dtype=np.int64
+    )
+    in_range, multiplicity_ok, diag_sum = True, True, 0
+    for j in range(d):
+        counts = frequency_counts(d, n, j)
+        in_range &= bool(counts.min() >= 0 and counts.max() <= n)
+        multiplicity_ok &= np.array_equal(np.bincount(counts, minlength=n + 1), expected)
+        diag_sum += counts / n
+    del counts
 
     report = {
         "n": n,
@@ -205,21 +212,10 @@ def verify_operator_algebra(d: int, n: int) -> dict:
         "sum_to_identity": float(np.max(np.abs(diag_sum - 1.0))),
         "max_commutator": 0.0,
         "hermiticity": 0.0,
-        "spectrum_membership": 0.0,
-        "multiplicity_ok": True,
+        "spectrum_membership": 0.0 if in_range else float("inf"),
+        "multiplicity_ok": multiplicity_ok,
         "max_deviation": 0.0,  # set last; its place keeps the verify key order
     }
-
-    # Counts are exact integers, so spectrum membership is checked exactly:
-    # every diagonal entry must be k/N for an integer k in [0, N].
-    expected = np.array(
-        [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)], dtype=np.int64
-    )
-    for counts in all_counts:
-        if counts.min() < 0 or counts.max() > n:
-            report["spectrum_membership"] = float("inf")
-        if not np.array_equal(np.bincount(counts, minlength=n + 1), expected):
-            report["multiplicity_ok"] = False
 
     if literal:
         state = StateVector.uniform(d)
@@ -241,10 +237,6 @@ def verify_operator_algebra(d: int, n: int) -> dict:
             for op, spec in zip(ops, specs)
         )
 
-    report["max_deviation"] = max(
-        report["sum_to_identity"],
-        report["max_commutator"],
-        report["hermiticity"],
-        report["spectrum_membership"],
-    )
+    report["max_deviation"] = max(report[key] for key in (
+        "sum_to_identity", "max_commutator", "hermiticity", "spectrum_membership"))
     return report

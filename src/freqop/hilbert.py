@@ -188,14 +188,22 @@ def check_vector_scale(d: int, n: int) -> int:
     return d**n
 
 
-def product_state_vector(spec: EnsembleSpec) -> np.ndarray:
-    """Coefficient vector of the N-fold tensor power of spec.state.
-
-    The coefficient at basis string (i_1, ..., i_N) is the product of the
-    single-system amplitudes c_{i_alpha}.
-    """
+def _kron_power(spec: EnsembleSpec, factor: np.ndarray) -> np.ndarray:
+    """The N-fold Kronecker power of a vector over spec.state's outcomes."""
     check_vector_scale(spec.state.dim, spec.n)
-    vec = np.ones(1, dtype=np.complex128)
+    out = np.ones(1, dtype=factor.dtype)
     for _ in range(spec.n):
-        vec = np.kron(vec, spec.state.amplitudes)
-    return vec
+        out = np.kron(out, factor)
+    return out
+
+
+def product_state_vector(spec: EnsembleSpec) -> np.ndarray:
+    """Coefficient vector of the N-fold tensor power of spec.state: at basis
+    string (i_1, ..., i_N), the product of the amplitudes c_{i_alpha}."""
+    return _kron_power(spec, spec.state.amplitudes)
+
+
+def born_weights(spec: EnsembleSpec) -> np.ndarray:
+    """Born weight |c_s|^2 of each basis string s, indexed as in
+    :func:`product_state_vector`: the product of the |c_{i_alpha}|^2."""
+    return _kron_power(spec, spec.state.probabilities())

@@ -201,14 +201,14 @@ class TestStats:
                 return build(*args)
             return wrapper
 
-        for name in ("product_state_vector", "frequency_diagonal"):
+        for name in ("born_weights", "frequency_diagonal", "product_state_vector"):
             monkeypatch.setattr(dense, name, counting(name))
         code, doc = run_json(
             capsys, "stats", "--state", "two-level:0.36", "--j", "1", "--n", "8",
             "--cross-check",
         )
         assert code == 0 and doc["result"]["cross_check"] == "PASS"
-        assert sorted(calls) == ["frequency_diagonal", "product_state_vector"]
+        assert sorted(calls) == ["born_weights", "frequency_diagonal"]
 
     @pytest.mark.parametrize("cross_check", [(), ("--cross-check",)],
                              ids=["closed-forms", "cross-check"])

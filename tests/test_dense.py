@@ -196,6 +196,17 @@ class TestAlgebra:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_memory_does_not_grow_with_d(self):
+        # 16**5 = 2**20 entries, 8 MiB per vector: holding the 16 count
+        # vectors at once would peak above 128 MiB.
+        tracemalloc.start()
+        try:
+            verify_operator_algebra(16, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
     def test_implicit_diagonal_path(self):
         report = verify_operator_algebra(2, 15)
         assert not report["dense_matrices"]

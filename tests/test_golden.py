@@ -5,10 +5,13 @@ config block echoes the state path, so the JSON state file lives there too)
 and compares stdout with ``tests/golden/<case>.<json|csv>``. The spectra at
 N = 10^5 and 10^6 are too large to keep, so ``LARGE_CASES`` pins the sha256
 of their stdout in ``tests/golden/large_n.sha256`` instead, as it does for
-sampling at the benchmark's trial counts. A change that alters any output
-byte fails here; rewrite the files only when the output is meant to change,
-by running this module as a script, which also rewrites the digests and the
-demos' pinned stdout (see ``test_demos.py``):
+sampling at the benchmark's trial counts. Each ``--cross-check`` case runs a
+second time as a ``python -m freqop.cli`` child limited to one OpenBLAS
+thread, so that the dense oracle's bytes cannot depend on the CPU count. A
+change that alters any output byte fails here; rewrite the files only when
+the output is meant to change, by running this module as a script, which
+also rewrites the digests and the demos' pinned stdout (see
+``test_demos.py``):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +21,8 @@ import hashlib
 import io
 import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +30,7 @@ import pytest
 from freqop.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 TWO_LEVEL = ("--state", "two-level:0.36")
 D3 = ("--state", "state_d3.json")
@@ -142,11 +148,31 @@ def golden_path(name: str) -> Path:
     return GOLDEN / f"{name}.{ext}"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, monkeypatch, capsys):
-    monkeypatch.chdir(GOLDEN)
-    assert main(list(CASES[name])) == 0
-    assert capsys.readouterr().out.encode() == golden_path(name).read_bytes()
+def one_blas_thread_stdout(argv) -> bytes:
+    """stdout of the CLI run in a child process with one OpenBLAS thread."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "freqop.cli", *argv],
+                          cwd=GOLDEN, env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+GOLDEN_RUNS = [pytest.param(name, False, id=name) for name in sorted(CASES)] + [
+    pytest.param(name, True, id=f"{name}-one-blas-thread")
+    for name in sorted(CASES) if "--cross-check" in CASES[name]
+]
+
+
+@pytest.mark.parametrize("name,one_blas_thread", GOLDEN_RUNS)
+def test_golden_output(name, one_blas_thread, monkeypatch, capsys):
+    if one_blas_thread:
+        out = one_blas_thread_stdout(CASES[name])
+    else:
+        monkeypatch.chdir(GOLDEN)
+        assert main(list(CASES[name])) == 0
+        out = capsys.readouterr().out.encode()
+    assert out == golden_path(name).read_bytes()
 
 
 def test_large_cases_pinned():
