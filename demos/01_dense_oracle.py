@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from freqop import EnsembleSpec, StateVector
+from freqop.hilbert import EnsembleSpec, StateVector
 from freqop.dense import (
     build_frequency_operator,
     build_frequency_operator_projector_sum,

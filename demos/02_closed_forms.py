@@ -2,7 +2,7 @@
 against the dense oracle where the dense oracle can reach.
 """
 
-from freqop import EnsembleSpec, StateVector
+from freqop.hilbert import EnsembleSpec, StateVector
 from freqop import analytic, dense
 from freqop.analysis import convergence_sweep, loglog_slope
 

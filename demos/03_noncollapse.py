@@ -5,7 +5,7 @@ spreads out instead of concentrating on a single eigenvalue.
 
 import math
 
-from freqop import StateVector
+from freqop.hilbert import StateVector
 from freqop.analysis import convergence_sweep, noncollapse_verdict
 
 state = StateVector.two_level(0.5)

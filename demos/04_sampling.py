@@ -5,7 +5,7 @@ Born weight and its variance is p(1-p)/N.
 
 import numpy as np
 
-from freqop import EnsembleSpec, StateVector
+from freqop.hilbert import EnsembleSpec, StateVector
 from freqop import analytic
 from freqop.sampler import RNG_ALGORITHM, STREAM_RULE, run_trials, sample_outcomes
 

@@ -6,20 +6,3 @@ other at small scale.
 """
 
 __version__ = "0.1.0"
-
-from .hilbert import (
-    EnsembleSpec,
-    ScaleError,
-    StateVector,
-    product_state_vector,
-    string_to_index,
-)
-
-__all__ = [
-    "EnsembleSpec",
-    "ScaleError",
-    "StateVector",
-    "product_state_vector",
-    "string_to_index",
-    "__version__",
-]

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, sampler
+from .guards import check_n_list, check_sampling
 from .hilbert import EnsembleSpec, StateVector
 
 
@@ -24,16 +25,6 @@ class ConvergenceRow:
     sampled_variance: float | None = None
 
 
-def _validate_n_list(n_list) -> list[int]:
-    ns = [int(n) for n in n_list]
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError("n_list must be nonempty with every entry >= 1")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    analytic.check_spectral_n(ns[-1])
-    return ns
-
-
 def convergence_sweep(
     state: StateVector, j: int, n_list, trials: int | None = None, seed: int = 0
 ) -> list[ConvergenceRow]:
@@ -42,12 +33,12 @@ def convergence_sweep(
     Analytic columns are always present. When ``trials`` is given the
     sampled columns are filled too, each N running ``trials`` trials from
     the same master ``seed`` so the sweep is reproducible as a whole; the
-    whole sweep passes :func:`sampler.check_sampling` before its first N.
+    whole sweep passes :func:`guards.check_sampling` before its first N.
     Without ``trials`` the seed is not read.
     """
-    ns = _validate_n_list(n_list)
+    ns = check_n_list(n_list)
     if trials is not None:
-        sampler.check_sampling(trials, seed, ns)
+        check_sampling(trials, seed, ns)
     rows = []
     for n in ns:
         spec = EnsembleSpec(state, n, j)

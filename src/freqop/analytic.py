@@ -12,10 +12,8 @@ import math
 
 import numpy as np
 
+from .guards import check_spectral_n
 from .hilbert import EnsembleSpec
-
-# Spectral weights are computed over N+1 eigenvalues; cap the table size.
-MAX_SPECTRAL_N = 10**6
 
 # Binomial terms smaller than this underflow to exact zero.
 WEIGHT_FLOOR = 1e-300
@@ -62,13 +60,6 @@ def gram(spec: EnsembleSpec) -> float:
     p = spec.born_probability
     n = spec.n
     return (p / n**2) * (n + n * (n - 1) * p)
-
-
-def check_spectral_n(n: int) -> None:
-    if n > MAX_SPECTRAL_N:
-        raise ValueError(
-            f"spectral weights limited to N <= {MAX_SPECTRAL_N}, got {n}"
-        )
 
 
 def _mode(n: int, p: float) -> int:

@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, analytic, dense, sampler
-from .hilbert import EnsembleSpec, StateVector, check_vector_scale
+from .guards import check_verify
+from .hilbert import EnsembleSpec, StateVector
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -205,11 +206,7 @@ def cmd_verify(args) -> int:
     d, n_max = args.dim, args.n_max
     tol_algebra = 1e-13
     tol_routes = 1e-14
-    if d < 2 or n_max < 1:
-        raise ValueError(
-            f"verify needs --dim >= 2 and --n-max >= 1, got {d} and {n_max}"
-        )
-    check_vector_scale(d, n_max)
+    check_verify(d, n_max)
     checks = [dense.verify_operator_algebra(d, n) for n in range(1, n_max + 1)]
     ok = not any(
         c["max_deviation"] > tol_algebra

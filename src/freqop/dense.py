@@ -14,33 +14,14 @@ from math import comb
 
 import numpy as np
 
+from . import guards
 from .hilbert import (
     EnsembleSpec,
-    ScaleError,
     StateVector,
     born_weights,
-    check_vector_scale,
     product_state_vector,
     string_to_index,
 )
-
-# The literal constructions loop over every basis string in Python, so they
-# run only up to this size; between here and the vector guard the operator
-# is checked through the vectorized counts alone.
-LITERAL_ROUTE_GUARD = 2**12
-
-
-def check_literal_scale(d: int, n: int) -> int:
-    """Return d**n, or raise ScaleError if it exceeds the literal-route
-    guard; N above log2 of the guard is refused before d**n is computed,
-    as in :func:`check_vector_scale`."""
-    max_n = LITERAL_ROUTE_GUARD.bit_length() - 1
-    if n > max_n or d**n > LITERAL_ROUTE_GUARD:
-        raise ScaleError(
-            f"literal construction over {d}**{n} basis strings exceeds the guard "
-            f"of {LITERAL_ROUTE_GUARD} and N <= {max_n}; use the implicit diagonal"
-        )
-    return d**n
 
 
 def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
@@ -49,7 +30,7 @@ def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
 
     Built one site at a time by outer sums: appending a site to every string
     adds 1 to the count where the new digit is j."""
-    check_vector_scale(d, n)
+    guards.check_vector_scale(d, n)
     hit = (np.arange(d) == j).astype(np.int64)
     counts = np.zeros(1, dtype=np.int64)
     for _ in range(n):
@@ -67,7 +48,7 @@ def build_frequency_operator(spec: EnsembleSpec) -> np.ndarray:
     """Literal construction: sum over all basis strings of f_j times the
     rank-one projector onto that string, returned as its diagonal."""
     d, n, j = spec.state.dim, spec.n, spec.j
-    total = check_literal_scale(d, n)
+    total = guards.check_literal_scale(d, n)
     diag = np.zeros(total, dtype=np.complex128)
     for string in itertools.product(range(d), repeat=n):
         diag[string_to_index(string, d)] = string.count(j) / n
@@ -96,7 +77,7 @@ def build_frequency_operator_projector_sum(spec: EnsembleSpec) -> np.ndarray:
     ones); returns the diagonal of the sum. It never reads the counts, so
     it stays an independent check on them."""
     d, n, j = spec.state.dim, spec.n, spec.j
-    check_literal_scale(d, n)
+    guards.check_literal_scale(d, n)
     proj = np.zeros(d, dtype=np.complex128)
     proj[j] = 1.0
     return _site_sum(proj, np.ones(d, dtype=np.complex128), n) / n
@@ -173,11 +154,12 @@ def verify_operator_algebra(d: int, n: int) -> dict:
 
     Verifies resolution of identity (sum over j of F^j = 1), pairwise
     commutation, Hermiticity, spectrum membership in {k/N}, and eigenspace
-    multiplicities from the exact integer counts up to the vector guard.
-    Up to the literal-route guard it also builds each literal diagonal once
-    per j, checks the identities on it and compares it with the projector
-    sum. No explicit matrix is ever built, and only one count vector is
-    held at a time, so memory does not grow with d.
+    multiplicities from the exact integer counts, up to the vector guard and
+    d count vectors within the work guard. Up to the literal-route guard,
+    with d**2 commutator pairs within the work guard, it also builds each
+    literal diagonal once per j, checks the identities on it and compares
+    it with the projector sum. No explicit matrix is ever built, and only
+    one count vector is held at a time, so memory does not grow with d.
 
     Returns the whole ``verify`` entry for this N: the maximum deviation of
     each identity, ``max_deviation`` over them, and, where the literal
@@ -185,12 +167,9 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     largest entrywise gap between the two constructions over j. The caller
     decides the tolerance.
     """
-    check_vector_scale(d, n)
-    try:
-        check_literal_scale(d, n)
-        literal = True
-    except ScaleError:
-        literal = False
+    guards.check_verify_work(d, n)
+    literal = guards.fits(d, n, guards.LITERAL_ROUTE_GUARD) and guards.fits(
+        d, n + 2, guards.VERIFY_WORK_GUARD)
 
     # Counts are exact integers, so spectrum membership is checked exactly:
     # every diagonal entry must be k/N for an integer k in [0, N].
@@ -201,7 +180,8 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     for j in range(d):
         counts = frequency_counts(d, n, j)
         in_range &= bool(counts.min() >= 0 and counts.max() <= n)
-        multiplicity_ok &= np.array_equal(np.bincount(counts, minlength=n + 1), expected)
+        multiplicity_ok &= in_range and np.array_equal(
+            np.bincount(counts, minlength=n + 1), expected)
         diag_sum += counts / n
     del counts
 

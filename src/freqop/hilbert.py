@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .guards import check_vector_scale
+
 NORM_TOL = 1e-12
-
-# Largest product space materialized as an explicit coefficient vector.
-DENSE_VECTOR_GUARD = 2**20
-
-
-class ScaleError(ValueError):
-    """Requested product space exceeds the dense-computation guard."""
 
 
 def _is_json_number(x) -> bool:
@@ -37,7 +32,7 @@ class StateVector:
     it by its norm before constructing. States are read from JSON, never
     written; two states compare by their ``amplitudes``. A single system is
     the N = 1 product space, so ``uniform`` and the JSON reader refuse a
-    dimension above ``DENSE_VECTOR_GUARD`` before building any array.
+    dimension above ``guards.DENSE_VECTOR_GUARD`` before building any array.
     """
 
     __slots__ = ("_amps",)
@@ -171,21 +166,6 @@ def string_to_index(indices, d: int) -> int:
             raise ValueError(f"basis index {i} out of range [0, {d})")
         idx = idx * d + i
     return idx
-
-
-def check_vector_scale(d: int, n: int) -> int:
-    """Return d**n, or raise ScaleError if it exceeds the vector guard.
-
-    N above log2 of the guard is refused before d**n is computed: for
-    d >= 2 that space exceeds the guard anyway, and for d = 1 the N-site
-    loops would still run N times."""
-    max_n = DENSE_VECTOR_GUARD.bit_length() - 1
-    if n > max_n or d**n > DENSE_VECTOR_GUARD:
-        raise ScaleError(
-            f"product space {d}**{n} exceeds the dense vector guard of "
-            f"{DENSE_VECTOR_GUARD} entries and N <= {max_n}; use the analytic engine"
-        )
-    return d**n
 
 
 def _kron_power(spec: EnsembleSpec, factor: np.ndarray) -> np.ndarray:

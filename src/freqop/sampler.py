@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .guards import SEED_MASK, check_sampling, check_seed
 from .hilbert import StateVector
 
 RNG_ALGORITHM = "philox4x64"
@@ -37,19 +38,6 @@ STREAM_CONSTANT = 0x9E3779B97F4A7C15
 
 # How run_trials derives each trial's stream seed (see stream_seed).
 STREAM_RULE = f"stream_seed = master ^ (trial_index * {STREAM_CONSTANT:#x}) mod 2**64"
-
-_SEED_MASK = (1 << 64) - 1
-
-# Most draws (N x trials) one request may ask for; a sampling job above it
-# would run for hours, so it is refused before any draw.
-MAX_DRAWS = 10**9
-
-# Most trial runs (trials x ensemble sizes) one request may ask for. Each
-# run costs ~3 us however small N is (re-keying the Philox and drawing one
-# row of a block; 3.2-3.3 us at N = 1 on a 2-vCPU Xeon), so 10^6 runs take
-# ~3.5 s; without this cap the draw budget alone admits ~1 h of one-draw
-# trials.
-MAX_TRIAL_RUNS = 10**6
 
 # run_trials holds at most _CHUNK words of a trial at a time. Trials of at
 # most _BLOCK_N words are counted a block of _CHUNK // n trials at a time
@@ -65,35 +53,7 @@ _THREADS_N = 2**13
 
 def stream_seed(master_seed: int, trial_index: int) -> int:
     """Derived seed for one trial: master XOR (index * odd constant), mod 2**64."""
-    return (master_seed ^ (trial_index * STREAM_CONSTANT)) & _SEED_MASK
-
-
-def _check_seed(seed: int) -> None:
-    # Philox accepts 128-bit keys, so a seed outside [0, 2**64) would
-    # otherwise name a stream other than the one the metadata records.
-    if not 0 <= seed <= _SEED_MASK:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-
-
-def check_sampling(trials: int, seed: int, ns: list[int]) -> None:
-    """Refuse a request to run ``trials`` trials at each ensemble size in
-    ``ns`` before any draw: fewer than two trials, a seed outside
-    [0, 2**64), more than ``MAX_DRAWS`` draws in all, or more than
-    ``MAX_TRIAL_RUNS`` trial runs in all, checked in that order."""
-    if trials < 2:
-        raise ValueError(f"need at least two trials, got {trials}")
-    _check_seed(seed)
-    draws = trials * sum(ns)
-    if draws > MAX_DRAWS:
-        raise ValueError(
-            f"sampling limited to N x trials <= {MAX_DRAWS} draws, got {draws}"
-        )
-    runs = trials * len(ns)
-    if runs > MAX_TRIAL_RUNS:
-        raise ValueError(
-            f"sampling limited to trials x ensemble sizes <= {MAX_TRIAL_RUNS} "
-            f"trial runs, got {runs}"
-        )
+    return (master_seed ^ (trial_index * STREAM_CONSTANT)) & SEED_MASK
 
 
 def _born_cdf(state: StateVector) -> np.ndarray:
@@ -232,7 +192,7 @@ def sample_outcomes(state: StateVector, n: int, seed: int) -> np.ndarray:
 
     Returns a read-only integer array of N outcome indices in draw order.
     """
-    _check_seed(seed)
+    check_seed(seed)
     _check_n(n)
     words = np.random.Philox(key=seed).random_raw(n)
     # side='left' sends a draw landing exactly on a CDF boundary to the

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from freqop import analytic, dense, sampler
+from freqop import analytic, dense, guards, sampler
 from freqop.analysis import convergence_sweep, loglog_slope, noncollapse_verdict
 from freqop.hilbert import EnsembleSpec, StateVector
 
 # Largest N whose 1000-trial sampled sweep fits the draw budget on its own.
-_TOP = sampler.MAX_DRAWS // 1000
+_TOP = guards.MAX_DRAWS // 1000
 
 
 class TestConvergenceSweep:
@@ -78,7 +78,7 @@ class TestConvergenceSweep:
         monkeypatch.setattr(sampler, "run_trials", counted(sampler.run_trials))
         with pytest.raises(ValueError, match="limited to N <= "):
             convergence_sweep(
-                StateVector.two_level(0.5), 0, [10, analytic.MAX_SPECTRAL_N + 1],
+                StateVector.two_level(0.5), 0, [10, guards.MAX_SPECTRAL_N + 1],
                 trials=3, seed=1,
             )
         assert calls == []

@@ -143,6 +143,13 @@ class TestVerify:
         assert code == 2
         assert "guard" in captured.err
 
+    @pytest.mark.parametrize("dim", [4097, 2**20])
+    def test_work_guard_exit_2(self, capsys, dim):
+        # d**1 fits the vector guard, but d count vectors of d entries
+        # exceed the work guard of 2**24; d = 4096 is exactly at it.
+        err = assert_usage_error(capsys, "verify", "--dim", str(dim), "--n-max", "1")
+        assert "work guard of 16777216" in err
+
 
 @pytest.mark.parametrize("argv", [
     # 10**5000 has more digits than Python prints as an integer.

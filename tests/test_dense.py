@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from freqop import dense
+from freqop.cli import main
 from freqop.dense import (
-    LITERAL_ROUTE_GUARD,
     apply_to_product,
     build_frequency_operator,
     build_frequency_operator_projector_sum,
-    check_literal_scale,
     eigenrelation_check,
     frequency_counts,
     frequency_diagonal,
@@ -18,7 +17,8 @@ from freqop.dense import (
     statistics_dense,
     verify_operator_algebra,
 )
-from freqop.hilbert import EnsembleSpec, ScaleError, StateVector
+from freqop.guards import LITERAL_ROUTE_GUARD, ScaleError, check_literal_scale
+from freqop.hilbert import EnsembleSpec, StateVector
 
 from conftest import random_state
 
@@ -63,6 +63,12 @@ class TestBuild:
             build_frequency_operator(EnsembleSpec(StateVector.uniform(1), 13, 0))
         assert verify_operator_algebra(1, 12)["dense_matrices"] is True
         assert verify_operator_algebra(1, 13)["dense_matrices"] is False
+
+    @pytest.mark.parametrize("d, literal", [(256, True), (512, False)])
+    def test_literal_routes_need_commutator_pairs_within_work_guard(self, d, literal):
+        # 256**2 pairs of 256 entries is the work guard exactly; 512 fits
+        # the literal guard but not its 512**2 commutator pairs.
+        assert verify_operator_algebra(d, 1)["dense_matrices"] is literal
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_route_equivalence(self, d):
@@ -215,20 +221,31 @@ class TestAlgebra:
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_eigenspace_multiplicities(self, d, n, monkeypatch):
+    def test_eigenspace_multiplicities(self, d, n, monkeypatch, capsys):
         # Multiplicities C(N, k) * (d-1)**(N-k), checked inside verify.
         assert verify_operator_algebra(d, n)["multiplicity_ok"] is True
         # One string's count moved down by one: still a valid eigenvalue,
-        # but eigenspaces k and k-1 change size.
-        def moved(d, n, j):
-            counts = frequency_counts(d, n, j)
+        # but eigenspaces k and k-1 change size. A count of -1 is no
+        # eigenvalue at all. Either is a tolerance FAIL (exit 1), not a
+        # usage error.
+        def moved(counts):
             counts[int(np.argmax(counts))] -= 1
-            return counts
 
-        monkeypatch.setattr(dense, "frequency_counts", moved)
-        report = verify_operator_algebra(d, n)
-        assert report["spectrum_membership"] == 0.0
-        assert report["multiplicity_ok"] is False
+        def negative(counts):
+            counts[0] = -1
+
+        for mutate, membership in ((moved, 0.0), (negative, float("inf"))):
+            def broken(d, n, j, mutate=mutate):
+                counts = frequency_counts(d, n, j)
+                mutate(counts)
+                return counts
+
+            monkeypatch.setattr(dense, "frequency_counts", broken)
+            report = verify_operator_algebra(d, n)
+            assert report["spectrum_membership"] == membership
+            assert report["multiplicity_ok"] is False
+            assert main(["verify", "--dim", str(d), "--n-max", str(n)]) == 1
+            capsys.readouterr()
 
     def test_spectrum_of_f0_n4(self):
         vals = sorted(set(frequency_diagonal(2, 4, 0)))

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqop.guards import DENSE_VECTOR_GUARD, ScaleError, check_vector_scale
 from freqop.hilbert import (
-    DENSE_VECTOR_GUARD,
     EnsembleSpec,
-    ScaleError,
     StateVector,
-    check_vector_scale,
     product_state_vector,
     string_to_index,
 )

@@ -11,9 +11,17 @@ top-level class, is read by code in the package outside its own
 definition, in ``demos/`` or in ``bench/``, as a name, an attribute or a
 string constant that is the bare identifier. Imports, ``__all__`` and
 docstrings name without reading, so they do not count.
+
+Every request limit has one owner, ``guards.py``: no other module raises
+``ScaleError`` or binds a ``*_GUARD`` or ``MAX_*`` name, and ``guards``
+imports only the standard library, so it and the package root load
+without numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +29,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "freqop"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+GUARDS = PACKAGE / "guards.py"
 CALLERS = SOURCES + sorted((ROOT / "demos").glob("*.py")) + sorted(
     (ROOT / "bench").glob("*.py")
 )
@@ -166,3 +175,61 @@ def test_imports_all_and_docstrings_are_not_reads():
         '    return getattr(m, "expectation_dense")(g.h, "not one identifier")\n'
     )
     assert words_read(tree) == {"getattr", "m", "expectation_dense", "g", "h"}
+
+
+def test_guards_import_only_the_standard_library():
+    modules = []
+    for node in ast.walk(_tree(GUARDS)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names] == []
+
+
+def _raised_names(tree) -> set[str]:
+    """The names of the exceptions a module raises: ``raise E(...)``,
+    ``raise E`` or ``raise m.E``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return names
+
+
+def test_only_guards_raises_scale_error():
+    probe = ast.parse("def f():\n    raise guards.ScaleError('x')\n    raise ValueError\n")
+    assert _raised_names(probe) == {"ScaleError", "ValueError"}
+    assert [p.stem for p in SOURCES if "ScaleError" in _raised_names(_tree(p))] == ["guards"]
+
+
+def _limits_bound(tree) -> list[str]:
+    """Module-level names assigned in ``tree`` that end in ``_GUARD`` or
+    start with ``MAX_``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names += [t.id for t in targets if isinstance(t, ast.Name)
+                  and (t.id.endswith("_GUARD") or t.id.startswith("MAX_"))]
+    return names
+
+
+def test_only_guards_binds_limits():
+    probe = ast.parse("MAX_N = 3\nX_GUARD: int = 4\nOTHER = 5\ndef f():\n    LOCAL_GUARD = 1\n")
+    assert _limits_bound(probe) == ["MAX_N", "X_GUARD"]
+    assert [p.stem for p in SOURCES if _limits_bound(_tree(p))] == ["guards"]
+
+
+def test_package_root_and_guards_load_without_numpy():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, freqop, freqop.guards\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -5,10 +5,9 @@ import threading
 import numpy as np
 import pytest
 
+from freqop.guards import MAX_DRAWS, MAX_TRIAL_RUNS
 from freqop.hilbert import StateVector
 from freqop.sampler import (
-    MAX_DRAWS,
-    MAX_TRIAL_RUNS,
     _born_cdf,
     _rekeyed,
     run_trials,
