@@ -10,6 +10,10 @@ in chunks of at most ``CSV_CHUNK_ROWS`` rows. Only a column table
 array. A sweep (``converge``, ``noncollapse``, one row per N) is held as
 records, tuples and dicts. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
+
+numpy and the layers load only once a request has passed every guard that
+needs its arguments alone (see :func:`main`), so ``--version``, ``--help``,
+a usage error and a refused request import no numpy.
 """
 
 from __future__ import annotations
@@ -17,13 +21,16 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
-import numpy as np
+from . import __version__
+from .guards import check_n_list, check_sampling, check_spectral_n, check_verify
 
-from . import __version__, analysis, analytic, dense, sampler
-from .guards import check_verify
-from .hilbert import EnsembleSpec, StateVector
+# On import numpy's OpenBLAS starts a pool of one spinning thread per CPU,
+# yet freqop's only BLAS call is np.polyfit on a few points. Set before
+# numpy loads; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -49,8 +56,21 @@ CONVERGE_COLUMNS = (
 NONCOLLAPSE_COLUMNS = ("n", "distance_sq", "max_weight", "off_peak_mass")
 
 
+def _load_layers() -> None:
+    """Bind numpy and the layers as globals of this module, the first time
+    only: a tracer may since have replaced a binding with its wrapper."""
+    global np, analysis, analytic, dense, sampler, EnsembleSpec, StateVector
+    if "dense" in globals():
+        return
+    import numpy as np
+
+    from . import analysis, analytic, dense, sampler
+    from .hilbert import EnsembleSpec, StateVector
+
+
 def parse_state(text: str) -> StateVector:
     """Parse a state argument: 'two-level:p', 'uniform:d', or a JSON path."""
+    _load_layers()
     if text.startswith("two-level:"):
         return StateVector.two_level(float(text.split(":", 1)[1]))
     if text.startswith("uniform:"):
@@ -206,7 +226,6 @@ def cmd_verify(args) -> int:
     d, n_max = args.dim, args.n_max
     tol_algebra = 1e-13
     tol_routes = 1e-14
-    check_verify(d, n_max)
     checks = [dense.verify_operator_algebra(d, n) for n in range(1, n_max + 1)]
     ok = not any(
         c["max_deviation"] > tol_algebra
@@ -373,10 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_argv(args) -> None:
+    """Run every guard that needs the arguments alone. The layers repeat
+    them for their own callers, after the checks that need the state."""
+    if args.command == "verify":
+        check_verify(args.dim, args.n_max)
+    elif args.command == "spectrum":
+        check_spectral_n(args.n)
+    elif args.command == "sample":
+        check_sampling(args.trials, args.seed, [args.n])
+    elif args.command in ("converge", "noncollapse"):
+        ns = check_n_list(_parse_n_list(args.n_list))
+        if args.command == "converge" and args.sample:
+            check_sampling(args.trials, args.seed, ns)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_argv(args)
+        _load_layers()
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

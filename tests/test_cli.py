@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from freqop import dense
+from freqop import analytic, cli, dense
 from freqop.cli import CSV_CHUNK_ROWS, main, parse_state
 
 
@@ -306,6 +306,23 @@ class TestSampleAndSpectrum:
             capsys, *command, "--state", "two-level:0.5", "--seed", "1"
         )
 
+    @pytest.mark.parametrize("argv,message", [
+        (("spectrum", "--state", "nosuch.json", "--n", "2000000"),
+         "spectral weights limited to N <= 1000000, got 2000000"),
+        (("sample", "--state", "two-level:0.5", "--j", "5", "--n", "10", "--trials", "1",
+          "--seed", "0"), "need at least two trials, got 1"),
+        (("converge", "--state", "two-level:2", "--n-list", "10,5"),
+         "n_list must be strictly increasing"),
+        (("noncollapse", "--state", "uniform:0", "--n-list", "2000000"),
+         "spectral weights limited to N <= 1000000, got 2000000"),
+    ], ids=["spectrum-file", "sample-j", "converge-p", "noncollapse-dim"])
+    def test_argv_guard_reported_before_state_fault(self, capsys, tmp_path,
+                                                    monkeypatch, argv, message):
+        """A request with a fault in its state (or --j) and one that a guard
+        finds from the arguments alone reports the guard's."""
+        monkeypatch.chdir(tmp_path)
+        assert assert_usage_error(capsys, *argv) == f"error: {message}"
+
     def test_sample_degenerate(self, capsys):
         code, doc = run_json(
             capsys, "sample", "--state", "two-level:1.0",
@@ -503,3 +520,79 @@ for argv in {runs!r}:
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_later_runs_keep_replaced_layer_bindings(monkeypatch, capsys):
+    """The layers are bound on the first run only, so a binding replaced
+    after it (as the benchmark's tracer replaces them) is the one used."""
+    argv = ["stats", "--state", "two-level:0.36", "--n", "10"]
+    assert main(argv) == 0
+    calls = []
+
+    class Recording:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(analytic, name)
+
+    monkeypatch.setattr(cli, "analytic", Recording())
+    assert main(argv) == 0
+    assert calls == ["expectation", "uncertainty", "distance_sq", "gram"]
+
+
+SRC = Path(__file__).parent.parent / "src"
+
+# Requests that end before numpy is imported: --version, --help, an argparse
+# error and the benchmark's three refusals, with the exit code and the start
+# of the one stderr line holding "error:" (None: no such line).
+ARGV_ONLY_RUNS = {
+    "version": (["--version"], 0, None),
+    "help": (["--help"], 0, None),
+    "argparse-error": (["verify", "--dim", "two", "--n-max", "3"], 2,
+                       "freqop verify: error: argument --dim"),
+    "refused-verify": (["verify", "--dim", "3", "--n-max", "13"], 2,
+                       "error: product space 3**13 exceeds the dense vector guard"),
+    "refused-spectrum": (["spectrum", "--state", "two-level:0.36", "--n", "2000000"], 2,
+                         "error: spectral weights limited to N <= 1000000"),
+    "refused-sample": (["sample", "--state", "two-level:0.36", "--n", "10", "--trials", "1",
+                        "--seed", "0"], 2, "error: need at least two trials, got 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(ARGV_ONLY_RUNS))
+def test_argv_only_runs_import_no_numpy(name):
+    """``python -m freqop.cli`` in a child that then prints, as its last
+    stdout line, whether numpy was imported."""
+    argv, code, error = ARGV_ONLY_RUNS[name]
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('freqop.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(rc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    *out, numpy_loaded = proc.stdout.splitlines()
+    assert numpy_loaded == "False"
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    if error is None:
+        assert errors == [] and out
+    else:
+        assert out == [] and len(errors) == 1 and errors[0].startswith(error)
+
+
+@pytest.mark.parametrize("preset", [None, "4"])
+def test_import_sets_one_blas_thread_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = "import os, freqop.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{preset or 1}\n"

@@ -14,8 +14,8 @@ docstrings name without reading, so they do not count.
 
 Every request limit has one owner, ``guards.py``: no other module raises
 ``ScaleError`` or binds a ``*_GUARD`` or ``MAX_*`` name, and ``guards``
-imports only the standard library, so it and the package root load
-without numpy.
+imports only the standard library, so it, the package root and ``cli``
+load without numpy.
 """
 
 import ast
@@ -229,7 +229,7 @@ def test_only_guards_binds_limits():
 def test_package_root_and_guards_load_without_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
-    code = ("import sys, freqop, freqop.guards\n"
+    code = ("import sys, freqop, freqop.guards, freqop.cli\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

@@ -12,7 +12,9 @@ forms to 1e-14 absolute up to d**N = 2**20.
 The sampler compares raw Philox words with integer thresholds; each count
 and each outcome index is held to the float route on the same words,
 ``u = (w >> 11) * 2**-53`` (``Generator.random``'s map) against the CDF
-entries themselves.
+entries themselves. The mean and variance of the sampled frequencies are
+held to the closed forms' expectation and uncertainty within a fixed
+z-bound, at fixed seeds, on each of the sampler's counting paths.
 """
 
 import math
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freqop import analytic, dense
+from freqop import analytic, dense, sampler
 from freqop.analytic import WEIGHT_FLOOR, noncollapse_metrics, spectral_weights
 from freqop.hilbert import EnsembleSpec, StateVector
 from freqop.sampler import _count_at_most, _thresholds
@@ -181,3 +183,49 @@ def test_word_thresholds_match_float_draws(case):
         np.searchsorted(thresholds, (words >> 11).view(np.int64), side="left"),
         np.searchsorted(cdf, u, side="left"),
     )
+
+
+# Label -> (state, outcome j, N, trials, seed). N = 100 and 1000 take the
+# blocks of short trials, N = 3000 one trial at a time, and N >= 2**13 the
+# threads, N = 10**5 over two chunks of words a trial. p = 0.001 puts about
+# one expected count in a trial, where the frequencies are most skewed.
+SAMPLED_MOMENTS_GRID = {
+    "two-level:0.36-n100": (StateVector.two_level(0.36), 1, 100, 10**4, 11),
+    "two-level:0.5-n3000": (StateVector.two_level(0.5), 0, 3000, 400, 12),
+    "two-level:0.2-n1e5": (StateVector.two_level(0.2), 0, 10**5, 200, 13),
+    "two-level:0.001-n1000": (StateVector.two_level(0.001), 0, 1000, 4000, 14),
+    "uniform:8-n1000": (StateVector.uniform(8), 5, 1000, 2000, 15),
+    "d3-n2e4": (StateVector(np.sqrt([0.5, 0.3, 0.2]) * np.exp(1j * np.arange(3))),
+                2, 20000, 300, 16),
+}
+# Largest |z| admitted for the sampled mean and for the sampled variance:
+# one of the 12 checks exceeds it by chance with probability below 1e-3.
+Z_BOUND = 4.0
+
+
+@pytest.mark.parametrize("label", list(SAMPLED_MOMENTS_GRID))
+def test_sampled_moments_match_closed_forms(label):
+    """The per-trial frequency K/N has mean p and variance s**2 =
+    uncertainty**2 = p(1-p)/N, and K is binomial, so over T trials the
+    sample mean has standard error s/sqrt(T) and the sample variance
+    s**2 * sqrt(2/(T-1) + kurt/T), kurt = (1 - 6p(1-p)) / (N p(1-p)) the
+    binomial's excess kurtosis."""
+    state, j, n, trials, seed = SAMPLED_MOMENTS_GRID[label]
+    spec = EnsembleSpec(state, n, j)
+    summary = sampler.run_trials(state, n, trials, seed, j)
+    p, s = analytic.expectation(spec), analytic.uncertainty(spec)
+    pq = p * (1 - p)
+    kurt = (1 - 6 * pq) / (n * pq)
+    z_mean = (summary.mean_frequency - p) / (s / math.sqrt(trials))
+    z_var = (summary.sample_variance - s * s) / (
+        s * s * math.sqrt(2 / (trials - 1) + kurt / trials))
+    assert abs(z_mean) <= Z_BOUND and abs(z_var) <= Z_BOUND, (z_mean, z_var)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_sampled_moments_of_an_eigenstate_are_exact(p):
+    state = StateVector.two_level(p)
+    summary = sampler.run_trials(state, 1000, 50, 17, 0)
+    spec = EnsembleSpec(state, 1000, 0)
+    assert summary.mean_frequency == analytic.expectation(spec) == p
+    assert summary.sample_variance == analytic.uncertainty(spec) ** 2 == 0.0
