@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from freqop import analytic, cli, dense
 from freqop.cli import CSV_CHUNK_ROWS, main, parse_state
 
+SRC = Path(__file__).parent.parent / "src"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -493,7 +495,7 @@ def test_spectrum_csv_rows_come_from_the_weight_array(tmp_path):
 def test_no_command_imports_scipy():
     """Every closed form, the binomial terms included, is computed with
     numpy alone, so no command imports scipy."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     runs = [
         ["--version"],
         ["verify", "--dim", "2", "--n-max", "3"],
@@ -538,8 +540,6 @@ def test_later_runs_keep_replaced_layer_bindings(monkeypatch, capsys):
     assert main(argv) == 0
     assert calls == ["expectation", "uncertainty", "distance_sq", "gram"]
 
-
-SRC = Path(__file__).parent.parent / "src"
 
 # Requests that end before numpy is imported: --version, --help, an argparse
 # error and the benchmark's three refusals, with the exit code and the start
