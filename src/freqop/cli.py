@@ -25,7 +25,14 @@ import os
 import sys
 
 from . import __version__
-from .guards import check_n_list, check_sampling, check_spectral_n, check_verify
+from .guards import (
+    check_n_list,
+    check_sampling,
+    check_spectral_n,
+    check_vector_n,
+    check_vector_scale,
+    check_verify,
+)
 
 # On import numpy's OpenBLAS starts a pool of one spinning thread per CPU,
 # yet freqop's only BLAS call is np.polyfit on a few points. Set before
@@ -246,6 +253,8 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     state = parse_state(args.state)
     spec = EnsembleSpec(state, args.n, args.j)
+    if args.cross_check:
+        check_vector_scale(state.dim, args.n)
     result = {
         "expectation": analytic.expectation(spec),
         "uncertainty": analytic.uncertainty(spec),
@@ -397,6 +406,8 @@ def _check_argv(args) -> None:
     them for their own callers, after the checks that need the state."""
     if args.command == "verify":
         check_verify(args.dim, args.n_max)
+    elif args.command == "stats" and args.cross_check:
+        check_vector_n(args.n)
     elif args.command == "spectrum":
         check_spectral_n(args.n)
     elif args.command == "sample":

@@ -26,15 +26,18 @@ from .hilbert import (
 
 def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
     """Integer count of occurrences of j in each basis string, indexed by the
-    flat basis index. Eigenvalues of the frequency operator are counts / N.
+    flat basis index, as int8 (the vector guard caps N at 20). Eigenvalues
+    of the frequency operator are counts / N.
 
-    Built one site at a time by outer sums: appending a site to every string
-    adds 1 to the count where the new digit is j."""
+    Built one site at a time, one column of an (M, d) buffer per digit:
+    appending digit i to every string adds 1 to the count where i is j."""
     guards.check_vector_scale(d, n)
-    hit = (np.arange(d) == j).astype(np.int64)
-    counts = np.zeros(1, dtype=np.int64)
+    counts = np.zeros(1, dtype=np.int8)
     for _ in range(n):
-        counts = (counts[:, None] + hit).ravel()
+        new = np.empty((counts.size, d), dtype=np.int8)
+        for i in range(d):
+            np.add(counts, int(i == j), out=new[:, i])
+        counts = new.ravel()
     return counts
 
 
@@ -123,13 +126,27 @@ def statistics_dense(spec: EnsembleSpec) -> dict:
     """<psi^N| F |psi^N>, |F psi^N - p psi^N|^2 (p = |c_j|^2) and
     <F psi^N | F psi^N>, in ``stats`` order. F is diagonal, so each is a sum
     over basis strings of the Born weight w times f, (f - p)^2 or f^2, taken
-    by numpy's pairwise sums: no BLAS call, so no CPU-count dependence."""
+    by numpy's pairwise sums: no BLAS call, so no CPU-count dependence.
+
+    Holds w, the int8 counts and one float vector f, each updated in place:
+    w * f and then w * f * f reuse w, so each sum sees the same values in
+    the same order as the three separate products would give."""
+    n = spec.n
     w = born_weights(spec)
-    f = frequency_diagonal(spec.state.dim, spec.n, spec.j)
+    counts = frequency_counts(spec.state.dim, n, spec.j)
+    f = counts / n
+    f -= spec.born_probability
+    np.square(f, out=f)
+    f *= w
+    distance_sq = float(np.sum(f))
+    np.divide(counts, n, out=f)
+    w *= f
+    expectation = float(np.sum(w))
+    w *= f
     return {
-        "expectation": float(np.sum(w * f)),
-        "distance_sq": float(np.sum(w * (f - spec.born_probability) ** 2)),
-        "gram": float(np.sum(w * f * f)),
+        "expectation": expectation,
+        "distance_sq": distance_sq,
+        "gram": float(np.sum(w)),
     }
 
 

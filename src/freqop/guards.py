@@ -51,6 +51,18 @@ def check_vector_scale(d: int, n: int) -> int:
     return d**n
 
 
+def check_vector_n(n: int) -> None:
+    """Refuse an N above log2 of the vector guard, which no d**n passes
+    (see :func:`fits`). It needs no d, so a caller can run it before any
+    state is read."""
+    n_max = DENSE_VECTOR_GUARD.bit_length() - 1
+    if n > n_max:
+        raise ScaleError(
+            f"N = {n} exceeds the dense vector guard's N <= {n_max} for any "
+            f"dimension; use the analytic engine"
+        )
+
+
 def check_literal_scale(d: int, n: int) -> int:
     """Return d**n, or raise ScaleError if it exceeds the literal guard."""
     if not fits(d, n, LITERAL_ROUTE_GUARD):

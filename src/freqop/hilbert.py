@@ -169,11 +169,19 @@ def string_to_index(indices, d: int) -> int:
 
 
 def _kron_power(spec: EnsembleSpec, factor: np.ndarray) -> np.ndarray:
-    """The N-fold Kronecker power of a vector over spec.state's outcomes."""
+    """The N-fold Kronecker power of a vector over spec.state's outcomes.
+
+    Built one site at a time: column i of the (M, d) buffer is the power so
+    far times factor[i], one ufunc call per digit. Each entry is the single
+    product ``out[x] * factor[i]``, the same bytes as ``np.kron``, whose
+    inner loop on 1-D factors runs over only d elements at a time."""
     check_vector_scale(spec.state.dim, spec.n)
     out = np.ones(1, dtype=factor.dtype)
     for _ in range(spec.n):
-        out = np.kron(out, factor)
+        new = np.empty((out.size, factor.size), dtype=factor.dtype)
+        for i in range(factor.size):
+            np.multiply(out, factor[i], out=new[:, i])
+        out = new.ravel()
     return out
 
 

@@ -210,14 +210,34 @@ class TestStats:
                 return build(*args)
             return wrapper
 
-        for name in ("born_weights", "frequency_diagonal", "product_state_vector"):
+        for name in ("born_weights", "frequency_counts", "frequency_diagonal",
+                     "product_state_vector"):
             monkeypatch.setattr(dense, name, counting(name))
         code, doc = run_json(
             capsys, "stats", "--state", "two-level:0.36", "--j", "1", "--n", "8",
             "--cross-check",
         )
         assert code == 0 and doc["result"]["cross_check"] == "PASS"
-        assert sorted(calls) == ["born_weights", "frequency_diagonal"]
+        assert sorted(calls) == ["born_weights", "frequency_counts"]
+
+    def test_cross_check_refused_before_closed_forms(self, capsys, monkeypatch):
+        # 3**13 is above the vector guard though N = 13 <= 20 passes the
+        # argument guard: the state's dimension decides, before any work.
+        calls = []
+
+        class Recording:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(analytic, name)
+
+        main(["stats", "--state", "uniform:3", "--n", "2"])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "analytic", Recording())
+        err = assert_usage_error(
+            capsys, "stats", "--state", "uniform:3", "--n", "13", "--cross-check"
+        )
+        assert err.startswith("error: product space 3**13 exceeds the dense vector guard")
+        assert calls == []
 
     @pytest.mark.parametrize("cross_check", [(), ("--cross-check",)],
                              ids=["closed-forms", "cross-check"])
@@ -317,7 +337,10 @@ class TestSampleAndSpectrum:
          "n_list must be strictly increasing"),
         (("noncollapse", "--state", "uniform:0", "--n-list", "2000000"),
          "spectral weights limited to N <= 1000000, got 2000000"),
-    ], ids=["spectrum-file", "sample-j", "converge-p", "noncollapse-dim"])
+        (("stats", "--state", "nosuch.json", "--n", "21", "--cross-check"),
+         "N = 21 exceeds the dense vector guard's N <= 20 for any dimension; "
+         "use the analytic engine"),
+    ], ids=["spectrum-file", "sample-j", "converge-p", "noncollapse-dim", "stats-file"])
     def test_argv_guard_reported_before_state_fault(self, capsys, tmp_path,
                                                     monkeypatch, argv, message):
         """A request with a fault in its state (or --j) and one that a guard
@@ -542,7 +565,8 @@ def test_later_runs_keep_replaced_layer_bindings(monkeypatch, capsys):
 
 
 # Requests that end before numpy is imported: --version, --help, an argparse
-# error and the benchmark's three refusals, with the exit code and the start
+# error, the benchmark's three refusals and a cross-check above the vector
+# guard's N, with the exit code and the start
 # of the one stderr line holding "error:" (None: no such line).
 ARGV_ONLY_RUNS = {
     "version": (["--version"], 0, None),
@@ -555,6 +579,8 @@ ARGV_ONLY_RUNS = {
                          "error: spectral weights limited to N <= 1000000"),
     "refused-sample": (["sample", "--state", "two-level:0.36", "--n", "10", "--trials", "1",
                         "--seed", "0"], 2, "error: need at least two trials, got 1"),
+    "refused-stats": (["stats", "--state", "two-level:0.3", "--n", "21", "--cross-check"], 2,
+                      "error: N = 21 exceeds the dense vector guard"),
 }
 
 

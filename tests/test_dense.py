@@ -92,7 +92,7 @@ class TestBuild:
 def test_frequency_counts_match_strings(d, n):
     for j in range(d):
         counts = frequency_counts(d, n, j)
-        assert counts.dtype == np.int64
+        assert counts.dtype == np.int8
         assert counts.shape == (d**n,)
         assert counts.tolist() == [
             s.count(j) for s in itertools.product(range(d), repeat=n)
