@@ -7,7 +7,10 @@ two-mode ties and at the p where the window's edge is tight; the peak that
 ``noncollapse_metrics`` reads is held to the table ``spectral_weights``
 returns; and the table is held to the dense oracle's projections wherever
 d**N <= 2**12. The dense oracle's scalar statistics are held to the closed
-forms to 1e-14 absolute up to d**N = 2**20.
+forms to 1e-14 absolute up to d**N = 2**20. The oracle's per-digit builders
+are held byte for byte to ``np.kron`` and to outer sums of the counts, and
+its in-place statistics bit for bit to three separate products, up to the
+vector guard.
 
 The sampler compares raw Philox words with integer thresholds; each count
 and each outcome index is held to the float route on the same words,
@@ -18,6 +21,7 @@ z-bound, at fixed seeds, on each of the sampler's counting paths.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,14 +29,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from freqop import analytic, dense, sampler
+from freqop import analytic, dense, guards, sampler
 from freqop.analytic import WEIGHT_FLOOR, noncollapse_metrics, spectral_weights
-from freqop.hilbert import EnsembleSpec, StateVector
+from freqop.hilbert import EnsembleSpec, StateVector, born_weights, product_state_vector
 from freqop.sampler import _count_at_most, _thresholds
 
 from conftest import (
     SMALLEST_NORMAL,
     mp_binomial_weight,
+    random_state,
     relative_error,
     sizes_and_probabilities,
     spec_with_p,
@@ -131,6 +136,78 @@ def test_dense_statistics_match_closed_forms(label):
             for key, value in dense.statistics_dense(spec).items():
                 closed = getattr(analytic, key)(spec)
                 assert abs(value - closed) <= 1e-14, (n, j, key, value - closed)
+
+
+def _largest_n(d: int) -> int:
+    return max(n for n in range(1, 21) if guards.fits(d, n, guards.DENSE_VECTOR_GUARD))
+
+
+def _kron_reference(factor: np.ndarray, n: int) -> np.ndarray:
+    out = np.ones(1, dtype=factor.dtype)
+    for _ in range(n):
+        out = np.kron(out, factor)
+    return out
+
+
+def _counts_reference(d: int, n: int, j: int) -> np.ndarray:
+    """int64 counts of j by outer sums, one site at a time."""
+    hit = (np.arange(d) == j).astype(np.int64)
+    counts = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        counts = (counts[:, None] + hit).ravel()
+    return counts
+
+
+def _statistics_reference(spec: EnsembleSpec) -> dict:
+    """The statistics as three separate products of full-size temporaries."""
+    w = _kron_reference(spec.state.probabilities(), spec.n)
+    f = _counts_reference(spec.state.dim, spec.n, spec.j) / spec.n
+    return {
+        "expectation": float(np.sum(w * f)),
+        "distance_sq": float(np.sum(w * (f - spec.born_probability) ** 2)),
+        "gram": float(np.sum(w * f * f)),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+def test_per_digit_builders_match_kron(rng, d):
+    # Complex amplitudes and real Born weights, each N up to the vector guard.
+    state = random_state(rng, d)
+    for n in range(1, _largest_n(d) + 1):
+        spec = EnsembleSpec(state, n, 0)
+        for got, factor in ((product_state_vector(spec), state.amplitudes),
+                            (born_weights(spec), state.probabilities())):
+            ref = _kron_reference(factor, n)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), n
+        for j in sorted({0, d - 1}):
+            counts = dense.frequency_counts(d, n, j)
+            assert counts.dtype == np.int8
+            assert np.array_equal(counts, _counts_reference(d, n, j)), (n, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_ensembles())
+def test_statistics_dense_matches_three_products(spec):
+    assert dense.statistics_dense(spec) == _statistics_reference(spec)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
+def test_statistics_dense_matches_three_products_at_the_guard(rng, d):
+    spec = EnsembleSpec(random_state(rng, d), _largest_n(d), d - 1)
+    assert dense.statistics_dense(spec) == _statistics_reference(spec)
+
+
+def test_statistics_dense_peak_memory():
+    # Two float vectors of 8 MiB and 1 MiB of int8 counts: 17 MiB. Three
+    # full-size float temporaries peaked at 24.1 MiB.
+    spec = EnsembleSpec(StateVector.two_level(0.36), 20, 0)
+    tracemalloc.start()
+    try:
+        dense.statistics_dense(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 2**20, peak / 2**20
 
 
 def _nearby(c: float, ulps: int) -> float:
