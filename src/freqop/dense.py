@@ -128,9 +128,9 @@ def statistics_dense(spec: EnsembleSpec) -> dict:
     over basis strings of the Born weight w times f, (f - p)^2 or f^2, taken
     by numpy's pairwise sums: no BLAS call, so no CPU-count dependence.
 
-    Holds w, the int8 counts and one float vector f, each updated in place:
-    w * f and then w * f * f reuse w, so each sum sees the same values in
-    the same order as the three separate products would give."""
+    Holds w, the int8 counts and one float vector f; w and f are updated in
+    place: w * f and then w * f * f reuse w, so each sum sees the same
+    values in the same order as the three separate products would give."""
     n = spec.n
     w = born_weights(spec)
     counts = frequency_counts(spec.state.dim, n, spec.j)
