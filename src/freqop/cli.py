@@ -42,6 +42,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports for a C filter
 
 CROSS_CHECK_TOL = 1e-11
 
@@ -425,6 +426,13 @@ def main(argv=None) -> int:
         _check_argv(args)
         _load_layers()
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (`| head -1`): no error line, and with fd 1
+        # on /dev/null the flush at exit stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

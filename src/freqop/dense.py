@@ -19,6 +19,7 @@ from .hilbert import (
     EnsembleSpec,
     StateVector,
     born_weights,
+    kron_fold,
     product_state_vector,
     string_to_index,
 )
@@ -26,25 +27,15 @@ from .hilbert import (
 
 def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
     """Integer count of occurrences of j in each basis string, indexed by the
-    flat basis index, as int8 (the vector guard caps N at 20). Eigenvalues
-    of the frequency operator are counts / N.
-
-    Built one site at a time, one column of an (M, d) buffer per digit:
-    appending digit i to every string adds 1 to the count where i is j."""
+    flat basis index, as int8 (the vector guard caps N at 20): the
+    Kronecker fold under ``np.add`` of j's indicator. Eigenvalues of the
+    frequency operator are counts / N."""
     guards.check_vector_scale(d, n)
-    counts = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        new = np.empty((counts.size, d), dtype=np.int8)
-        for i in range(d):
-            np.add(counts, int(i == j), out=new[:, i])
-        counts = new.ravel()
-    return counts
-
-
-def frequency_diagonal(d: int, n: int, j: int) -> np.ndarray:
-    """Diagonal of the frequency operator in the product basis: f_j per
-    basis string."""
-    return frequency_counts(d, n, j) / n
+    if not 0 <= j < d:  # a negative j would index from the end
+        raise ValueError(f"target index {j} out of range [0, {d})")
+    hit = np.zeros(d, dtype=np.int8)
+    hit[j] = 1
+    return kron_fold(hit, n, np.add)
 
 
 def build_frequency_operator(spec: EnsembleSpec) -> np.ndarray:
@@ -110,11 +101,11 @@ def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
     """
     d, n, j = spec.state.dim, spec.n, spec.j
     vec = product_state_vector(spec)
-    diag_route = frequency_diagonal(d, n, j) * vec
+    diag_route = frequency_counts(d, n, j) / n * vec
 
     e_j = np.zeros(d, dtype=np.complex128)
     e_j[j] = 1.0
-    c_j = spec.state.amplitude(j)
+    c_j = complex(spec.state.amplitudes[j])
     structural = c_j / n * _site_sum(e_j, spec.state.amplitudes, n)
 
     if np.max(np.abs(diag_route - structural)) > 1e-12:
@@ -190,23 +181,24 @@ def verify_operator_algebra(d: int, n: int) -> dict:
 
     # Counts are exact integers, so spectrum membership is checked exactly:
     # every diagonal entry must be k/N for an integer k in [0, N].
-    expected = np.array(
-        [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)], dtype=np.int64
-    )
-    in_range, multiplicity_ok, diag_sum = True, True, 0
+    expected = [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)]
+    in_range, multiplicity_ok = True, True
+    # One float sum in a fixed order over j, so sum_to_identity keeps its bytes.
+    diag_sum, f = np.zeros(d**n), np.empty(d**n)
     for j in range(d):
         counts = frequency_counts(d, n, j)
         in_range &= bool(counts.min() >= 0 and counts.max() <= n)
-        multiplicity_ok &= in_range and np.array_equal(
-            np.bincount(counts, minlength=n + 1), expected)
-        diag_sum += counts / n
-    del counts
+        multiplicity_ok &= in_range and [
+            np.count_nonzero(counts == k) for k in range(n + 1)] == expected
+        diag_sum += np.divide(counts, n, out=f)
+    del counts, f
+    diag_sum -= 1.0
 
     report = {
         "n": n,
         "d": d,
         "dense_matrices": literal,
-        "sum_to_identity": float(np.max(np.abs(diag_sum - 1.0))),
+        "sum_to_identity": float(np.max(np.abs(diag_sum, out=diag_sum))),
         "max_commutator": 0.0,
         "hermiticity": 0.0,
         "spectrum_membership": 0.0 if in_range else float("inf"),

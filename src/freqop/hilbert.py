@@ -61,9 +61,6 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         return self._amps
 
-    def amplitude(self, i: int) -> complex:
-        return complex(self._amps[i])
-
     def probability(self, i: int) -> float:
         """Born weight |c_i|^2 of outcome index i, at most 1.0: a state
         within ``NORM_TOL`` of unit norm can have |c_i|^2 just above 1."""
@@ -168,19 +165,22 @@ def string_to_index(indices, d: int) -> int:
     return idx
 
 
-def _kron_power(spec: EnsembleSpec, factor: np.ndarray) -> np.ndarray:
-    """The N-fold Kronecker power of a vector over spec.state's outcomes.
-
-    Built one site at a time: column i of the (M, d) buffer is the power so
-    far times factor[i], one ufunc call per digit. Each entry is the single
-    product ``out[x] * factor[i]``, the same bytes as ``np.kron``, whose
-    inner loop on 1-D factors runs over only d elements at a time."""
-    check_vector_scale(spec.state.dim, spec.n)
-    out = np.ones(1, dtype=factor.dtype)
-    for _ in range(spec.n):
-        new = np.empty((out.size, factor.size), dtype=factor.dtype)
+def kron_fold(factor: np.ndarray, n: int, ufunc=np.multiply) -> np.ndarray:
+    """The n-fold Kronecker fold of a 1-D factor under a binary ufunc: at
+    basis string (i_1, ..., i_n), factor[i_1] op ... op factor[i_n], folded
+    left to right from ``ufunc.identity``. ``np.multiply`` gives the
+    Kronecker power with ``np.kron``'s bytes; ``np.add`` on j's indicator
+    gives the count of j. The first site is one ufunc call; each later one
+    writes column i of an (M, d) buffer, ``out[x] op factor[i]``, with one
+    call per digit: 1 + (n-1)*d calls in all."""
+    check_vector_scale(factor.size, n)
+    if n < 1:
+        raise ValueError(f"Kronecker fold needs n >= 1, got {n}")
+    out = ufunc(factor.dtype.type(ufunc.identity), factor)
+    for _ in range(n - 1):
+        new = np.empty((out.size, factor.size), dtype=out.dtype)
         for i in range(factor.size):
-            np.multiply(out, factor[i], out=new[:, i])
+            ufunc(out, factor[i], out=new[:, i])
         out = new.ravel()
     return out
 
@@ -188,10 +188,10 @@ def _kron_power(spec: EnsembleSpec, factor: np.ndarray) -> np.ndarray:
 def product_state_vector(spec: EnsembleSpec) -> np.ndarray:
     """Coefficient vector of the N-fold tensor power of spec.state: at basis
     string (i_1, ..., i_N), the product of the amplitudes c_{i_alpha}."""
-    return _kron_power(spec, spec.state.amplitudes)
+    return kron_fold(spec.state.amplitudes, spec.n)
 
 
 def born_weights(spec: EnsembleSpec) -> np.ndarray:
     """Born weight |c_s|^2 of each basis string s, indexed as in
     :func:`product_state_vector`: the product of the |c_{i_alpha}|^2."""
-    return _kron_power(spec, spec.state.probabilities())
+    return kron_fold(spec.state.probabilities(), spec.n)

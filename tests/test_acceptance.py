@@ -35,7 +35,7 @@ def test_criterion_1_eigenrelation():
                 op = dense.build_frequency_operator(
                     EnsembleSpec(StateVector.uniform(d), n, j)
                 )
-                eigs = dense.frequency_diagonal(d, n, j)
+                eigs = dense.frequency_counts(d, n, j) / n
                 # Residual per basis column of (F - f_j(s) * 1) e_s.
                 residuals = np.abs(op - eigs)
                 worst = max(worst, float(residuals.max()))

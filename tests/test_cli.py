@@ -210,8 +210,7 @@ class TestStats:
                 return build(*args)
             return wrapper
 
-        for name in ("born_weights", "frequency_counts", "frequency_diagonal",
-                     "product_state_vector"):
+        for name in ("born_weights", "frequency_counts", "product_state_vector"):
             monkeypatch.setattr(dense, name, counting(name))
         code, doc = run_json(
             capsys, "stats", "--state", "two-level:0.36", "--j", "1", "--n", "8",
@@ -609,6 +608,20 @@ def test_argv_only_runs_import_no_numpy(name):
         assert errors == [] and out
     else:
         assert out == [] and len(errors) == 1 and errors[0].startswith(error)
+
+
+def test_closed_stdout_pipe_exits_141_without_an_error_line():
+    """A reader that stops after one line (``| head -1``) is not a usage
+    error: the child exits 141, as a shell reports for a filter killed by
+    SIGPIPE, and writes nothing to stderr, not even at its final flush."""
+    argv = ["spectrum", "--state", "two-level:0.5", "--n", "1000000", "--format", "csv"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen([sys.executable, "-m", "freqop.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b'# tool="freqop"\n'
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141 and err == b"", err
 
 
 @pytest.mark.parametrize("preset", [None, "4"])

@@ -12,7 +12,6 @@ from freqop.dense import (
     build_frequency_operator_projector_sum,
     eigenrelation_check,
     frequency_counts,
-    frequency_diagonal,
     spectral_weights_dense,
     statistics_dense,
     verify_operator_algebra,
@@ -34,7 +33,7 @@ class TestBuild:
         np.testing.assert_allclose(op, [1.0, 0.5, 0.5, 0.0])
 
     def test_qutrit_pair_selected_entries(self):
-        diag = frequency_diagonal(3, 2, 1)
+        diag = frequency_counts(3, 2, 1) / 2
         assert diag[3 * 1 + 1] == 1.0
         assert diag[3 * 1 + 2] == 0.5
         assert diag[3 * 0 + 2] == 0.0
@@ -84,7 +83,7 @@ class TestBuild:
                 )
                 assert op.shape == (d**n,)
                 np.testing.assert_allclose(
-                    op, frequency_diagonal(d, n, j), rtol=0, atol=1e-15
+                    op, frequency_counts(d, n, j) / n, rtol=0, atol=1e-15
                 )
 
 
@@ -102,6 +101,23 @@ def test_frequency_counts_match_strings(d, n):
 def test_frequency_counts_scale_guard():
     with pytest.raises(ScaleError):
         frequency_counts(2, 21, 0)
+    with pytest.raises(ValueError, match="n >= 1"):
+        frequency_counts(3, 0, 1)
+    for j in (-1, 3):
+        with pytest.raises(ValueError, match=r"target index .* out of range \[0, 3\)"):
+            frequency_counts(3, 2, j)
+
+
+def test_frequency_counts_large_d_memory():
+    # j's indicator takes d bytes, the counts d more: 2 MiB at d = 2**20.
+    tracemalloc.start()
+    try:
+        counts = frequency_counts(2**20, 1, 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.flatnonzero(counts).tolist() == [12345]
+    assert peak < 12 * 2**20, peak / 2**20
 
 
 class TestEigenrelation:
@@ -213,6 +229,27 @@ class TestAlgebra:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
+    @pytest.mark.parametrize("d, n", [(2, 20), (16, 5)])
+    def test_one_float_vector_and_one_scratch_vector(self, d, n):
+        # 2**20 entries: the sum and the scratch vector at 8 MiB each, the
+        # int8 counts and their k-mask at 1 MiB each, and the next counts
+        # being built. The bincount cast and the full-size temporaries of
+        # counts / n and |sum - 1| peaked at 24.0 MiB.
+        tracemalloc.start()
+        try:
+            report = verify_operator_algebra(d, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["multiplicity_ok"] and report["max_deviation"] <= 1e-14
+        assert peak <= 19 * 2**20, peak / 2**20
+
+    def test_large_dimension_at_n1(self):
+        # d = 4096 count vectors of 4096 entries, each built in one call.
+        report = verify_operator_algebra(4096, 1)
+        assert report["multiplicity_ok"] and report["max_deviation"] == 0.0
+        assert not report["dense_matrices"]
+
     def test_implicit_diagonal_path(self):
         report = verify_operator_algebra(2, 15)
         assert not report["dense_matrices"]
@@ -248,7 +285,7 @@ class TestAlgebra:
             capsys.readouterr()
 
     def test_spectrum_of_f0_n4(self):
-        vals = sorted(set(frequency_diagonal(2, 4, 0)))
+        vals = sorted(set(frequency_counts(2, 4, 0) / 4))
         assert vals == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 

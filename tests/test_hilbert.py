@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from freqop.guards import DENSE_VECTOR_GUARD, ScaleError, check_vector_scale
 from freqop.hilbert import (
     EnsembleSpec,
     StateVector,
+    kron_fold,
     product_state_vector,
     string_to_index,
 )
@@ -38,8 +40,8 @@ class TestStateVector:
 
     def test_two_level_preset(self):
         s = StateVector.two_level(0.36)
-        assert s.amplitude(0) == pytest.approx(0.6)
-        assert s.amplitude(1) == pytest.approx(0.8)
+        assert s.amplitudes[0] == pytest.approx(0.6)
+        assert s.amplitudes[1] == pytest.approx(0.8)
 
     def test_json_round_trip(self):
         s = StateVector.from_json(
@@ -118,6 +120,38 @@ class TestProductState:
         with pytest.raises(ScaleError, match="guard of 1048576 entries and N <= 20"):
             check_vector_scale(d, n)
         assert check_vector_scale(1, 20) == 1
+
+
+class TestKronFold:
+    class Counting:
+        """A binary ufunc stand-in that counts its calls."""
+
+        def __init__(self, ufunc):
+            self.ufunc, self.identity, self.calls = ufunc, ufunc.identity, 0
+
+        def __call__(self, *args, **kwargs):
+            self.calls += 1
+            return self.ufunc(*args, **kwargs)
+
+    @pytest.mark.parametrize("ufunc", [np.multiply, np.add])
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 1), (2, 7), (3, 4), (16, 3), (4096, 1)])
+    def test_first_site_in_one_call_then_one_call_per_digit(self, ufunc, d, n):
+        factor = np.arange(1, d + 1, dtype=np.float64)
+        counting = self.Counting(ufunc)
+        out = kron_fold(factor, n, counting)
+        assert counting.calls == 1 + (n - 1) * d
+        assert out.size == d**n
+        if d <= 3:  # entry s folds the digits of s left to right
+            assert out.tolist() == [
+                functools.reduce(ufunc, s, ufunc.identity)
+                for s in itertools.product(factor.tolist(), repeat=n)
+            ]
+
+    def test_refuses_an_empty_fold_and_the_guard(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            kron_fold(np.ones(2), 0)
+        with pytest.raises(ScaleError):
+            kron_fold(np.ones(2), 21)
 
 
 class TestEnsembleSpec:

@@ -169,9 +169,10 @@ def _statistics_reference(spec: EnsembleSpec) -> dict:
     }
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16, 1024, 4099])
 def test_per_digit_builders_match_kron(rng, d):
-    # Complex amplitudes and real Born weights, each N up to the vector guard.
+    # Complex amplitudes and real Born weights, each N up to the vector guard
+    # (N <= 2 at d = 1024, N = 1 at d = 4099).
     state = random_state(rng, d)
     for n in range(1, _largest_n(d) + 1):
         spec = EnsembleSpec(state, n, 0)
