@@ -18,6 +18,10 @@ from .hilbert import EnsembleSpec
 # Binomial terms smaller than this underflow to exact zero.
 WEIGHT_FLOOR = 1e-300
 
+# Elements per call of a function of ``math`` mapped over an array (see
+# :func:`_libm`): few enough that the slice's Python floats stay small.
+_LIBM_SLICE = 4096
+
 # Slack, in units of the exponent, between the floor and the edge of the
 # window on which spectral weights are computed: outside the window the
 # Chernoff bound puts every term below e**-5 * WEIGHT_FLOOR.
@@ -67,6 +71,19 @@ def _mode(n: int, p: float) -> int:
     return min(int((n + 1) * p), n)
 
 
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """f, a function of ``math``, at each element of the float array x.
+    numpy's own ``exp`` and ``log`` may differ from libm in the last bit,
+    and by the CPU's SIMD dispatch (AVX-512 or not), so the kernel's
+    transcendentals all come from libm, one slice of ``_LIBM_SLICE`` at a
+    time."""
+    out = np.empty_like(x)
+    for c in range(0, x.size, _LIBM_SLICE):
+        part = x[c : c + _LIBM_SLICE]
+        out[c : c + _LIBM_SLICE] = np.fromiter(map(f, part.tolist()), float, part.size)
+    return out
+
+
 def _stirlerr(k: np.ndarray) -> np.ndarray:
     """Stirling's error log(k!) - log(sqrt(2 pi k) (k/e)**k) at integer k:
     the table up to 15, above it the asymptotic series to 1/k**9, whose
@@ -95,9 +112,11 @@ def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     tail = np.zeros_like(v)
     for j in range(9, 0, -1):
         tail = v2 * (1 / (2 * j + 1) + tail)
-    series = d * v + 2 * x * v * tail
-    direct = x * np.log(x / mean) + mean - x
-    return np.where(np.abs(d) < 0.1 * (x + mean), series, direct)
+    out = d * v + 2 * x * v * tail
+    far = np.abs(d) >= 0.1 * (x + mean)
+    xf = x[far]
+    out[far] = xf * _libm(math.log, xf / mean) + mean - xf
+    return out
 
 
 def _binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -121,14 +140,14 @@ def _binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     xi = x[inner]
     yi = n - xi
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[x == 0] = np.exp(n * np.log1p(-p))
-        out[x == n] = np.exp(n * np.log(p))
+        out[x == 0] = math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
+        out[x == n] = math.exp(n * math.log(p)) if p > 0.0 else 0.0
         log_c = (_stirlerr(np.float64(n)) - _stirlerr(xi) - _stirlerr(yi)
                  - _bd0(xi, n * p) - _bd0(yi, n * q))
         # log((n - k)/n), not log1p(-k/n): k/n rounds, and near k = n that
         # rounding costs up to 2.5e-13.
-        log_f = math.log(2 * math.pi) + np.log(xi) + np.log(yi / n)
-        out[inner] = np.exp(log_c - 0.5 * log_f)
+        log_f = math.log(2 * math.pi) + _libm(math.log, xi) + _libm(math.log, yi / n)
+        out[inner] = _libm(math.exp, log_c - 0.5 * log_f)
     return out
 
 
