@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import analytic, sampler
+from . import analytic
 from .guards import check_n_list, check_sampling
 from .hilbert import EnsembleSpec, StateVector
+
+
+def _load_sampler() -> None:
+    """Bind the sampler (and so numpy) as a global on the first sampled
+    sweep only: a tracer may since have replaced it with its wrapper."""
+    global sampler
+    if "sampler" not in globals():
+        from . import sampler
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,7 @@ def convergence_sweep(
     ns = check_n_list(n_list)
     if trials is not None:
         check_sampling(trials, seed, ns)
+        _load_sampler()
     rows = []
     for n in ns:
         spec = EnsembleSpec(state, n, j)
@@ -63,15 +71,18 @@ def convergence_sweep(
 
 
 def loglog_slope(rows) -> float | None:
-    """OLS slope of ln(distance_sq) against ln(N) over a sweep's rows; None
-    for a single row or when any distance is exactly zero (degenerate p),
-    which is a legitimate input, not an error."""
-    d2 = np.array([r.distance_sq for r in rows], dtype=float)
-    if len(rows) < 2 or np.any(d2 == 0.0):
+    """Ordinary least-squares slope of ln(distance_sq) against ln(N) over a
+    sweep's rows, about the means, each sum rounded once by ``math.fsum``;
+    None for a single row or when any distance is exactly zero (degenerate
+    p), which is a legitimate input, not an error."""
+    if len(rows) < 2 or any(r.distance_sq == 0.0 for r in rows):
         return None
-    ln_n = np.log([r.n for r in rows])
-    slope, _ = np.polyfit(ln_n, np.log(d2), 1)
-    return float(slope)
+    xs = [math.log(r.n) for r in rows]
+    ys = [math.log(r.distance_sq) for r in rows]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    return (math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
+            / math.fsum(dx * dx for dx in dxs))
 
 
 def noncollapse_verdict(state: StateVector, j: int, rows) -> str:

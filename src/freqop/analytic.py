@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .guards import check_spectral_n
 from .hilbert import EnsembleSpec
 
 # Binomial terms smaller than this underflow to exact zero.
 WEIGHT_FLOOR = 1e-300
 
-# Elements per call of a function of ``math`` mapped over an array (see
-# :func:`_libm`): few enough that the slice's Python floats stay small.
+# Elements per slice in :func:`_libm`, so that its Python floats stay few.
 _LIBM_SLICE = 4096
 
 # Slack, in units of the exponent, between the floor and the edge of the
@@ -31,14 +28,14 @@ WINDOW_MARGIN = 5.0
 # 60-digit evaluation; a difference of lgamma values would lose ~6e-15 to
 # cancellation. stirlerr(0) is infinite and never used: the kernel takes
 # k = 0 and k = N apart.
-_STIRLERR = np.array([
+_STIRLERR = (
     math.inf,
     0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
     0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
     0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
     0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
+)
 
 
 def expectation(spec: EnsembleSpec) -> float:
@@ -49,7 +46,7 @@ def expectation(spec: EnsembleSpec) -> float:
 def uncertainty(spec: EnsembleSpec) -> float:
     """sqrt(p(1-p)/N): the frequency uncertainty on the product state."""
     p = spec.born_probability
-    return float(np.sqrt(p * (1.0 - p) / spec.n))
+    return math.sqrt(p * (1.0 - p) / spec.n)
 
 
 def distance_sq(spec: EnsembleSpec) -> float:
@@ -71,12 +68,14 @@ def _mode(n: int, p: float) -> int:
     return min(int((n + 1) * p), n)
 
 
-def _libm(f, x: np.ndarray) -> np.ndarray:
-    """f, a function of ``math``, at each element of the float array x.
-    numpy's own ``exp`` and ``log`` may differ from libm in the last bit,
-    and by the CPU's SIMD dispatch (AVX-512 or not), so the kernel's
-    transcendentals all come from libm, one slice of ``_LIBM_SLICE`` at a
-    time."""
+def _libm(f, x):
+    """f, a function of ``math``, at a float x or at each element of a float
+    array x, ``_LIBM_SLICE`` at a time: numpy's own ``exp`` and ``log`` can
+    differ from libm's in the last bit, by the CPU's SIMD dispatch."""
+    if isinstance(x, float):
+        return f(x)
+    import numpy as np
+
     out = np.empty_like(x)
     for c in range(0, x.size, _LIBM_SLICE):
         part = x[c : c + _LIBM_SLICE]
@@ -84,21 +83,26 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """Stirling's error log(k!) - log(sqrt(2 pi k) (k/e)**k) at integer k:
-    the table up to 15, above it the asymptotic series to 1/k**9, whose
-    first omitted term is about 1e-16 at k = 16."""
-    small = k <= 15
-    big = np.where(small, 16.0, k)
+def _stirlerr(k):
+    """Stirling's error log(k!) - log(sqrt(2 pi k) (k/e)**k) at integers
+    k >= 1, a float or a float array: the table up to 15, above it the
+    asymptotic series to 1/k**9, whose first omitted term is about 1e-16 at
+    k = 16."""
+    big = max(k, 16.0) if isinstance(k, float) else k.clip(16.0)
     kk = big * big
-    series = (
+    out = (
         1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk
     ) / big
-    return np.where(small, _STIRLERR[np.where(small, k, 0).astype(np.intp)], series)
+    if isinstance(k, float):
+        return _STIRLERR[int(k)] if k <= 15 else out
+    small = k <= 15
+    out[small] = [_STIRLERR[int(v)] for v in k[small].tolist()]
+    return out
 
 
-def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
-    """The deviance x log(x/mean) + mean - x, for x >= 1 and mean >= 0.
+def _bd0(x, mean: float):
+    """The deviance x log(x/mean) + mean - x, for x >= 1 and mean >= 0, at a
+    float x or at each element of a float array.
 
     Where |x - mean| < 0.1 (x + mean) the two terms nearly cancel, so it is
     summed as the series of 2x atanh(v) - v (x + mean) in v = (x - mean) /
@@ -107,20 +111,34 @@ def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     deviance is then +inf and the term it belongs to is 0.
     """
     d = x - mean
+    if isinstance(x, float) and abs(d) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x if mean else math.inf
     v = d / (x + mean)
     v2 = v * v
-    tail = np.zeros_like(v)
+    tail = 0.0
     for j in range(9, 0, -1):
         tail = v2 * (1 / (2 * j + 1) + tail)
     out = d * v + 2 * x * v * tail
-    far = np.abs(d) >= 0.1 * (x + mean)
-    xf = x[far]
-    out[far] = xf * _libm(math.log, xf / mean) + mean - xf
+    if not isinstance(x, float):
+        far = abs(d) >= 0.1 * (x + mean)
+        xf = x[far]
+        out[far] = xf * _libm(math.log, xf / mean) + mean - xf
     return out
 
 
-def _binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) probabilities at the integer counts k in [0, n].
+def _log_term(x, n: int, p: float):
+    """The log of Loader's term (see :func:`_binom_term`) at a float count
+    0 < x < n, or by the same operations at each element of a float array."""
+    y = n - x
+    log_c = (_stirlerr(float(n)) - _stirlerr(x) - _stirlerr(y)
+             - _bd0(x, n * p) - _bd0(y, n * (1.0 - p)))
+    # log((n - k)/n), not log1p(-k/n): k/n rounds, and near k = n that
+    # rounding costs up to 2.5e-13.
+    return log_c - 0.5 * (math.log(2 * math.pi) + _libm(math.log, x) + _libm(math.log, y / n))
+
+
+def _binom_term(k: int, n: int, p: float) -> float:
+    """The Binomial(n, p) probability of the integer count k in [0, n].
 
     C. Loader's saddle-point form (Fast and Accurate Computation of Binomial
     Probabilities, 2000), as in R's dbinom_raw: for 0 < k < n the log term is
@@ -133,21 +151,25 @@ def _binom_pmf(k: np.ndarray, n: int, p: float) -> np.ndarray:
     1e-11 across the window. It neither raises nor warns, for p = 0, p = 1
     and subnormal p too.
     """
+    if k == 0:
+        return math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
+    if k == n:
+        return math.exp(n * math.log(p)) if p > 0.0 else 0.0
+    return math.exp(_log_term(float(k), n, p))
+
+
+def _binom_pmf(k, n: int, p: float):
+    """:func:`_binom_term` at each integer count of the array k, with the
+    same bits at 0.1 us a term instead of 4."""
+    import numpy as np
+
     x = np.asarray(k, dtype=np.float64)
-    q = 1.0 - p
     out = np.empty_like(x)
     inner = (x > 0) & (x < n)
-    xi = x[inner]
-    yi = n - xi
+    out[x == 0] = _binom_term(0, n, p)
+    out[x == n] = _binom_term(n, n, p)
     with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[x == 0] = math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
-        out[x == n] = math.exp(n * math.log(p)) if p > 0.0 else 0.0
-        log_c = (_stirlerr(np.float64(n)) - _stirlerr(xi) - _stirlerr(yi)
-                 - _bd0(xi, n * p) - _bd0(yi, n * q))
-        # log((n - k)/n), not log1p(-k/n): k/n rounds, and near k = n that
-        # rounding costs up to 2.5e-13.
-        log_f = math.log(2 * math.pi) + _libm(math.log, xi) + _libm(math.log, yi / n)
-        out[inner] = _libm(math.exp, log_c - 0.5 * log_f)
+        out[inner] = _libm(math.exp, _log_term(x[inner], n, p))
     return out
 
 
@@ -205,6 +227,8 @@ def spectral_weights(spec: EnsembleSpec) -> np.ndarray:
     holds 36,040 of the 10**6 + 1 counts. At p = 0 and p = 1 the window is
     the single count k = 0 or k = N, where the kernel gives exactly 1.
     """
+    import numpy as np
+
     n = spec.n
     check_spectral_n(n)
     p = spec.born_probability
@@ -225,15 +249,15 @@ def noncollapse_metrics(spec: EnsembleSpec) -> tuple[float, float, float]:
     p = 1 the state is an eigenstate: distance 0, max weight exactly 1.
 
     The peak is read at the binomial mode floor((N+1)p) rather than from
-    the full table: the kernel is evaluated at the mode and its two
-    neighbours (clipped to [0, N]), which covers the two-mode tie when
-    (N+1)p is an integer, the rounding of (N+1)p, and the kernel's own
-    rounding, which can put the table's maximum one step above the mode.
+    the full table: the kernel, in Python floats with the table's bits, is
+    evaluated at the mode and its two neighbours (clipped to [0, N]), which
+    covers the two-mode tie when (N+1)p is an integer, the rounding of
+    (N+1)p, and the kernel's own rounding, which can put the table's maximum
+    one step above the mode.
     """
     n = spec.n
     check_spectral_n(n)
     p = spec.born_probability
     m = _mode(n, p)
-    k = np.arange(max(m - 1, 0), min(m + 1, n) + 1)
-    max_w = float(_binom_pmf(k, n, p).max())
+    max_w = max(_binom_term(k, n, p) for k in range(max(m - 1, 0), min(m + 1, n) + 1))
     return distance_sq(spec), max_w, 1.0 - max_w

@@ -11,9 +11,11 @@ array. A sweep (``converge``, ``noncollapse``, one row per N) is held as
 records, tuples and dicts. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 
-numpy and the layers load only once a request has passed every guard that
-needs its arguments alone (see :func:`main`), so ``--version``, ``--help``,
-a usage error and a refused request import no numpy.
+The layers load only once a request has passed every guard that needs its
+arguments alone (see :func:`main`), so ``--version``, ``--help``, a usage
+error and a refused request import no numpy. Nor do ``stats``,
+``noncollapse`` and ``converge``: only a command that builds arrays loads
+numpy, ``dense`` and ``sampler``.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .guards import (
     check_verify,
 )
 
-# On import numpy's OpenBLAS starts a pool of one spinning thread per CPU,
-# yet freqop's only BLAS call is np.polyfit on a few points. Set before
-# numpy loads; a value the user set wins.
+# On import numpy's OpenBLAS starts a pool of one spinning thread per CPU.
+# freqop makes no BLAS call, so one thread only spares that pool. Set
+# before numpy loads; a value the user set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 EXIT_OK = 0
@@ -64,21 +66,21 @@ CONVERGE_COLUMNS = (
 NONCOLLAPSE_COLUMNS = ("n", "distance_sq", "max_weight", "off_peak_mass")
 
 
-def _load_layers() -> None:
-    """Bind numpy and the layers as globals of this module, the first time
-    only: a tracer may since have replaced a binding with its wrapper."""
-    global np, analysis, analytic, dense, sampler, EnsembleSpec, StateVector
-    if "dense" in globals():
-        return
-    import numpy as np
-
-    from . import analysis, analytic, dense, sampler
-    from .hilbert import EnsembleSpec, StateVector
+def _load_layers(arrays: bool) -> None:
+    """Bind the layers as globals of this module, each the first time only:
+    a tracer may since have replaced a binding with its wrapper. ``dense``
+    and ``sampler``, which import numpy, are bound only if ``arrays``."""
+    global analysis, analytic, dense, sampler, EnsembleSpec, StateVector
+    if "analysis" not in globals():
+        from . import analysis, analytic
+        from .hilbert import EnsembleSpec, StateVector
+    if arrays and "dense" not in globals():
+        from . import dense, sampler
 
 
 def parse_state(text: str) -> StateVector:
     """Parse a state argument: 'two-level:p', 'uniform:d', or a JSON path."""
-    _load_layers()
+    _load_layers(False)
     if text.startswith("two-level:"):
         return StateVector.two_level(float(text.split(":", 1)[1]))
     if text.startswith("uniform:"):
@@ -95,10 +97,6 @@ def _meta(args, extra=None) -> dict:
     if extra:
         meta.update(extra)
     return meta
-
-
-def _json_default(value):
-    return value.tolist()  # a numpy array or integer; np.float64 is a float
 
 
 def _slices(w):
@@ -162,10 +160,10 @@ def _json_text(doc, column):
     the result: it is rendered by :func:`_column_json` and spliced in,
     sparing the encoder's pure-Python walk over its items."""
     if column is None:
-        return json.dumps(doc, indent=2, default=_json_default)
+        return json.dumps(doc, indent=2)
     result = doc["result"]
     key = next(k for k, v in result.items() if v is column)
-    text = json.dumps({**doc, "result": {**result, key: []}}, indent=2, default=_json_default)
+    text = json.dumps({**doc, "result": {**result, key: []}}, indent=2)
     # The result comes last, so its own key: [] is the last one in the text.
     head, empty, tail = text.rpartition(json.dumps(key) + ": []")
     return head + empty[:-2] + _column_json(column) + tail
@@ -175,8 +173,8 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     """Write one command's output to --out or stdout.
 
     The only place values turn into text: ``result`` and ``table`` hold what
-    the layers return. JSON (the default) is the meta block plus ``result``,
-    written at once, numpy values converted as they are encoded. CSV is the
+    the layers return, as Python values or 1-D float arrays. JSON (the
+    default) is the meta block plus ``result``, written at once. CSV is the
     meta block, then the ``result`` fields named in ``csv_meta``, one per
     ``# key=value`` line, then ``table``, a ``(header, rows)`` pair with at
     least one row, written at most ``CSV_CHUNK_ROWS`` rows at a time. A
@@ -198,7 +196,7 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     """
     meta = _meta(args, extra_meta)
     header, rows = table or ((), None)
-    column = rows if isinstance(rows, np.ndarray) else None
+    column = None if rows is None or isinstance(rows, list) else rows
     if getattr(args, "format", "json") == "csv":
         meta.update((k, result[k]) for k in csv_meta)
         body = _template_rows(rows) if column is None else _column_rows(column)
@@ -325,8 +323,8 @@ def cmd_spectrum(args) -> int:
     result = {
         "n": args.n,
         "weights": w,
-        "max_weight": w.max(),
-        "argmax": w.argmax(),
+        "max_weight": w.max(),  # np.float64 is a float
+        "argmax": int(w.argmax()),
     }
     _emit(args, result, (("k", "weight"), w))
     return EXIT_OK
@@ -424,7 +422,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_argv(args)
-        _load_layers()
+        _load_layers(args.command in ("verify", "spectrum", "sample")  # those using numpy
+                     or getattr(args, "cross_check", False) or getattr(args, "sample", False))
         return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout (`| head -1`): no error line, and with fd 1

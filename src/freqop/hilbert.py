@@ -10,9 +10,12 @@ label the product basis and map to flat indices by row-major mixed radix
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from itertools import chain
+from operator import add, mul
 
 from .guards import check_vector_scale
 
@@ -23,51 +26,79 @@ def _is_json_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _pairwise_sum(a, lo: int, n: int) -> float:
+    """``np.sum``'s bits for a[lo : lo + n], by numpy's pairwise float64 sum
+    term for term: below 8 terms one running sum from 0.0, up to 128 eight
+    interleaved sums, above that the halves, split at a multiple of 8."""
+    if n < 8:
+        return reduce(add, a[lo : lo + n], 0.0)
+    if n <= 128:
+        m = lo + n - n % 8
+        r = [reduce(add, a[i:m:8]) for i in range(lo, lo + 8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, a[m : lo + n], res)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
 class StateVector:
     """Normalized complex amplitude vector for a single system.
 
-    Amplitudes are stored as a read-only complex128 array. Construction
-    rejects non-finite entries and any vector whose norm deviates from 1 by
-    more than ``NORM_TOL``; a caller holding an unnormalized vector divides
-    it by its norm before constructing. States are read from JSON, never
-    written; two states compare by their ``amplitudes``. A single system is
-    the N = 1 product space, so ``uniform`` and the JSON reader refuse a
-    dimension above ``guards.DENSE_VECTOR_GUARD`` before building any array.
+    Amplitudes are stored as one ``array('d')`` of interleaved real and
+    imaginary parts, 16 bytes each and no Python object per amplitude, and
+    read as a read-only complex128 array. Construction rejects non-finite
+    entries and any vector whose norm deviates from 1 by more than
+    ``NORM_TOL``; a caller holding an unnormalized vector divides it by its
+    norm before constructing. States are read from JSON, never written; two
+    states compare by their ``amplitudes``. A single system is the N = 1
+    product space, so ``uniform`` and the JSON reader refuse a dimension
+    above ``guards.DENSE_VECTOR_GUARD`` before building any array.
     """
 
-    __slots__ = ("_amps",)
+    __slots__ = ("_parts",)
 
     def __init__(self, amplitudes):
-        amps = np.array(amplitudes, dtype=np.complex128).ravel()
-        if amps.size < 1:
+        self._set(array("d", chain.from_iterable(
+            (c.real, c.imag) for c in map(complex, amplitudes))))
+
+    def _set(self, parts: array) -> None:
+        if not parts:
             raise ValueError("state vector needs at least one amplitude")
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        re, im = parts[0::2], parts[1::2]
+        # Pairwise, as np.sum: a running sum's error passes NORM_TOL near 10**6.
+        total = _pairwise_sum(array("d", map(add, map(mul, re, re), map(mul, im, im))),
+                              0, len(re))
+        if not math.isfinite(total) and not all(map(math.isfinite, parts)):
             raise ValueError("state amplitudes must be finite")
-        # A pairwise sum: np.linalg.norm's accumulation error passes
-        # NORM_TOL from about a million entries.
-        norm = float(np.sqrt(np.sum(amps.real**2 + amps.imag**2)))
+        norm = math.sqrt(total)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state vector not normalized: |norm - 1| = {abs(norm - 1.0):.3e}"
             )
-        amps.flags.writeable = False
-        self._amps = amps
+        self._parts = parts
 
     @property
     def dim(self) -> int:
-        return self._amps.size
+        return len(self._parts) // 2
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amps
+    def amplitudes(self):
+        """A read-only complex128 numpy array viewing the stored parts."""
+        import numpy as np
+
+        return np.frombuffer(memoryview(self._parts).toreadonly(), dtype=np.complex128)
 
     def probability(self, i: int) -> float:
         """Born weight |c_i|^2 of outcome index i, at most 1.0: a state
         within ``NORM_TOL`` of unit norm can have |c_i|^2 just above 1."""
-        return min(float(abs(self._amps[i]) ** 2), 1.0)
+        return min(abs(complex(self._parts[2 * i], self._parts[2 * i + 1])) ** 2, 1.0)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self._amps) ** 2
+    def probabilities(self):
+        """Every Born weight, as numpy's array ``np.abs`` gives them; its
+        last bit may differ from :meth:`probability`'s."""
+        import numpy as np
+
+        return np.abs(self.amplitudes) ** 2
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
@@ -79,14 +110,16 @@ class StateVector:
         if dim < 1:
             raise ValueError(f"uniform state needs dimension >= 1, got {dim}")
         check_vector_scale(dim, 1)
-        return cls(np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
+        state = cls.__new__(cls)  # the parts at once, not per amplitude
+        state._set(array("d", (1.0 / math.sqrt(dim), 0.0)) * dim)
+        return state
 
     @classmethod
     def two_level(cls, p: float) -> "StateVector":
         """Real qubit (sqrt(p), sqrt(1-p)); outcome 0 has Born weight p."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p}")
-        return cls(np.array([np.sqrt(p), np.sqrt(1.0 - p)], dtype=np.complex128))
+        return cls([math.sqrt(p), math.sqrt(1.0 - p)])
 
     # -- JSON wire format ------------------------------------------------
 
@@ -115,7 +148,7 @@ class StateVector:
                 f"amplitude list length {len(amps)} does not match dim {dim}"
             )
         try:
-            return cls([complex(a["re"], a["im"]) for a in amps])
+            return cls(complex(a["re"], a["im"]) for a in amps)
         except OverflowError:  # a JSON integer too large for a float
             raise ValueError("state amplitudes must be finite") from None
 
@@ -165,17 +198,21 @@ def string_to_index(indices, d: int) -> int:
     return idx
 
 
-def kron_fold(factor: np.ndarray, n: int, ufunc=np.multiply) -> np.ndarray:
-    """The n-fold Kronecker fold of a 1-D factor under a binary ufunc: at
-    basis string (i_1, ..., i_n), factor[i_1] op ... op factor[i_n], folded
-    left to right from ``ufunc.identity``. ``np.multiply`` gives the
-    Kronecker power with ``np.kron``'s bytes; ``np.add`` on j's indicator
-    gives the count of j. The first site is one ufunc call; each later one
-    writes column i of an (M, d) buffer, ``out[x] op factor[i]``, with one
-    call per digit: 1 + (n-1)*d calls in all."""
+def kron_fold(factor, n: int, ufunc=None):
+    """The n-fold Kronecker fold of a 1-D numpy factor under a binary ufunc
+    (``np.multiply`` if None): at basis string (i_1, ..., i_n), factor[i_1]
+    op ... op factor[i_n], folded left to right from ``ufunc.identity``.
+    ``np.multiply`` gives the Kronecker power with ``np.kron``'s bytes;
+    ``np.add`` on j's indicator gives the count of j. The first site is one
+    ufunc call; each later one writes column i of an (M, d) buffer,
+    ``out[x] op factor[i]``, with one call per digit: 1 + (n-1)*d calls in
+    all."""
+    import numpy as np
+
     check_vector_scale(factor.size, n)
     if n < 1:
         raise ValueError(f"Kronecker fold needs n >= 1, got {n}")
+    ufunc = np.multiply if ufunc is None else ufunc
     out = ufunc(factor.dtype.type(ufunc.identity), factor)
     for _ in range(n - 1):
         new = np.empty((out.size, factor.size), dtype=out.dtype)
@@ -185,13 +222,13 @@ def kron_fold(factor: np.ndarray, n: int, ufunc=np.multiply) -> np.ndarray:
     return out
 
 
-def product_state_vector(spec: EnsembleSpec) -> np.ndarray:
+def product_state_vector(spec: EnsembleSpec):
     """Coefficient vector of the N-fold tensor power of spec.state: at basis
     string (i_1, ..., i_N), the product of the amplitudes c_{i_alpha}."""
     return kron_fold(spec.state.amplitudes, spec.n)
 
 
-def born_weights(spec: EnsembleSpec) -> np.ndarray:
+def born_weights(spec: EnsembleSpec):
     """Born weight |c_s|^2 of each basis string s, indexed as in
     :func:`product_state_vector`: the product of the |c_{i_alpha}|^2."""
     return kron_fold(spec.state.probabilities(), spec.n)

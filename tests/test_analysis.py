@@ -1,5 +1,8 @@
 import math
+import statistics
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from freqop import analytic, dense, guards, sampler
@@ -21,6 +24,23 @@ class TestConvergenceSweep:
         rows = convergence_sweep(StateVector.two_level(1.0), 0, [10, 100])
         assert all(r.distance_sq == 0.0 for r in rows)
         assert loglog_slope(rows) is None
+
+    def test_slope_error_within_polyfit(self):
+        """Against the exact slope of -1, the fsum fit errs no more than
+        ``np.polyfit`` did, in the median and at worst, over random sweeps."""
+        rng = np.random.default_rng(20261019)
+        fsum_err, polyfit_err = [], []
+        for _ in range(1000):
+            p = float(rng.random())
+            ns = np.unique(rng.integers(1, 10**6, size=int(rng.integers(2, 10))))
+            if ns.size < 2:
+                continue
+            rows = [SimpleNamespace(n=int(n), distance_sq=p * (1.0 - p) / int(n)) for n in ns]
+            d2 = [r.distance_sq for r in rows]
+            fsum_err.append(abs(loglog_slope(rows) + 1.0))
+            polyfit_err.append(abs(np.polyfit(np.log(ns), np.log(d2), 1)[0] + 1.0))
+        assert statistics.median(fsum_err) <= statistics.median(polyfit_err)
+        assert max(fsum_err) <= max(polyfit_err)
 
     def test_dense_cross_check_small_n(self):
         state = StateVector.two_level(0.3)

@@ -18,6 +18,7 @@ from freqop.analytic import (
 from freqop.hilbert import EnsembleSpec, StateVector
 
 from conftest import (
+    SMALLEST_NORMAL,
     mp_binomial_weight,
     random_state,
     relative_error,
@@ -235,6 +236,43 @@ def test_spectrum_against_mpmath(n, p):
     for k in (lo - 1, hi + 1):
         if 0 <= k <= n:
             assert mp_binomial_weight(n, k, p) < analytic.WEIGHT_FLOOR, k
+
+
+def mode_and_neighbours(n: int, p: float) -> list[int]:
+    m = min(int((n + 1) * p), n)
+    return list(range(max(m - 1, 0), min(m + 1, n) + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes_and_probabilities())
+@example((2, SMALLEST_NORMAL / 2))
+@example((7, 0.0))
+@example((7, 1.0))
+@example((10**6, 0.3712))
+def test_scalar_kernel_equals_array_kernel(case):
+    """``noncollapse``'s kernel in Python floats and ``spectrum``'s on an
+    array are one kernel in two forms: bit for bit the same terms at the
+    mode and its neighbours, so the peak equals the table's maximum."""
+    n, p = case
+    ks = mode_and_neighbours(n, p)
+    assert [analytic._binom_term(k, n, p) for k in ks] == (
+        analytic._binom_pmf(np.array(ks), n, p).tolist())
+
+
+def test_scalar_kernel_equals_array_kernel_random(rng):
+    for _ in range(4000):
+        n = int(10 ** rng.uniform(0, 6))
+        p = float(rng.choice([rng.random(), rng.random() * 1e-4, 1 - rng.random() * 1e-4]))
+        ks = mode_and_neighbours(n, p)
+        assert [analytic._binom_term(k, n, p) for k in ks] == (
+            analytic._binom_pmf(np.array(ks), n, p).tolist()), (n, p)
+
+
+def test_scalar_kernel_equals_array_kernel_over_a_window():
+    n, p = 10**6, 0.3712
+    a, b = analytic._window(n, p)
+    assert [analytic._binom_term(k, n, p) for k in range(a, b + 1)] == (
+        analytic._binom_pmf(np.arange(a, b + 1), n, p).tolist())
 
 
 class TestNoncollapse:

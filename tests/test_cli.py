@@ -546,6 +546,26 @@ for argv in {runs!r}:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sampled_sweeps_keep_a_replaced_sampler_binding(monkeypatch, capsys):
+    """``analysis`` binds the sampler on the first sampled sweep only, so a
+    binding replaced after it is the one later sweeps use."""
+    from freqop import analysis, sampler
+
+    argv = ["converge", "--state", "two-level:0.36", "--n-list", "10,100",
+            "--sample", "--trials", "3", "--seed", "1"]
+    assert main(argv) == 0
+    calls = []
+
+    class Recording:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(sampler, name)
+
+    monkeypatch.setattr(analysis, "sampler", Recording())
+    assert main(argv) == 0
+    assert calls == ["run_trials", "run_trials"]
+
+
 def test_later_runs_keep_replaced_layer_bindings(monkeypatch, capsys):
     """The layers are bound on the first run only, so a binding replaced
     after it (as the benchmark's tracer replaces them) is the one used."""
@@ -608,6 +628,63 @@ def test_argv_only_runs_import_no_numpy(name):
         assert errors == [] and out
     else:
         assert out == [] and len(errors) == 1 and errors[0].startswith(error)
+
+
+# Golden cases (see test_golden.py) of the commands that answer from Python
+# floats: stats, noncollapse and converge without --sample, in each format
+# they have, with a two-level state, uniform:3 and a JSON state file.
+NUMPY_FREE_CASES = (
+    "stats_two_level", "stats_uniform3", "stats_d3",
+    "noncollapse_p05", "noncollapse_p05_csv", "noncollapse_uniform3_csv", "noncollapse_d3",
+    "converge", "converge_csv", "converge_degenerate_csv", "converge_uniform3",
+    "converge_d3_csv",
+)
+
+# Commands that build arrays, and so still import numpy.
+ARRAY_RUNS = {
+    "spectrum": ["spectrum", "--state", "two-level:0.36", "--n", "20"],
+    "sample": ["sample", "--state", "uniform:3", "--n", "10", "--trials", "3", "--seed", "1"],
+    "verify": ["verify", "--dim", "2", "--n-max", "3"],
+    "stats-cross-check": ["stats", "--state", "state_d3.json", "--n", "4", "--cross-check"],
+    "converge-sample": ["converge", "--state", "two-level:0.36", "--n-list", "10,100",
+                        "--sample", "--trials", "3", "--seed", "1"],
+}
+
+
+def run_child(argv, block_numpy: bool) -> subprocess.CompletedProcess:
+    """``python -m freqop.cli`` in a child run from ``tests/golden`` that
+    then prints, as its last stdout line, whether numpy was imported. With
+    ``block_numpy``, ``import numpy`` raises in the child."""
+    script = (
+        "import runpy, sys\n"
+        f"if {block_numpy}:\n"
+        "    sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    runpy.run_module('freqop.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "print('numpy' in sys.modules and sys.modules['numpy'] is not None)\n"
+        "sys.exit(rc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          cwd=SRC.parent / "tests" / "golden", capture_output=True)
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE_CASES)
+def test_closed_form_commands_run_without_numpy(name):
+    from test_golden import CASES, golden_path
+
+    proc = run_child(CASES[name], block_numpy=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == golden_path(name).read_bytes() + b"False\n"
+
+
+@pytest.mark.parametrize("name", list(ARRAY_RUNS))
+def test_array_commands_import_numpy(name):
+    proc = run_child(ARRAY_RUNS[name], block_numpy=False)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.splitlines()[-1] == b"True"
 
 
 def test_closed_stdout_pipe_exits_141_without_an_error_line():

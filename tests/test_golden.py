@@ -52,6 +52,9 @@ CASES = {
     "stats_two_level_n16_cross_check": (
         "stats", *TWO_LEVEL, "--j", "1", "--n", "16", "--cross-check"),
     "stats_d3_n12_cross_check": ("stats", *D3, "--j", "2", "--n", "12", "--cross-check"),
+    # Closed forms of a d=3 state, a preset and a JSON file, with no dense oracle.
+    "stats_uniform3": ("stats", "--state", "uniform:3", "--j", "2", "--n", "1000"),
+    "stats_d3": ("stats", *D3, "--j", "2", "--n", "100000"),
     "converge": ("converge", *TWO_LEVEL, "--n-list", "10,100,1000,1000000"),
     "converge_csv": ("converge", *TWO_LEVEL, "--n-list", "10,100,1000,1000000", *CSV),
     "converge_sample": ("converge", *TWO_LEVEL, "--j", "1", "--n-list", "10,100,1000",
@@ -61,12 +64,17 @@ CASES = {
     "converge_degenerate": ("converge", "--state", "two-level:1.0", "--n-list", "10,100"),
     "converge_degenerate_csv": (
         "converge", "--state", "two-level:1.0", "--n-list", "10,100", *CSV),
+    "converge_uniform3": ("converge", "--state", "uniform:3", "--n-list", "10,100,1000000"),
+    "converge_d3_csv": ("converge", *D3, "--j", "1", "--n-list", "10,100,1000000", *CSV),
     "noncollapse_p0": ("noncollapse", "--state", "two-level:0.0", "--n-list", "10,100,10000"),
     "noncollapse_p0_csv": (
         "noncollapse", "--state", "two-level:0.0", "--n-list", "10,100,10000", *CSV),
     "noncollapse_p05": ("noncollapse", "--state", "two-level:0.5", "--n-list", "10,100,10000"),
     "noncollapse_p05_csv": (
         "noncollapse", "--state", "two-level:0.5", "--n-list", "10,100,10000", *CSV),
+    "noncollapse_uniform3_csv": (
+        "noncollapse", "--state", "uniform:3", "--j", "1", "--n-list", "10,1000,1000000", *CSV),
+    "noncollapse_d3": ("noncollapse", *D3, "--j", "2", "--n-list", "10,1000,1000000"),
     "sample": ("sample", *TWO_LEVEL, "--n", "100", "--trials", "50", *MAX_SEED),
     "sample_csv": ("sample", *TWO_LEVEL, "--n", "100", "--trials", "50", *MAX_SEED, *CSV),
     "sample_d3_last_outcome": (

@@ -1,5 +1,7 @@
 import functools
 import itertools
+import math
+from array import array
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 
 from freqop.guards import DENSE_VECTOR_GUARD, ScaleError, check_vector_scale
 from freqop.hilbert import (
+    NORM_TOL,
     EnsembleSpec,
     StateVector,
     kron_fold,
     product_state_vector,
     string_to_index,
+    _pairwise_sum,
 )
 
 from conftest import random_state
@@ -66,6 +70,63 @@ class TestStateVector:
             StateVector.from_json_dict(
                 {"dim": 3, "amplitudes": [{"re": 1.0, "im": 0.0}]}
             )
+
+
+def numpy_accepts(amps: np.ndarray) -> bool:
+    """The norm check as numpy made it: |sqrt(np.sum(|c|^2)) - 1| <= NORM_TOL."""
+    norm = float(np.sqrt(np.sum(amps.real**2 + amps.imag**2)))
+    return abs(norm - 1.0) <= NORM_TOL
+
+
+class TestStateVectorWithoutNumpy:
+    """Validation and ``probability`` run in Python floats, with numpy's
+    bits and its accept/refuse set."""
+
+    def test_pairwise_sum_matches_np_sum(self, rng):
+        for _ in range(300):
+            a = rng.random(int(rng.integers(1, 5000))) * 10.0 ** rng.integers(-3, 4)
+            assert _pairwise_sum(array("d", a.tolist()), 0, a.size) == np.sum(a)
+
+    @pytest.mark.parametrize("dim", [1, 3, 1000, 4099])
+    def test_norm_check_matches_numpy_one_ulp_either_side(self, rng, dim):
+        base = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        base /= np.linalg.norm(base)
+        decisions = set()
+        for edge in (1.0 - NORM_TOL, 1.0 + NORM_TOL):
+            scale = edge
+            for _ in range(3):
+                scale = math.nextafter(scale, 0.0)
+            for _ in range(7):
+                amps = base * scale
+                accepted = numpy_accepts(amps)
+                decisions.add(accepted)
+                if accepted:
+                    assert StateVector(amps).dim == dim
+                else:
+                    with pytest.raises(ValueError, match="not normalized"):
+                        StateVector(amps)
+                scale = math.nextafter(scale, 2.0)
+        assert decisions == {True, False}
+
+    def test_probability_matches_the_numpy_scalar_path(self, rng):
+        for _ in range(20):
+            s = random_state(rng, int(rng.integers(1, 200)))
+            assert [s.probability(i) for i in range(s.dim)] == [
+                min(float(abs(c) ** 2), 1.0) for c in s.amplitudes]
+
+    def test_probabilities_take_numpy_array_abs(self, rng):
+        s = random_state(rng, 1000)
+        assert s.probabilities().tobytes() == (np.abs(s.amplitudes) ** 2).tobytes()
+
+    def test_amplitudes_view_the_parts_and_stay_read_only(self):
+        s = StateVector([0.6, 0.8j])
+        assert not s.amplitudes.flags.owndata and s.amplitudes.tolist() == [0.6, 0.8j]
+        with pytest.raises(ValueError):
+            s.amplitudes.flags.writeable = True
+
+    def test_json_amplitudes_overflowing_a_float_are_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector.from_json_dict({"dim": 1, "amplitudes": [{"re": 10**400, "im": 0}]})
 
 
 class TestIndexing:
