@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from freqop import analytic, cli, dense
 from freqop.cli import CSV_CHUNK_ROWS, main, parse_state
 
+from test_golden import CASES, golden_path
+
 SRC = Path(__file__).parent.parent / "src"
 
 
@@ -673,8 +675,6 @@ def run_child(argv, block_numpy: bool) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", NUMPY_FREE_CASES)
 def test_closed_form_commands_run_without_numpy(name):
-    from test_golden import CASES, golden_path
-
     proc = run_child(CASES[name], block_numpy=True)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == golden_path(name).read_bytes() + b"False\n"
