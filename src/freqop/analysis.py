@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import analytic
 from .guards import check_n_list, check_sampling
@@ -18,18 +18,14 @@ def _load_sampler() -> None:
         from . import sampler
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One ensemble size of a sweep: the closed forms, and the sampled
-    moments when the sweep samples."""
-
-    n: int
-    distance_sq: float
-    uncertainty: float
-    max_weight: float
-    off_peak_mass: float
-    sampled_mean: float | None = None
-    sampled_variance: float | None = None
+# One ensemble size of a sweep: the closed forms, and the sampled moments
+# when the sweep samples (None when it does not).
+ConvergenceRow = namedtuple(
+    "ConvergenceRow",
+    ("n", "distance_sq", "uncertainty", "max_weight", "off_peak_mass",
+     "sampled_mean", "sampled_variance"),
+    defaults=(None, None),
+)
 
 
 def convergence_sweep(

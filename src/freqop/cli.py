@@ -15,7 +15,11 @@ The layers load only once a request has passed every guard that needs its
 arguments alone (see :func:`main`), so ``--version``, ``--help``, a usage
 error and a refused request import no numpy. Nor do ``stats``,
 ``noncollapse`` and ``converge``: only a command that builds arrays loads
-numpy, ``dense`` and ``sampler``.
+numpy, and each loads only the layer it calls: ``verify`` and ``stats
+--cross-check`` bind ``dense``, ``sample`` and ``converge --sample`` bind
+``sampler``, and ``spectrum``, whose array ``analytic`` builds, neither.
+A column's rows of exact zeros are formatted 100 rows at a time, from one
+block of their last two digits.
 """
 
 from __future__ import annotations
@@ -65,28 +69,51 @@ CONVERGE_COLUMNS = (
 )
 NONCOLLAPSE_COLUMNS = ("n", "distance_sq", "max_weight", "off_peak_mass")
 
+# A 100-row block of zero rows, without the rows' prefix: "" and then
+# ``00,0`` .. ``99,0``. ``str(q).join`` puts q before each of the 100,
+# giving the rows ``k,0`` for k = 100q .. 100q + 99.
+_ZERO_BLOCK = ("",) + tuple("%02d,0\n" % i for i in range(100))
 
-def _load_layers(arrays: bool) -> None:
+
+def _load_layers(*arrays: str) -> None:
     """Bind the layers as globals of this module, each the first time only:
-    a tracer may since have replaced a binding with its wrapper. ``dense``
-    and ``sampler``, which import numpy, are bound only if ``arrays``."""
+    a tracer may since have replaced a binding with its wrapper. Every
+    answered command binds ``analysis``, ``analytic`` and the hilbert names;
+    ``dense`` and ``sampler``, which import numpy, are bound only when named
+    in ``arrays`` (see :func:`_array_layers`)."""
     global analysis, analytic, dense, sampler, EnsembleSpec, StateVector
     if "analysis" not in globals():
         from . import analysis, analytic
         from .hilbert import EnsembleSpec, StateVector
-    if arrays and "dense" not in globals():
-        from . import dense, sampler
+    if "dense" in arrays and "dense" not in globals():
+        from . import dense
+    if "sampler" in arrays and "sampler" not in globals():
+        from . import sampler
+
+
+def _array_layers(args) -> tuple[str, ...]:
+    """The numpy layers a request calls: ``dense`` for ``verify`` and
+    ``stats --cross-check``, ``sampler`` for ``sample`` and ``converge
+    --sample``. ``spectrum`` needs neither: ``analytic`` builds its array."""
+    if args.command == "verify" or getattr(args, "cross_check", False):
+        return ("dense",)
+    if args.command == "sample" or getattr(args, "sample", False):
+        return ("sampler",)
+    return ()
 
 
 def parse_state(text: str) -> StateVector:
     """Parse a state argument: 'two-level:p', 'uniform:d', or a JSON path."""
-    _load_layers(False)
+    _load_layers()
     if text.startswith("two-level:"):
         return StateVector.two_level(float(text.split(":", 1)[1]))
     if text.startswith("uniform:"):
         return StateVector.uniform(int(text.split(":", 1)[1]))
-    with open(text, encoding="utf-8") as f:
-        return StateVector.from_json(f.read())
+    try:
+        with open(text, encoding="utf-8") as f:
+            return StateVector.from_json(f.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"--state file {text} is not JSON: {exc}") from None
 
 
 def _meta(args, extra=None) -> dict:
@@ -110,16 +137,30 @@ def _slices(w):
     ]
 
 
+def _zero_rows(c: int, d: int) -> str:
+    """The rows ``k,0`` for k in [c, d). Rows 100q .. 100q + 99 of a full
+    block are ``str(q)`` joined over ``_ZERO_BLOCK``; the rows before the
+    first block (all of them below k = 100, where q would be 0) and after
+    the last repeat the ``%d,0`` template."""
+    a = max(-(-c // 100), 1) * 100
+    b = d // 100 * 100
+    if a >= b:
+        return ("%d,0\n" * (d - c)) % tuple(range(c, d))
+    return (("%d,0\n" * (a - c)) % tuple(range(c, a))
+            + "".join([str(q).join(_ZERO_BLOCK) for q in range(a // 100, b // 100)])
+            + ("%d,0\n" * (d - b)) % tuple(range(b, d)))
+
+
 def _column_rows(w):
     """The CSV rows ``k,w[k]`` of a column, one string per slice. A slice of
-    zeros needs only its indices; any other repeats the ``%d,%.17g`` row
-    template over its cells (``"%.17g" % 0.0`` is ``0``)."""
+    zeros needs only its indices (:func:`_zero_rows`); any other repeats the
+    ``%d,%.17g`` row template over its cells (``"%.17g" % 0.0`` is ``0``)."""
     for c, d, nonzero in _slices(w):
         if nonzero:
             cells = itertools.chain.from_iterable(zip(range(c, d), w[c:d].tolist()))
             yield ("%d,%.17g\n" * (d - c)) % tuple(cells)
         else:
-            yield ("%d,0\n" * (d - c)) % tuple(range(c, d))
+            yield _zero_rows(c, d)
 
 
 def _column_json(w):
@@ -190,9 +231,9 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     are always ``int``, the closed forms ``float``, and a sweep samples
     every N or none. A column is rendered slice by slice (:func:`_slices`)
     in both formats, with the same bytes as its rows would give, a slice of
-    exact zeros from its indices alone: in CSV a zero row is ``k,0``, and
-    in JSON the column, also a value of ``result``, is spliced into the
-    document.
+    exact zeros from its indices alone: in CSV a zero row is ``k,0``, 100
+    rows at a time from one block (:func:`_zero_rows`), and in JSON the
+    column, also a value of ``result``, is spliced into the document.
     """
     meta = _meta(args, extra_meta)
     header, rows = table or ((), None)
@@ -422,8 +463,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_argv(args)
-        _load_layers(args.command in ("verify", "spectrum", "sample")  # those using numpy
-                     or getattr(args, "cross_check", False) or getattr(args, "sample", False))
+        _load_layers(*_array_layers(args))
         return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout (`| head -1`): no error line, and with fd 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import chain
 from operator import add, mul
@@ -161,25 +161,22 @@ class StateVector:
         return cls.from_json_dict(obj)
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(namedtuple("EnsembleSpec", ("state", "n", "j"))):
     """A single-system state, an ensemble size N, and a target outcome j.
 
     Every ensemble-level quantity in this package is a function of these
-    three things.
+    three things. Immutable: a tuple, so setting an attribute raises
+    AttributeError.
     """
 
-    state: StateVector
-    n: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"ensemble size must be >= 1, got {self.n}")
-        if not 0 <= self.j < self.state.dim:
-            raise ValueError(
-                f"target index {self.j} out of range [0, {self.state.dim})"
-            )
+    def __new__(cls, state: StateVector, n: int, j: int):
+        if n < 1:
+            raise ValueError(f"ensemble size must be >= 1, got {n}")
+        if not 0 <= j < state.dim:
+            raise ValueError(f"target index {j} out of range [0, {state.dim})")
+        return super().__new__(cls, state, n, j)
 
     @property
     def born_probability(self) -> float:

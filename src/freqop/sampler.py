@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -172,19 +172,12 @@ def _check_n(n: int) -> None:
         raise ValueError(f"need at least one draw, got n={n}")
 
 
-@dataclass(frozen=True)
-class TrialSummary:
-    """Empirical frequency statistics over repeated ensemble measurements.
-
-    ``frequencies`` holds one read-only entry per trial, in trial order.
-    The seed, trial count, RNG and stream rule that reproduce a summary
-    are the caller's inputs and the constants ``RNG_ALGORITHM`` and
-    ``STREAM_RULE``.
-    """
-
-    mean_frequency: float
-    sample_variance: float
-    frequencies: np.ndarray
+# Empirical frequency statistics over repeated ensemble measurements.
+# ``frequencies`` holds one read-only entry per trial, in trial order. The
+# seed, trial count, RNG and stream rule that reproduce a summary are the
+# caller's inputs and the constants ``RNG_ALGORITHM`` and ``STREAM_RULE``.
+TrialSummary = namedtuple(
+    "TrialSummary", ("mean_frequency", "sample_variance", "frequencies"))
 
 
 def sample_outcomes(state: StateVector, n: int, seed: int) -> np.ndarray:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from freqop import analytic, dense, guards, sampler
-from freqop.analysis import convergence_sweep, loglog_slope, noncollapse_verdict
+from freqop.analysis import (
+    ConvergenceRow,
+    convergence_sweep,
+    loglog_slope,
+    noncollapse_verdict,
+)
 from freqop.hilbert import EnsembleSpec, StateVector
 
 # Largest N whose 1000-trial sampled sweep fits the draw budget on its own.
@@ -14,6 +19,15 @@ _TOP = guards.MAX_DRAWS // 1000
 
 
 class TestConvergenceSweep:
+    def test_row_fields_and_defaults(self):
+        assert ConvergenceRow._fields == (
+            "n", "distance_sq", "uncertainty", "max_weight", "off_peak_mass",
+            "sampled_mean", "sampled_variance")
+        row = ConvergenceRow(10, 0.1, 0.2, 0.3, 0.4)
+        assert (row.sampled_mean, row.sampled_variance) == (None, None)
+        rows = convergence_sweep(StateVector.two_level(0.36), 0, [10, 100])
+        assert all(r.sampled_mean is None and r.sampled_variance is None for r in rows)
+
     def test_known_distances_and_slope(self):
         rows = convergence_sweep(StateVector.two_level(0.5), 0, [10, 100, 1000])
         d2 = [r.distance_sq for r in rows]

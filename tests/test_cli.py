@@ -102,6 +102,14 @@ class TestParseState:
         assert [r["max_weight"] for r in doc["result"]["rows"]] == [1.0, 1.0]
         assert [r["off_peak_mass"] for r in doc["result"]["rows"]] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("data", [b"", b'{"dim": 2', b"\xff\xfe"],
+                             ids=["empty", "truncated", "not-utf8"])
+    def test_not_json_names_the_file(self, tmp_path, capsys, data):
+        path = tmp_path / "state.json"
+        path.write_bytes(data)
+        line = assert_usage_error(capsys, "stats", "--state", str(path), "--n", "3")
+        assert line.startswith(f"error: --state file {path} is not JSON: ")
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_empty_uniform_exit_2(self, capsys, dim):
         assert_usage_error(capsys, "stats", "--state", f"uniform:{dim}", "--n", "3")
@@ -443,6 +451,11 @@ def per_cell(x) -> str:
     return f"{x:.17g}"
 
 
+def zero_template(c, d) -> str:
+    """The rows ``k,0`` for k in [c, d), one ``%d`` per row."""
+    return ("%d,0\n" * (d - c)) % tuple(range(c, d))
+
+
 class TestCsvRows:
     @given(st.floats())
     @example(-0.0)
@@ -476,6 +489,32 @@ class TestCsvRows:
         assert len(lines) - header - 1 == len(values)
         expected = [",".join(map(per_cell, row)) for row in enumerate(values)]
         assert lines[header + 1:] == expected
+
+    def test_zero_rows_match_the_template_on_every_slice(self):
+        """Every slice of the N = 10^6 table, as if each held only zeros."""
+        n = 10**6 + 1
+        for c in range(0, n, CSV_CHUNK_ROWS):
+            d = min(c + CSV_CHUNK_ROWS, n)
+            assert cli._zero_rows(c, d) == zero_template(c, d)
+
+    @given(st.integers(0, 2**53), st.integers(0, CSV_CHUNK_ROWS))
+    @example(0, CSV_CHUNK_ROWS)
+    @example(0, 1)
+    @example(0, 100)
+    @example(0, 201)
+    @example(7, 300)
+    @example(99, 1)
+    @example(99, 2)
+    @example(100, 100)
+    @example(999, 1)
+    @example(999, 2)
+    @example(950, 200)  # prefix 9 -> 10
+    @example(9_950, 200)  # 99 -> 100
+    @example(99_950, 200)  # 999 -> 1000
+    @example(10**15 - 150, CSV_CHUNK_ROWS)
+    @example(2**53 - CSV_CHUNK_ROWS, CSV_CHUNK_ROWS)
+    def test_zero_rows_match_the_template(self, c, rows):
+        assert cli._zero_rows(c, c + rows) == zero_template(c, c + rows)
 
     def test_writes_at_most_a_chunk_of_rows(self, monkeypatch):
         class Recording(io.StringIO):
@@ -642,30 +681,38 @@ NUMPY_FREE_CASES = (
     "converge_d3_csv",
 )
 
-# Commands that build arrays, and so still import numpy.
+# Commands that build arrays, and so still import numpy, with the numpy
+# layers each loads: only the one it calls (``spectrum``'s array comes from
+# ``analytic``).
 ARRAY_RUNS = {
-    "spectrum": ["spectrum", "--state", "two-level:0.36", "--n", "20"],
-    "sample": ["sample", "--state", "uniform:3", "--n", "10", "--trials", "3", "--seed", "1"],
-    "verify": ["verify", "--dim", "2", "--n-max", "3"],
-    "stats-cross-check": ["stats", "--state", "state_d3.json", "--n", "4", "--cross-check"],
-    "converge-sample": ["converge", "--state", "two-level:0.36", "--n-list", "10,100",
-                        "--sample", "--trials", "3", "--seed", "1"],
+    "spectrum": (["spectrum", "--state", "two-level:0.36", "--n", "20"], ()),
+    "sample": (["sample", "--state", "uniform:3", "--n", "10", "--trials", "3", "--seed", "1"],
+               ("freqop.sampler",)),
+    "verify": (["verify", "--dim", "2", "--n-max", "3"], ("freqop.dense",)),
+    "stats-cross-check": (["stats", "--state", "state_d3.json", "--n", "4", "--cross-check"],
+                          ("freqop.dense",)),
+    "converge-sample": (["converge", "--state", "two-level:0.36", "--n-list", "10,100",
+                         "--sample", "--trials", "3", "--seed", "1"], ("freqop.sampler",)),
 }
 
+# The modules a child reports as loaded (see run_child).
+REPORTED = ("dataclasses", "freqop.dense", "freqop.sampler", "numpy")
 
-def run_child(argv, block_numpy: bool) -> subprocess.CompletedProcess:
+
+def run_child(argv, block=()) -> subprocess.CompletedProcess:
     """``python -m freqop.cli`` in a child run from ``tests/golden`` that
-    then prints, as its last stdout line, whether numpy was imported. With
-    ``block_numpy``, ``import numpy`` raises in the child."""
+    then prints, as its last stdout line, the sorted list of the
+    ``REPORTED`` modules it loaded. Importing a module named in ``block``
+    raises in the child."""
     script = (
         "import runpy, sys\n"
-        f"if {block_numpy}:\n"
-        "    sys.modules['numpy'] = None\n"
+        f"for name in {tuple(block)!r}:\n"
+        "    sys.modules[name] = None\n"
         "try:\n"
         "    runpy.run_module('freqop.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        "print('numpy' in sys.modules and sys.modules['numpy'] is not None)\n"
+        f"print([m for m in {REPORTED!r} if sys.modules.get(m) is not None])\n"
         "sys.exit(rc)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -675,16 +722,20 @@ def run_child(argv, block_numpy: bool) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", NUMPY_FREE_CASES)
 def test_closed_form_commands_run_without_numpy(name):
-    proc = run_child(CASES[name], block_numpy=True)
+    """Neither numpy nor ``dataclasses`` (which imports ``inspect``) is
+    needed: with both blocked, each case still prints its golden bytes."""
+    proc = run_child(CASES[name], block=("numpy", "dataclasses"))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == golden_path(name).read_bytes() + b"False\n"
+    assert proc.stdout == golden_path(name).read_bytes() + b"[]\n"
 
 
 @pytest.mark.parametrize("name", list(ARRAY_RUNS))
 def test_array_commands_import_numpy(name):
-    proc = run_child(ARRAY_RUNS[name], block_numpy=False)
+    argv, layers = ARRAY_RUNS[name]
+    proc = run_child(argv)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.splitlines()[-1] == b"True"
+    expected = sorted(("numpy", *layers))
+    assert proc.stdout.splitlines()[-1] == repr(expected).encode()
 
 
 def test_closed_stdout_pipe_exits_141_without_an_error_line():

@@ -223,6 +223,24 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(s, 1, 2)
 
+    @pytest.mark.parametrize("n,j,message", [
+        (0, 0, "ensemble size must be >= 1, got 0"),
+        (-3, 0, "ensemble size must be >= 1, got -3"),
+        (1, 2, "target index 2 out of range [0, 2)"),
+        (1, -1, "target index -1 out of range [0, 2)"),
+    ])
+    def test_refusal_messages(self, n, j, message):
+        with pytest.raises(ValueError) as exc:
+            EnsembleSpec(StateVector.uniform(2), n, j)
+        assert str(exc.value) == message
+
+    def test_immutable(self):
+        spec = EnsembleSpec(StateVector.uniform(2), 3, 1)
+        for name in ("state", "n", "j", "other"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 2)
+        assert (spec.n, spec.j) == (3, 1)
+
     def test_born_probability(self):
         assert EnsembleSpec(StateVector.two_level(0.36), 5, 0).born_probability == (
             pytest.approx(0.36)
