@@ -4,27 +4,28 @@ Every command emits machine-readable output (JSON by default, CSV where a
 row schema exists) with an embedded metadata block: tool version, the
 parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
-files. A JSON document is written at once; a CSV table's text is written
-in chunks of at most ``CSV_CHUNK_ROWS`` rows. Only a column table
-(``spectrum``, ``sample``) is never held whole: it is formatted from its
-array. A sweep (``converge``, ``noncollapse``, one row per N) is held as
-records, tuples and dicts. Exit codes:
+files. A JSON document is written at once, and so is a sweep's CSV table
+(``converge``, ``noncollapse``, one row per N), whose records, tuples and
+dicts are held whole anyway. A column table (``spectrum``, ``sample``) is
+never held whole as text: it is formatted from its array and written
+``CSV_CHUNK_ROWS`` rows at a time. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 
-The layers load only once a request has passed every guard that needs its
-arguments alone (see :func:`main`), so ``--version``, ``--help``, a usage
-error and a refused request import no numpy. Nor do ``stats``,
-``noncollapse`` and ``converge``: only a command that builds arrays loads
-numpy, and each loads only the layer it calls: ``verify`` and ``stats
---cross-check`` bind ``dense``, ``sample`` and ``converge --sample`` bind
-``sampler``, and ``spectrum``, whose array ``analytic`` builds, neither.
-A column's rows of exact zeros are formatted 100 rows at a time, from one
-block of their last two digits.
+Each command runs its request in one order: the guards that need its
+arguments alone, then the layers it calls, then the state, then the
+answer. So ``--version``, ``--help``, a usage error and a refused request
+import no numpy. Nor do ``stats``, ``noncollapse`` and ``converge``: only
+a command that builds arrays loads numpy, and each loads only the layer it
+calls: ``verify`` and ``stats --cross-check`` bind ``dense``, ``sample``
+and ``converge --sample`` bind ``sampler``, and ``spectrum``, whose array
+``analytic`` builds, neither. A column's rows of exact zeros are formatted
+100 rows at a time, from one block of their last two digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import json
 import os
@@ -78,40 +79,24 @@ _ZERO_BLOCK = ("",) + tuple("%02d,0\n" % i for i in range(100))
 def _load_layers(*arrays: str) -> None:
     """Bind the layers as globals of this module, each the first time only:
     a tracer may since have replaced a binding with its wrapper. Every
-    answered command binds ``analysis``, ``analytic`` and the hilbert names;
+    answered command binds ``analysis``, ``analytic`` and ``hilbert``;
     ``dense`` and ``sampler``, which import numpy, are bound only when named
-    in ``arrays`` (see :func:`_array_layers`)."""
-    global analysis, analytic, dense, sampler, EnsembleSpec, StateVector
-    if "analysis" not in globals():
-        from . import analysis, analytic
-        from .hilbert import EnsembleSpec, StateVector
-    if "dense" in arrays and "dense" not in globals():
-        from . import dense
-    if "sampler" in arrays and "sampler" not in globals():
-        from . import sampler
+    in ``arrays``, by the commands that call them."""
+    for name in ("analysis", "analytic", "hilbert", *arrays):
+        if name not in globals():
+            globals()[name] = importlib.import_module(f"{__package__}.{name}")
 
 
-def _array_layers(args) -> tuple[str, ...]:
-    """The numpy layers a request calls: ``dense`` for ``verify`` and
-    ``stats --cross-check``, ``sampler`` for ``sample`` and ``converge
-    --sample``. ``spectrum`` needs neither: ``analytic`` builds its array."""
-    if args.command == "verify" or getattr(args, "cross_check", False):
-        return ("dense",)
-    if args.command == "sample" or getattr(args, "sample", False):
-        return ("sampler",)
-    return ()
-
-
-def parse_state(text: str) -> StateVector:
+def parse_state(text: str) -> hilbert.StateVector:
     """Parse a state argument: 'two-level:p', 'uniform:d', or a JSON path."""
     _load_layers()
     if text.startswith("two-level:"):
-        return StateVector.two_level(float(text.split(":", 1)[1]))
+        return hilbert.StateVector.two_level(float(text.split(":", 1)[1]))
     if text.startswith("uniform:"):
-        return StateVector.uniform(int(text.split(":", 1)[1]))
+        return hilbert.StateVector.uniform(int(text.split(":", 1)[1]))
     try:
         with open(text, encoding="utf-8") as f:
-            return StateVector.from_json(f.read())
+            return hilbert.StateVector.from_json(f.read())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"--state file {text} is not JSON: {exc}") from None
 
@@ -175,18 +160,13 @@ def _column_json(w):
     return "[" + items[1:] + "\n    ]"
 
 
-def _template_rows(rows):
-    """Rows formatted by one template from the first row's cell types,
-    ``CSV_CHUNK_ROWS`` rows per string (see :func:`_emit`)."""
-    rows = iter(rows)
-    first = next(rows)
-    rows = itertools.chain((first,), rows)
+def _template_rows(rows) -> str:
+    """The list ``rows`` formatted by one template from the first row's cell
+    types (see :func:`_emit`)."""
     template = ",".join(
-        "%.0s" if v is None else "%d" if isinstance(v, int) else "%.17g" for v in first
+        "%.0s" if v is None else "%d" if isinstance(v, int) else "%.17g" for v in rows[0]
     ) + "\n"
-    lines = map(template.__mod__, rows)
-    while chunk := "".join(itertools.islice(lines, CSV_CHUNK_ROWS)):
-        yield chunk
+    return "".join(map(template.__mod__, rows))
 
 
 def _csv_head(meta, header) -> str:
@@ -218,9 +198,10 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     default) is the meta block plus ``result``, written at once. CSV is the
     meta block, then the ``result`` fields named in ``csv_meta``, one per
     ``# key=value`` line, then ``table``, a ``(header, rows)`` pair with at
-    least one row, written at most ``CSV_CHUNK_ROWS`` rows at a time. A
-    column's text is never held whole; a sweep's tuple rows are a list the
-    caller already holds, with its records and ``result`` dicts.
+    least one row. A sweep's tuple rows are a list the caller already
+    holds, with its records and ``result`` dicts, and are written in one
+    piece; a column's text is never held whole, but written at most
+    ``CSV_CHUNK_ROWS`` rows at a time.
 
     Rows are tuples, or a 1-D float array ``w``, a column whose row k is
     ``(k, w[k])``: the spectrum's weights or the sampled frequencies, by
@@ -240,7 +221,7 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     column = None if rows is None or isinstance(rows, list) else rows
     if getattr(args, "format", "json") == "csv":
         meta.update((k, result[k]) for k in csv_meta)
-        body = _template_rows(rows) if column is None else _column_rows(column)
+        body = (_template_rows(rows),) if column is None else _column_rows(column)
         pieces = itertools.chain((_csv_head(meta, header),), body)
     else:
         pieces = [_json_text({"meta": meta, "result": result}, column) + "\n"]
@@ -271,6 +252,8 @@ def _sampling_meta(seed: int) -> dict:
 
 def cmd_verify(args) -> int:
     d, n_max = args.dim, args.n_max
+    check_verify(d, n_max)
+    _load_layers("dense")
     tol_algebra = 1e-13
     tol_routes = 1e-14
     checks = [dense.verify_operator_algebra(d, n) for n in range(1, n_max + 1)]
@@ -291,8 +274,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.cross_check:
+        check_vector_n(args.n)
+        _load_layers("dense")
     state = parse_state(args.state)
-    spec = EnsembleSpec(state, args.n, args.j)
+    spec = hilbert.EnsembleSpec(state, args.n, args.j)
     if args.cross_check:
         check_vector_scale(state.dim, args.n)
     result = {
@@ -317,12 +303,15 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def cmd_converge(args) -> int:
+    ns = check_n_list(_parse_n_list(args.n_list))
+    if args.sample:
+        check_sampling(args.trials, args.seed, ns)
+        _load_layers("sampler")
     state = parse_state(args.state)
     extra = _sampling_meta(args.seed) if args.sample else None
     # Without --sample the sweep ignores --trials and --seed.
     trials = args.trials if args.sample else None
-    n_list = _parse_n_list(args.n_list)
-    rows = analysis.convergence_sweep(state, args.j, n_list, trials, args.seed)
+    rows = analysis.convergence_sweep(state, args.j, ns, trials, args.seed)
     slope = analysis.loglog_slope(rows)
     table = _table(CONVERGE_COLUMNS, rows)
     result = {
@@ -334,8 +323,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_noncollapse(args) -> int:
+    ns = check_n_list(_parse_n_list(args.n_list))
     state = parse_state(args.state)
-    rows = analysis.convergence_sweep(state, args.j, _parse_n_list(args.n_list))
+    rows = analysis.convergence_sweep(state, args.j, ns)
     table = _table(NONCOLLAPSE_COLUMNS, rows)
     verdict = analysis.noncollapse_verdict(state, args.j, rows)
     result = {"rows": _row_dicts(table), "verdict": verdict}
@@ -344,6 +334,8 @@ def cmd_noncollapse(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    check_sampling(args.trials, args.seed, [args.n])
+    _load_layers("sampler")
     state = parse_state(args.state)
     summary = sampler.run_trials(state, args.n, args.trials, args.seed, args.j)
     result = {
@@ -359,8 +351,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    check_spectral_n(args.n)
     state = parse_state(args.state)
-    w = analytic.spectral_weights(EnsembleSpec(state, args.n, args.j))
+    w = analytic.spectral_weights(hilbert.EnsembleSpec(state, args.n, args.j))
     result = {
         "n": args.n,
         "weights": w,
@@ -374,15 +367,13 @@ def cmd_spectrum(args) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
-def _add_common(p, *, state=True, j=True, fmt=True):
-    if state:
-        p.add_argument(
-            "--state",
-            required=True,
-            help="state preset 'two-level:p' or 'uniform:d', or a JSON file path",
-        )
-    if j:
-        p.add_argument("--j", type=int, default=0, help="target outcome index")
+def _add_common(p, *, fmt=True):
+    p.add_argument(
+        "--state",
+        required=True,
+        help="state preset 'two-level:p' or 'uniform:d', or a JSON file path",
+    )
+    p.add_argument("--j", type=int, default=0, help="target outcome index")
     if fmt:
         p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -400,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="dense operator-algebra verification")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    _add_common(p, state=False, j=False, fmt=False)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="closed-form ensemble statistics")
@@ -441,29 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_argv(args) -> None:
-    """Run every guard that needs the arguments alone. The layers repeat
-    them for their own callers, after the checks that need the state."""
-    if args.command == "verify":
-        check_verify(args.dim, args.n_max)
-    elif args.command == "stats" and args.cross_check:
-        check_vector_n(args.n)
-    elif args.command == "spectrum":
-        check_spectral_n(args.n)
-    elif args.command == "sample":
-        check_sampling(args.trials, args.seed, [args.n])
-    elif args.command in ("converge", "noncollapse"):
-        ns = check_n_list(_parse_n_list(args.n_list))
-        if args.command == "converge" and args.sample:
-            check_sampling(args.trials, args.seed, ns)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_argv(args)
-        _load_layers(*_array_layers(args))
         return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout (`| head -1`): no error line, and with fd 1

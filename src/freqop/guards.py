@@ -118,8 +118,9 @@ def check_seed(seed: int) -> None:
 def check_sampling(trials: int, seed: int, ns: list[int]) -> None:
     """Refuse a request to run ``trials`` trials at each ensemble size in
     ``ns`` before any draw: fewer than two trials, a seed outside
-    [0, 2**64), more than ``MAX_DRAWS`` draws in all, or more than
-    ``MAX_TRIAL_RUNS`` trial runs in all, checked in that order."""
+    [0, 2**64), more than ``MAX_DRAWS`` draws in all, more than
+    ``MAX_TRIAL_RUNS`` trial runs in all, or a size below one draw,
+    checked in that order."""
     if trials < 2:
         raise ValueError(f"need at least two trials, got {trials}")
     check_seed(seed)
@@ -130,3 +131,5 @@ def check_sampling(trials: int, seed: int, ns: list[int]) -> None:
     if runs > MAX_TRIAL_RUNS:
         raise ScaleError(f"sampling limited to trials x ensemble sizes <= {MAX_TRIAL_RUNS} "
                          f"trial runs, got {runs}")
+    if min(ns) < 1:
+        raise ValueError(f"need at least one draw, got n={min(ns)}")

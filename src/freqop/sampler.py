@@ -211,14 +211,13 @@ def run_trials(
     j = 0), the ``side='left'`` rule of :func:`sample_outcomes`, so a trial
     counts the draws in that interval without building outcome indices.
     The frequencies are the same bytes however many threads count them.
-    An outcome index out of range, then whatever :func:`check_sampling`
+    A target index out of range, then whatever :func:`check_sampling`
     refuses for ``trials`` trials at the one size N, is refused before any
     draw.
     """
     if not 0 <= j < state.dim:
-        raise ValueError(f"outcome index {j} out of range [0, {state.dim})")
+        raise ValueError(f"target index {j} out of range [0, {state.dim})")
     check_sampling(trials, seed, [n])
-    _check_n(n)
     thresholds = _thresholds(_born_cdf(state))
     # The CDF is non-decreasing, so count(u <= hi) - count(u <= lo) is
     # count(lo < u <= hi).

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from freqop import analytic, cli, dense
+from freqop import analysis, analytic, cli, dense
 from freqop.cli import CSV_CHUNK_ROWS, main, parse_state
 
 from test_golden import CASES, golden_path
@@ -357,6 +357,16 @@ class TestSampleAndSpectrum:
         monkeypatch.chdir(tmp_path)
         assert assert_usage_error(capsys, *argv) == f"error: {message}"
 
+    @pytest.mark.parametrize("command", [
+        ("stats", "--n", "3"),
+        ("spectrum", "--n", "3"),
+        ("converge", "--n-list", "3"),
+        ("sample", "--n", "3", "--trials", "2", "--seed", "0"),
+    ], ids=["stats", "spectrum", "converge", "sample"])
+    def test_out_of_range_j_has_one_wording(self, capsys, command):
+        error = assert_usage_error(capsys, *command, "--state", "two-level:0.5", "--j", "2")
+        assert error == "error: target index 2 out of range [0, 2)"
+
     def test_sample_degenerate(self, capsys):
         code, doc = run_json(
             capsys, "sample", "--state", "two-level:1.0",
@@ -536,6 +546,24 @@ class TestCsvRows:
         assert max(s.count("\n") for s in stdout.writes) <= CSV_CHUNK_ROWS
 
 
+    def test_sweep_longer_than_a_chunk(self, capsys):
+        """A sweep's CSV is its meta block, header and one template row per
+        N, also when it has more rows than a column writes at once."""
+        ns = range(1, 5001)
+        assert len(ns) > CSV_CHUNK_ROWS
+        argv = ["noncollapse", "--state", "two-level:0.36", "--n-list", ",".join(map(str, ns)),
+                "--format", "csv"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        head, header, body = out.partition("\nn,distance_sq,max_weight,off_peak_mass\n")
+        assert header and all(line.startswith("# ") for line in head.splitlines())
+        assert "\n# verdict=" in head
+        rows = analysis.convergence_sweep(parse_state("two-level:0.36"), 0, ns)
+        assert body == "".join("%d,%.17g,%.17g,%.17g\n"
+                               % (r.n, r.distance_sq, r.max_weight, r.off_peak_mass)
+                               for r in rows)
+
+
 def test_spectrum_csv_rows_come_from_the_weight_array(tmp_path):
     """A Python list of the N + 1 weights takes four times the array's
     bytes (an 8-byte pointer plus a 24-byte float each), so a run that
@@ -625,8 +653,8 @@ def test_later_runs_keep_replaced_layer_bindings(monkeypatch, capsys):
 
 
 # Requests that end before numpy is imported: --version, --help, an argparse
-# error, the benchmark's three refusals and a cross-check above the vector
-# guard's N, with the exit code and the start
+# error, the benchmark's three refusals and every other guard a command runs
+# on its arguments alone, before its state, with the exit code and the start
 # of the one stderr line holding "error:" (None: no such line).
 ARGV_ONLY_RUNS = {
     "version": (["--version"], 0, None),
@@ -641,6 +669,25 @@ ARGV_ONLY_RUNS = {
                         "--seed", "0"], 2, "error: need at least two trials, got 1"),
     "refused-stats": (["stats", "--state", "two-level:0.3", "--n", "21", "--cross-check"], 2,
                       "error: N = 21 exceeds the dense vector guard"),
+    "refused-verify-dim": (["verify", "--dim", "1", "--n-max", "3"], 2,
+                           "error: verify needs --dim >= 2 and --n-max >= 1, got 1 and 3"),
+    "refused-noncollapse": (["noncollapse", "--state", "two-level:0.3",
+                             "--n-list", "10,2000000"], 2,
+                            "error: spectral weights limited to N <= 1000000, got 2000000"),
+    "refused-converge-order": (["converge", "--state", "two-level:0.3", "--n-list", "100,10"],
+                               2, "error: n_list must be strictly increasing"),
+    "refused-converge-seed": (["converge", "--state", "two-level:0.3", "--n-list", "10,100",
+                               "--sample", "--seed", "-1"], 2,
+                              "error: seed must lie in [0, 2**64), got -1"),
+    "refused-converge-draws": (["converge", "--state", "two-level:0.3", "--n-list", "10,1000000",
+                                "--sample", "--trials", "1000"], 2,
+                               "error: sampling limited to N x trials <= 1000000000 draws"),
+    "refused-sample-n": (["sample", "--state", "two-level:0.3", "--n", "0", "--trials", "10",
+                          "--seed", "0"], 2, "error: need at least one draw, got n=0"),
+    # The argv guard comes before the state, which here does not exist.
+    "refused-spectrum-no-state": (["spectrum", "--state", "no-such-state.json",
+                                   "--n", "2000000"], 2,
+                                  "error: spectral weights limited to N <= 1000000"),
 }
 
 
