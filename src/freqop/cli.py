@@ -304,13 +304,13 @@ def _parse_n_list(text: str) -> list[int]:
 
 def cmd_converge(args) -> int:
     ns = check_n_list(_parse_n_list(args.n_list))
+    # Without --sample the sweep ignores --trials and --seed.
+    trials = extra = None
     if args.sample:
         check_sampling(args.trials, args.seed, ns)
         _load_layers("sampler")
+        trials, extra = args.trials, _sampling_meta(args.seed)
     state = parse_state(args.state)
-    extra = _sampling_meta(args.seed) if args.sample else None
-    # Without --sample the sweep ignores --trials and --seed.
-    trials = args.trials if args.sample else None
     rows = analysis.convergence_sweep(state, args.j, ns, trials, args.seed)
     slope = analysis.loglog_slope(rows)
     table = _table(CONVERGE_COLUMNS, rows)
