@@ -545,7 +545,6 @@ class TestCsvRows:
         assert stdout.getvalue().count("\n") == 4 + 100001
         assert max(s.count("\n") for s in stdout.writes) <= CSV_CHUNK_ROWS
 
-
     def test_sweep_longer_than_a_chunk(self, capsys):
         """A sweep's CSV is its meta block, header and one template row per
         N, also when it has more rows than a column writes at once."""
