@@ -15,11 +15,17 @@ Each command runs its request in one order: the guards that need its
 arguments alone, then the layers it calls, then the state, then the
 answer. So ``--version``, ``--help``, a usage error and a refused request
 import no numpy. Nor do ``stats``, ``noncollapse`` and ``converge``: only
-a command that builds arrays loads numpy, and each loads only the layer it
-calls: ``verify`` and ``stats --cross-check`` bind ``dense``, ``sample``
-and ``converge --sample`` bind ``sampler``, and ``spectrum``, whose array
-``analytic`` builds, neither. A column's rows of exact zeros are formatted
-100 rows at a time, from one block of their last two digits.
+a command that builds arrays loads numpy. Each command binds only the
+layers it calls: ``verify`` binds ``dense``; ``sample`` ``hilbert`` and
+``sampler``; ``stats`` and ``spectrum`` (whose array ``analytic`` builds)
+``hilbert`` and ``analytic``, plus ``dense`` under ``--cross-check``;
+``converge`` and ``noncollapse`` ``hilbert`` and ``analysis``, plus
+``sampler`` under ``--sample``. A column's rows of exact zeros are
+formatted 100 rows at a time, from one block of their last two digits.
+
+``freqop`` and ``python -m freqop.cli`` enter through :func:`run`: once
+``main`` returns, it flushes stdout and stderr and ends the process with
+``os._exit``, sparing the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -76,20 +82,18 @@ NONCOLLAPSE_COLUMNS = ("n", "distance_sq", "max_weight", "off_peak_mass")
 _ZERO_BLOCK = ("",) + tuple("%02d,0\n" % i for i in range(100))
 
 
-def _load_layers(*arrays: str) -> None:
-    """Bind the layers as globals of this module, each the first time only:
-    a tracer may since have replaced a binding with its wrapper. Every
-    answered command binds ``analysis``, ``analytic`` and ``hilbert``;
-    ``dense`` and ``sampler``, which import numpy, are bound only when named
-    in ``arrays``, by the commands that call them."""
-    for name in ("analysis", "analytic", "hilbert", *arrays):
+def _load_layers(*names: str) -> None:
+    """Bind the named layers as globals of this module, each the first time
+    only: a tracer may since have replaced a binding with its wrapper. Each
+    command names every layer it calls, and no other."""
+    for name in names:
         if name not in globals():
             globals()[name] = importlib.import_module(f"{__package__}.{name}")
 
 
 def parse_state(text: str) -> hilbert.StateVector:
     """Parse a state argument: 'two-level:p', 'uniform:d', or a JSON path."""
-    _load_layers()
+    _load_layers("hilbert")
     if text.startswith("two-level:"):
         return hilbert.StateVector.two_level(float(text.split(":", 1)[1]))
     if text.startswith("uniform:"):
@@ -277,6 +281,7 @@ def cmd_stats(args) -> int:
     if args.cross_check:
         check_vector_n(args.n)
         _load_layers("dense")
+    _load_layers("hilbert", "analytic")
     state = parse_state(args.state)
     spec = hilbert.EnsembleSpec(state, args.n, args.j)
     if args.cross_check:
@@ -310,6 +315,7 @@ def cmd_converge(args) -> int:
         check_sampling(args.trials, args.seed, ns)
         _load_layers("sampler")
         trials, extra = args.trials, _sampling_meta(args.seed)
+    _load_layers("hilbert", "analysis")
     state = parse_state(args.state)
     rows = analysis.convergence_sweep(state, args.j, ns, trials, args.seed)
     slope = analysis.loglog_slope(rows)
@@ -324,6 +330,7 @@ def cmd_converge(args) -> int:
 
 def cmd_noncollapse(args) -> int:
     ns = check_n_list(_parse_n_list(args.n_list))
+    _load_layers("hilbert", "analysis")
     state = parse_state(args.state)
     rows = analysis.convergence_sweep(state, args.j, ns)
     table = _table(NONCOLLAPSE_COLUMNS, rows)
@@ -335,7 +342,7 @@ def cmd_noncollapse(args) -> int:
 
 def cmd_sample(args) -> int:
     check_sampling(args.trials, args.seed, [args.n])
-    _load_layers("sampler")
+    _load_layers("hilbert", "sampler")
     state = parse_state(args.state)
     summary = sampler.run_trials(state, args.n, args.trials, args.seed, args.j)
     result = {
@@ -352,6 +359,7 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     check_spectral_n(args.n)
+    _load_layers("hilbert", "analytic")
     state = parse_state(args.state)
     w = analytic.spectral_weights(hilbert.EnsembleSpec(state, args.n, args.j))
     result = {
@@ -449,5 +457,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The entry point of ``freqop`` and ``python -m freqop.cli``: ``main``,
+    then a flush of stdout and stderr and ``os._exit`` with its exit code.
+    That skips the interpreter's teardown, which frees every object and
+    module one at a time; the OS reclaims the memory anyway. By then an
+    ``--out`` file is closed (``_emit``) and the sampler's threads are
+    joined. ``SystemExit`` (``--help``, ``--version``, a usage error) and
+    an uncaught exception, whose traceback must print, leave ``main`` by
+    the normal exit."""
+    rc = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout before the buffered output reached it.
+        rc = EXIT_BROKEN_PIPE
+    sys.stderr.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

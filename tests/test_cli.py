@@ -690,13 +690,25 @@ ARGV_ONLY_RUNS = {
 }
 
 
+# The start of a harness script that runs ``freqop.cli`` as ``__main__`` and
+# then reports on the child: ``cli.run`` ends the process with ``os._exit``
+# after its flush, which would end the child before the report, so here
+# ``os._exit`` raises ``SystemExit`` instead.
+RAISING_EXIT = (
+    "import os, runpy, sys\n"
+    "def _exit(rc):\n"
+    "    raise SystemExit(rc)\n"
+    "os._exit = _exit\n"
+)
+
+
 @pytest.mark.parametrize("name", list(ARGV_ONLY_RUNS))
 def test_argv_only_runs_import_no_numpy(name):
     """``python -m freqop.cli`` in a child that then prints, as its last
     stdout line, whether numpy was imported."""
     argv, code, error = ARGV_ONLY_RUNS[name]
     script = (
-        "import runpy, sys\n"
+        RAISING_EXIT +
         "try:\n"
         "    runpy.run_module('freqop.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
@@ -727,22 +739,33 @@ NUMPY_FREE_CASES = (
     "converge_d3_csv",
 )
 
-# Commands that build arrays, and so still import numpy, with the numpy
-# layers each loads: only the one it calls (``spectrum``'s array comes from
+# The layers a numpy-free command loads, as run_child reports them
+# (``analysis`` imports ``analytic``).
+NUMPY_FREE_LAYERS = {
+    "stats": ["freqop.analytic"],
+    "noncollapse": ["freqop.analysis", "freqop.analytic"],
+    "converge": ["freqop.analysis", "freqop.analytic"],
+}
+
+# Commands that build arrays, and so still import numpy, with the layers
+# each loads: only those it calls (``spectrum``'s array comes from
 # ``analytic``).
 ARRAY_RUNS = {
-    "spectrum": (["spectrum", "--state", "two-level:0.36", "--n", "20"], ()),
+    "spectrum": (["spectrum", "--state", "two-level:0.36", "--n", "20"],
+                 ("freqop.analytic",)),
     "sample": (["sample", "--state", "uniform:3", "--n", "10", "--trials", "3", "--seed", "1"],
                ("freqop.sampler",)),
     "verify": (["verify", "--dim", "2", "--n-max", "3"], ("freqop.dense",)),
     "stats-cross-check": (["stats", "--state", "state_d3.json", "--n", "4", "--cross-check"],
-                          ("freqop.dense",)),
+                          ("freqop.analytic", "freqop.dense")),
     "converge-sample": (["converge", "--state", "two-level:0.36", "--n-list", "10,100",
-                         "--sample", "--trials", "3", "--seed", "1"], ("freqop.sampler",)),
+                         "--sample", "--trials", "3", "--seed", "1"],
+                        ("freqop.analysis", "freqop.analytic", "freqop.sampler")),
 }
 
 # The modules a child reports as loaded (see run_child).
-REPORTED = ("dataclasses", "freqop.dense", "freqop.sampler", "numpy")
+REPORTED = ("dataclasses", "freqop.analysis", "freqop.analytic", "freqop.dense",
+            "freqop.sampler", "numpy")
 
 
 def run_child(argv, block=()) -> subprocess.CompletedProcess:
@@ -751,7 +774,7 @@ def run_child(argv, block=()) -> subprocess.CompletedProcess:
     ``REPORTED`` modules it loaded. Importing a module named in ``block``
     raises in the child."""
     script = (
-        "import runpy, sys\n"
+        RAISING_EXIT +
         f"for name in {tuple(block)!r}:\n"
         "    sys.modules[name] = None\n"
         "try:\n"
@@ -772,7 +795,8 @@ def test_closed_form_commands_run_without_numpy(name):
     needed: with both blocked, each case still prints its golden bytes."""
     proc = run_child(CASES[name], block=("numpy", "dataclasses"))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == golden_path(name).read_bytes() + b"[]\n"
+    layers = repr(NUMPY_FREE_LAYERS[CASES[name][0]]).encode()
+    assert proc.stdout == golden_path(name).read_bytes() + layers + b"\n"
 
 
 @pytest.mark.parametrize("name", list(ARRAY_RUNS))
@@ -796,6 +820,82 @@ def test_closed_stdout_pipe_exits_141_without_an_error_line():
         proc.stdout.close()
         err = proc.stderr.read()
     assert proc.returncode == 141 and err == b"", err
+
+
+# The exit path of ``freqop`` itself: a ``python -m freqop.cli`` child, with
+# nothing patched, ends through ``cli.run``'s flush and ``os._exit``. Its
+# stdout is block-buffered (no PYTHONUNBUFFERED), so the output reaches the
+# pipe at that flush.
+def real_child(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | (env or {})
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "freqop.cli", *argv], env=env,
+                          cwd=SRC.parent / "tests" / "golden", **kwargs)
+
+
+# The golden cases of each command and format that no other test runs as a
+# child.
+REAL_EXIT_CASES = ("verify_d2_n6", "sample", "sample_csv", "spectrum", "spectrum_csv",
+                   "converge_sample", "converge_sample_csv")
+
+
+@pytest.mark.parametrize("name", REAL_EXIT_CASES)
+def test_real_exit_prints_golden_bytes(name):
+    proc = real_child(CASES[name], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == golden_path(name).read_bytes()
+    assert proc.stderr == b""
+
+
+def test_real_exit_closes_the_out_file(tmp_path, capsys):
+    argv = ["verify", "--dim", "2", "--n-max", "3"]
+    path = tmp_path / "verify.json"
+    proc = real_child([*argv, "--out", str(path)], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b""
+    code, out = run(capsys, *argv)
+    assert code == 0 and path.read_bytes() == out.encode()
+
+
+def test_real_exit_flushes_a_refusal_to_stderr():
+    proc = real_child(["verify", "--dim", "3", "--n-max", "13"], capture_output=True)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    errors = [line for line in proc.stderr.decode().splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: product space 3**13 exceeds the dense vector guard")
+
+
+def test_uncaught_exception_still_prints_its_traceback():
+    """An exception ``main`` does not catch leaves by the normal exit, not
+    ``os._exit``: here importing ``freqop.dense`` raises."""
+    script = (
+        "import runpy, sys\n"
+        "sys.modules['freqop.dense'] = None\n"
+        "runpy.run_module('freqop.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, "verify", "--dim", "2",
+                           "--n-max", "3"], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "Traceback" in proc.stderr and "import of freqop.dense halted" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_pipe_closed_before_the_write_exits_141(unbuffered):
+    """No reader at all: a block-buffered stdout fails at ``cli.run``'s
+    flush, an unbuffered one at the write in ``main``; either way the
+    child exits 141 and writes nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = real_child(["stats", "--state", "two-level:0.3", "--n", "10"],
+                          env=unbuffered and {"PYTHONUNBUFFERED": unbuffered},
+                          stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b"", proc.stderr
 
 
 @pytest.mark.parametrize("preset", [None, "4"])
