@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-import numpy as np
-
 from . import guards
 from .hilbert import (
     EnsembleSpec,
@@ -23,6 +21,10 @@ from .hilbert import (
     product_state_vector,
     string_to_index,
 )
+
+# After freqop's own modules: a module compiled from source once numpy has
+# loaded raises the process's peak RSS (0.3 MB for ``verify``).
+import numpy as np
 
 
 def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
