@@ -826,8 +826,8 @@ def test_closed_stdout_pipe_exits_141_without_an_error_line():
 # nothing patched, ends through ``cli.run``'s flush and ``os._exit``. Its
 # stdout is block-buffered (no PYTHONUNBUFFERED), so the output reaches the
 # pipe at that flush.
-def real_child(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | (env or {})
+def real_child(argv, env=(), **kwargs) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
     env["PYTHONPATH"] = str(SRC)
     return subprocess.run([sys.executable, "-m", "freqop.cli", *argv], env=env,
                           cwd=SRC.parent / "tests" / "golden", **kwargs)
@@ -882,8 +882,9 @@ def test_uncaught_exception_still_prints_its_traceback():
     assert "Traceback" in proc.stderr and "import of freqop.dense halted" in proc.stderr
 
 
-@pytest.mark.parametrize("unbuffered", [None, "1"])
-def test_pipe_closed_before_the_write_exits_141(unbuffered):
+@pytest.mark.parametrize("extra_env", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_pipe_closed_before_the_write_exits_141(extra_env):
     """No reader at all: a block-buffered stdout fails at ``cli.run``'s
     flush, an unbuffered one at the write in ``main``; either way the
     child exits 141 and writes nothing to stderr."""
@@ -891,7 +892,7 @@ def test_pipe_closed_before_the_write_exits_141(unbuffered):
     os.close(read_end)
     try:
         proc = real_child(["stats", "--state", "two-level:0.3", "--n", "10"],
-                          env=unbuffered and {"PYTHONUNBUFFERED": unbuffered},
+                          env=extra_env,
                           stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
