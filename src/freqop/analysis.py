@@ -1,4 +1,5 @@
-"""Convergence studies over ensemble size and the non-collapse verdict."""
+"""Closed-form convergence studies over ensemble size and the non-collapse
+verdict."""
 
 from __future__ import annotations
 
@@ -6,20 +7,11 @@ import math
 from collections import namedtuple
 
 from . import analytic
-from .guards import check_n_list, check_sampling
+from .guards import check_n_list
 from .hilbert import EnsembleSpec, StateVector
 
-
-def _load_sampler() -> None:
-    """Bind the sampler (and so numpy) as a global on the first sampled
-    sweep only: a tracer may since have replaced it with its wrapper."""
-    global sampler
-    if "sampler" not in globals():
-        from . import sampler
-
-
-# One ensemble size of a sweep: the closed forms, and the sampled moments
-# when the sweep samples (None when it does not).
+# One ensemble size of a sweep: the closed forms, and the sampled moments,
+# None here; ``converge --sample`` fills them from the sampler.
 ConvergenceRow = namedtuple(
     "ConvergenceRow",
     ("n", "distance_sq", "uncertainty", "max_weight", "off_peak_mass",
@@ -28,30 +20,13 @@ ConvergenceRow = namedtuple(
 )
 
 
-def convergence_sweep(
-    state: StateVector, j: int, n_list, trials: int | None = None, seed: int = 0
-) -> list[ConvergenceRow]:
-    """Evaluate the distance law and spectral peak at each N, one row each.
-
-    Analytic columns are always present. When ``trials`` is given the
-    sampled columns are filled too, each N running ``trials`` trials from
-    the same master ``seed`` so the sweep is reproducible as a whole; the
-    whole sweep passes :func:`guards.check_sampling` before its first N.
-    Without ``trials`` the seed is not read.
-    """
-    ns = check_n_list(n_list)
-    if trials is not None:
-        check_sampling(trials, seed, ns)
-        _load_sampler()
+def convergence_sweep(state: StateVector, j: int, n_list) -> list[ConvergenceRow]:
+    """Evaluate the distance law and spectral peak at each N, one row each,
+    with the sampled columns left None."""
     rows = []
-    for n in ns:
+    for n in check_n_list(n_list):
         spec = EnsembleSpec(state, n, j)
         d2, max_w, off_peak = analytic.noncollapse_metrics(spec)
-        sampled_mean = sampled_var = None
-        if trials is not None:
-            summary = sampler.run_trials(state, n, trials, seed, j)
-            sampled_mean = summary.mean_frequency
-            sampled_var = summary.sample_variance
         rows.append(
             ConvergenceRow(
                 n=n,
@@ -59,8 +34,6 @@ def convergence_sweep(
                 uncertainty=analytic.uncertainty(spec),
                 max_weight=max_w,
                 off_peak_mass=off_peak,
-                sampled_mean=sampled_mean,
-                sampled_variance=sampled_var,
             )
         )
     return rows

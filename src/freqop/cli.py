@@ -314,9 +314,13 @@ def cmd_converge(args) -> int:
         check_sampling(args.trials, args.seed, ns)
     _load_layers("hilbert", "analysis", *(("sampler",) if args.sample else ()))
     state = parse_state(args.state)
-    # Without --sample the sweep ignores --trials and --seed.
-    trials = args.trials if args.sample else None
-    rows = analysis.convergence_sweep(state, args.j, ns, trials, args.seed)
+    rows = analysis.convergence_sweep(state, args.j, ns)
+    if args.sample:
+        # Every N runs the same trials from the same master seed.
+        for i, row in enumerate(rows):
+            summary = sampler.run_trials(state, row.n, args.trials, args.seed, args.j)
+            rows[i] = row._replace(sampled_mean=summary.mean_frequency,
+                                   sampled_variance=summary.sample_variance)
     slope = analysis.loglog_slope(rows)
     table = _table(CONVERGE_COLUMNS, rows)
     result = {

@@ -33,8 +33,7 @@ def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
     Kronecker fold under ``np.add`` of j's indicator. Eigenvalues of the
     frequency operator are counts / N."""
     guards.check_vector_scale(d, n)
-    if not 0 <= j < d:  # a negative j would index from the end
-        raise ValueError(f"target index {j} out of range [0, {d})")
+    guards.check_target(j, d)
     hit = np.zeros(d, dtype=np.int8)
     hit[j] = 1
     return kron_fold(hit, n, np.add)

@@ -108,6 +108,19 @@ def check_n_list(n_list) -> list[int]:
     return ns
 
 
+def check_target(j: int, d: int) -> None:
+    """Refuse an outcome index j outside [0, d); a negative one would
+    otherwise index from the end."""
+    if not 0 <= j < d:
+        raise ValueError(f"target index {j} out of range [0, {d})")
+
+
+def check_draws(n: int) -> None:
+    """Refuse a measurement of fewer than one system."""
+    if n < 1:
+        raise ValueError(f"need at least one draw, got n={n}")
+
+
 def check_seed(seed: int) -> None:
     # Philox accepts 128-bit keys, so a seed outside [0, 2**64) would
     # otherwise name a stream other than the one the metadata records.
@@ -131,5 +144,4 @@ def check_sampling(trials: int, seed: int, ns: list[int]) -> None:
     if runs > MAX_TRIAL_RUNS:
         raise ScaleError(f"sampling limited to trials x ensemble sizes <= {MAX_TRIAL_RUNS} "
                          f"trial runs, got {runs}")
-    if min(ns) < 1:
-        raise ValueError(f"need at least one draw, got n={min(ns)}")
+    check_draws(min(ns))

@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import chain
 from operator import add, mul
 
-from .guards import check_vector_scale
+from .guards import check_target, check_vector_scale
 
 NORM_TOL = 1e-12
 
@@ -91,6 +91,7 @@ class StateVector:
     def probability(self, i: int) -> float:
         """Born weight |c_i|^2 of outcome index i, at most 1.0: a state
         within ``NORM_TOL`` of unit norm can have |c_i|^2 just above 1."""
+        check_target(i, self.dim)
         return min(abs(complex(self._parts[2 * i], self._parts[2 * i + 1])) ** 2, 1.0)
 
     def probabilities(self):
@@ -174,8 +175,7 @@ class EnsembleSpec(namedtuple("EnsembleSpec", ("state", "n", "j"))):
     def __new__(cls, state: StateVector, n: int, j: int):
         if n < 1:
             raise ValueError(f"ensemble size must be >= 1, got {n}")
-        if not 0 <= j < state.dim:
-            raise ValueError(f"target index {j} out of range [0, {state.dim})")
+        check_target(j, state.dim)
         return super().__new__(cls, state, n, j)
 
     @property

@@ -28,7 +28,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .guards import SEED_MASK, check_sampling, check_seed
+from .guards import SEED_MASK, check_draws, check_sampling, check_seed, check_target
 from .hilbert import StateVector
 
 RNG_ALGORITHM = "philox4x64"
@@ -167,11 +167,6 @@ def _cpus() -> int:
     return 1
 
 
-def _check_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need at least one draw, got n={n}")
-
-
 # Empirical frequency statistics over repeated ensemble measurements.
 # ``frequencies`` holds one read-only entry per trial, in trial order. The
 # seed, trial count, RNG and stream rule that reproduce a summary are the
@@ -186,7 +181,7 @@ def sample_outcomes(state: StateVector, n: int, seed: int) -> np.ndarray:
     Returns a read-only integer array of N outcome indices in draw order.
     """
     check_seed(seed)
-    _check_n(n)
+    check_draws(n)
     words = np.random.Philox(key=seed).random_raw(n)
     # side='left' sends a draw landing exactly on a CDF boundary to the
     # lower outcome index. The shifted words lie below 2**53, so the int64
@@ -215,8 +210,7 @@ def run_trials(
     refuses for ``trials`` trials at the one size N, is refused before any
     draw.
     """
-    if not 0 <= j < state.dim:
-        raise ValueError(f"target index {j} out of range [0, {state.dim})")
+    check_target(j, state.dim)
     check_sampling(trials, seed, [n])
     thresholds = _thresholds(_born_cdf(state))
     # The CDF is non-decreasing, so count(u <= hi) - count(u <= lo) is

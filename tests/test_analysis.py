@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import statistics
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ from freqop.analysis import (
     loglog_slope,
     noncollapse_verdict,
 )
+from freqop.cli import main
 from freqop.hilbert import EnsembleSpec, StateVector
 
 # Largest N whose 1000-trial sampled sweep fits the draw budget on its own.
@@ -73,18 +76,13 @@ class TestConvergenceSweep:
         d2 = [r.distance_sq for r in rows]
         assert all(b < a for a, b in zip(d2, d2[1:]))
 
-    def test_sampled_columns(self):
-        rows = convergence_sweep(
-            StateVector.two_level(0.5),
-            0,
-            [100, 200],
-            trials=2000,
-            seed=13,
-        )
-        for row in rows:
-            assert row.sampled_mean is not None
-            assert abs(row.sampled_mean - 0.5) < 0.01
-            assert row.sampled_variance / row.uncertainty**2 == pytest.approx(
+    def test_sampled_columns(self, capsys):
+        assert main(["converge", "--state", "two-level:0.5", "--n-list", "100,200",
+                     "--sample", "--trials", "2000", "--seed", "13"]) == 0
+        for row in json.loads(capsys.readouterr().out)["result"]["rows"]:
+            assert row["sampled_mean"] is not None
+            assert abs(row["sampled_mean"] - 0.5) < 0.01
+            assert row["sampled_variance"] / row["uncertainty"]**2 == pytest.approx(
                 1.0, abs=0.2
             )
 
@@ -97,24 +95,12 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError):
             convergence_sweep(s, 0, [0, 5])
 
-    def test_rejects_whole_sweep_before_any_work(self, monkeypatch):
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(
-            analytic, "noncollapse_metrics", counted(analytic.noncollapse_metrics)
-        )
-        monkeypatch.setattr(sampler, "run_trials", counted(sampler.run_trials))
+    def test_rejects_whole_sweep_before_any_work(self, monkeypatch, capsys):
+        calls = record_layer_calls(monkeypatch, lambda fn, *args, **kwargs: fn(*args, **kwargs))
         with pytest.raises(ValueError, match="limited to N <= "):
-            convergence_sweep(
-                StateVector.two_level(0.5), 0, [10, guards.MAX_SPECTRAL_N + 1],
-                trials=3, seed=1,
-            )
+            convergence_sweep(StateVector.two_level(0.5), 0, [10, guards.MAX_SPECTRAL_N + 1])
+        line = refused_sweep(capsys, [10, guards.MAX_SPECTRAL_N + 1], 3, 1)
+        assert "limited to N <= " in line
         assert calls == []
 
     @pytest.mark.parametrize("refused, n_list, match, accepted, accepted_n_list", [
@@ -130,27 +116,48 @@ class TestConvergenceSweep:
         ((3, 2**64), [10, 100], "seed", (3, 2**64 - 1), [10, 100]),
     ], ids=["draws", "runs", "trials", "seed-negative", "seed-65-bits"])
     def test_rejects_over_budget_sampled_sweep_before_any_work(
-        self, monkeypatch, refused, n_list, match, accepted, accepted_n_list
+        self, monkeypatch, capsys, refused, n_list, match, accepted, accepted_n_list
     ):
-        calls = []
+        def refused_call(fn, *args, **kwargs):
+            raise RuntimeError(f"{fn.__name__} ran")
 
-        def refused_call(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                raise RuntimeError(f"{fn.__name__} ran")
-            return wrapper
-
-        monkeypatch.setattr(
-            analytic, "noncollapse_metrics", refused_call(analytic.noncollapse_metrics)
-        )
-        monkeypatch.setattr(sampler, "run_trials", refused_call(sampler.run_trials))
-        state = StateVector.two_level(0.5)
-        with pytest.raises(ValueError, match=match):
-            convergence_sweep(state, 0, n_list, *refused)
+        calls = record_layer_calls(monkeypatch, refused_call)
+        assert re.search(match, refused_sweep(capsys, n_list, *refused))
         assert calls == []
         with pytest.raises(RuntimeError, match="noncollapse_metrics ran"):
-            convergence_sweep(state, 0, accepted_n_list, *accepted)
+            main(sampled_sweep_argv(accepted_n_list, *accepted))
         assert calls == ["noncollapse_metrics"]
+
+
+def record_layer_calls(monkeypatch, call) -> list[str]:
+    """Route the sweep's closed forms and draws, ``analytic.noncollapse_metrics``
+    and ``sampler.run_trials``, through ``call(fn, *args, **kwargs)``; the
+    returned list records the name of each one called."""
+    calls = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return call(fn, *args, **kwargs)
+        return wrapper
+
+    for layer, name in ((analytic, "noncollapse_metrics"), (sampler, "run_trials")):
+        monkeypatch.setattr(layer, name, recorded(getattr(layer, name)))
+    return calls
+
+
+def sampled_sweep_argv(n_list, trials, seed) -> list[str]:
+    return ["converge", "--state", "two-level:0.5", "--n-list", ",".join(map(str, n_list)),
+            "--sample", "--trials", str(trials), "--seed", str(seed)]
+
+
+def refused_sweep(capsys, n_list, trials, seed) -> str:
+    """The one stderr line of a sampled ``converge`` that exits 2."""
+    assert main(sampled_sweep_argv(n_list, trials, seed)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    return line
 
 
 class TestNoncollapseReport:

@@ -614,41 +614,29 @@ for argv in {runs!r}:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sampled_sweeps_keep_a_replaced_sampler_binding(monkeypatch, capsys):
-    """``analysis`` binds the sampler on the first sampled sweep only, so a
-    binding replaced after it is the one later sweeps use."""
-    from freqop import analysis, sampler
-
-    argv = ["converge", "--state", "two-level:0.36", "--n-list", "10,100",
-            "--sample", "--trials", "3", "--seed", "1"]
-    assert main(argv) == 0
-    calls = []
-
-    class Recording:
-        def __getattr__(self, name):
-            calls.append(name)
-            return getattr(sampler, name)
-
-    monkeypatch.setattr(analysis, "sampler", Recording())
-    assert main(argv) == 0
-    assert calls == ["run_trials", "run_trials"]
-
-
-def test_later_runs_keep_replaced_layer_bindings(monkeypatch, capsys):
+@pytest.mark.parametrize("argv, layer, expected", [
+    (["stats", "--state", "two-level:0.36", "--n", "10"], "analytic",
+     ["expectation", "uncertainty", "distance_sq", "gram"]),
+    # One run per N, then the meta block's RNG constants.
+    (["converge", "--state", "two-level:0.36", "--n-list", "10,100", "--sample",
+      "--trials", "3", "--seed", "1"], "sampler",
+     ["run_trials", "run_trials", "RNG_ALGORITHM", "STREAM_RULE"]),
+], ids=["stats", "converge-sample"])
+def test_later_runs_keep_replaced_layer_bindings(monkeypatch, capsys, argv, layer, expected):
     """The layers are bound on the first run only, so a binding replaced
     after it (as the benchmark's tracer replaces them) is the one used."""
-    argv = ["stats", "--state", "two-level:0.36", "--n", "10"]
     assert main(argv) == 0
+    module = getattr(cli, layer)
     calls = []
 
     class Recording:
         def __getattr__(self, name):
             calls.append(name)
-            return getattr(analytic, name)
+            return getattr(module, name)
 
-    monkeypatch.setattr(cli, "analytic", Recording())
+    monkeypatch.setattr(cli, layer, Recording())
     assert main(argv) == 0
-    assert calls == ["expectation", "uncertainty", "distance_sq", "gram"]
+    assert calls == expected
 
 
 # Requests that end before numpy is imported: --version, --help, an argparse

@@ -114,6 +114,15 @@ class TestStateVectorWithoutNumpy:
             assert [s.probability(i) for i in range(s.dim)] == [
                 min(float(abs(c) ** 2), 1.0) for c in s.amplitudes]
 
+    @pytest.mark.parametrize("preset", [StateVector.two_level(0.36), StateVector.uniform(5)],
+                             ids=["two-level", "uniform5"])
+    def test_probability_refuses_an_index_out_of_range(self, preset):
+        d = preset.dim
+        for i in (-1, -d, d):
+            with pytest.raises(ValueError) as exc:
+                preset.probability(i)
+            assert str(exc.value) == f"target index {i} out of range [0, {d})"
+
     def test_probabilities_take_numpy_array_abs(self, rng):
         s = random_state(rng, 1000)
         assert s.probabilities().tobytes() == (np.abs(s.amplitudes) ** 2).tobytes()

@@ -12,6 +12,9 @@ definition, in ``demos/`` or in ``bench/``, as a name, an attribute or a
 string constant that is the bare identifier. Imports, ``__all__`` and
 docstrings name without reading, so they do not count.
 
+``analysis`` is the closed-form layer of a sweep: it does not import
+``sampler``, whose draws ``cli`` joins to the sweep's rows.
+
 Every request limit has one owner, ``guards.py``: no other module raises
 ``ScaleError`` or binds a ``*_GUARD`` or ``MAX_*`` name, and ``guards``
 imports only the standard library, so it, the package root and ``cli``
@@ -175,6 +178,27 @@ def test_imports_all_and_docstrings_are_not_reads():
         '    return getattr(m, "expectation_dense")(g.h, "not one identifier")\n'
     )
     assert words_read(tree) == {"getattr", "m", "expectation_dense", "g", "h"}
+
+
+def test_analysis_is_closed_form():
+    """``analysis`` computes a sweep's closed forms alone: it imports nothing
+    from ``sampler`` and binds no global, and ``convergence_sweep`` takes
+    exactly ``(state, j, n_list)``; ``converge --sample`` draws itself."""
+    tree = _tree(PACKAGE / "analysis.py")
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [m for m in imported if m.rsplit(".", 1)[-1] == "sampler"] == []
+    assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+    [sweep] = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "convergence_sweep"]
+    args = sweep.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == [
+        "state", "j", "n_list"]
+    assert args.vararg is None and args.kwarg is None
 
 
 def test_guards_import_only_the_standard_library():
