@@ -24,8 +24,10 @@ layers it calls: ``verify`` binds ``dense``; ``sample`` ``hilbert`` and
 formatted 100 rows at a time, from one block of their last two digits.
 
 ``freqop`` and ``python -m freqop.cli`` enter through :func:`run`: once
-``main`` returns, it flushes stdout and stderr and ends the process with
-``os._exit``, sparing the interpreter's teardown.
+``main`` returns, or argparse exits for ``--help``, ``--version`` or a
+usage error, it flushes stdout and stderr and ends the process with
+``os._exit``, sparing the interpreter's teardown. Only an uncaught
+exception takes the normal exit, which prints its traceback.
 """
 
 from __future__ import annotations
@@ -466,10 +468,14 @@ def run() -> None:
     That skips the interpreter's teardown, which frees every object and
     module one at a time; the OS reclaims the memory anyway. By then an
     ``--out`` file is closed (``_emit``) and the sampler's threads are
-    joined. ``SystemExit`` (``--help``, ``--version``, a usage error) and
-    an uncaught exception, whose traceback must print, leave ``main`` by
-    the normal exit."""
-    rc = main()
+    joined. argparse's ``SystemExit`` (``--help``, ``--version``, a usage
+    error) ends the same way, with its code: it leaves ``parse_args``
+    before any layer, file or thread exists. Only an uncaught exception,
+    whose traceback must print, leaves by the normal exit."""
+    try:
+        rc = main()
+    except SystemExit as exc:
+        rc = exc.code  # argparse's int: 0, or 2 for a usage error
     try:
         sys.stdout.flush()
     except BrokenPipeError:
