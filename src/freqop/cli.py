@@ -314,6 +314,9 @@ def cmd_converge(args) -> int:
     ns = check_n_list(_parse_n_list(args.n_list))
     if args.sample:
         check_sampling(args.trials, args.seed, ns)
+    else:
+        # Nothing is drawn, so the meta echoes no trial count or seed.
+        args.trials = args.seed = None
     _load_layers("hilbert", "analysis", *(("sampler",) if args.sample else ()))
     state = parse_state(args.state)
     rows = analysis.convergence_sweep(state, args.j, ns)

@@ -300,6 +300,16 @@ class TestConverge:
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines[1].split(",")[4] != ""
 
+    def test_config_echoes_trials_and_seed_only_when_sampled(self, capsys):
+        """An unsampled sweep reads neither default, so its meta names none;
+        ``--sample`` echoes the defaults it drew with."""
+        argv = ("converge", "--state", "two-level:0.5", "--n-list", "10,100")
+        _, doc = run_json(capsys, *argv)
+        assert not {"trials", "seed"} & doc["meta"]["config"].keys()
+        _, doc = run_json(capsys, *argv, "--sample")
+        config = doc["meta"]["config"]
+        assert (config["trials"], config["seed"], doc["meta"]["seed"]) == (1000, 0, 0)
+
 
 class TestSampleAndSpectrum:
     @pytest.mark.parametrize("n", ["0", "-3"])
