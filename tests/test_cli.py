@@ -691,10 +691,12 @@ ARGV_ONLY_RUNS = {
 # The start of a harness script that runs ``freqop.cli`` as ``__main__`` and
 # then reports on the child: ``cli.run`` ends the process with ``os._exit``
 # after its flush, which would end the child before the report, so here
-# ``os._exit`` raises ``SystemExit`` instead.
+# ``os._exit`` appends its code to ``exits`` and raises ``SystemExit``.
 RAISING_EXIT = (
     "import os, runpy, sys\n"
+    "exits = []\n"
     "def _exit(rc):\n"
+    "    exits.append(rc)\n"
     "    raise SystemExit(rc)\n"
     "os._exit = _exit\n"
 )
@@ -702,8 +704,9 @@ RAISING_EXIT = (
 
 @pytest.mark.parametrize("name", list(ARGV_ONLY_RUNS))
 def test_argv_only_runs_import_no_numpy(name):
-    """``python -m freqop.cli`` in a child that then prints, as its last
-    stdout line, whether numpy was imported."""
+    """``python -m freqop.cli`` in a child that then prints, as its last two
+    stdout lines, the codes it passed to ``os._exit`` and whether numpy was
+    imported. argparse's exits end through ``cli.run``'s ``os._exit`` too."""
     argv, code, error = ARGV_ONLY_RUNS[name]
     script = (
         RAISING_EXIT +
@@ -711,6 +714,7 @@ def test_argv_only_runs_import_no_numpy(name):
         "    runpy.run_module('freqop.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
+        "print(exits)\n"
         "print('numpy' in sys.modules)\n"
         "sys.exit(rc)\n"
     )
@@ -718,7 +722,8 @@ def test_argv_only_runs_import_no_numpy(name):
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
-    *out, numpy_loaded = proc.stdout.splitlines()
+    *out, exits, numpy_loaded = proc.stdout.splitlines()
+    assert exits == f"[{code}]"
     assert numpy_loaded == "False"
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     if error is None:
@@ -880,17 +885,26 @@ def test_uncaught_exception_still_prints_its_traceback():
     assert "Traceback" in proc.stderr and "import of freqop.dense halted" in proc.stderr
 
 
-@pytest.mark.parametrize("extra_env", [{}, {"PYTHONUNBUFFERED": "1"}],
-                         ids=["buffered", "unbuffered"])
-def test_pipe_closed_before_the_write_exits_141(extra_env):
+STATS_ARGV = ["stats", "--state", "two-level:0.3", "--n", "10"]
+
+
+@pytest.mark.parametrize("argv, extra_env", [
+    pytest.param(STATS_ARGV, {}, id="buffered"),
+    pytest.param(STATS_ARGV, {"PYTHONUNBUFFERED": "1"}, id="unbuffered"),
+    # argparse's own exits. Unbuffered, argparse swallows the write's
+    # error and exits 0, so only the buffered case is pinned.
+    pytest.param(["--version"], {}, id="buffered-version"),
+    pytest.param(["--help"], {}, id="buffered-help"),
+    pytest.param(["stats", "--help"], {}, id="buffered-stats-help"),
+])
+def test_pipe_closed_before_the_write_exits_141(argv, extra_env):
     """No reader at all: a block-buffered stdout fails at ``cli.run``'s
     flush, an unbuffered one at the write in ``main``; either way the
     child exits 141 and writes nothing to stderr."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = real_child(["stats", "--state", "two-level:0.3", "--n", "10"],
-                          env=extra_env,
+        proc = real_child(argv, env=extra_env,
                           stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
