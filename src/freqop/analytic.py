@@ -181,33 +181,27 @@ def _window(n: int, p: float) -> tuple[int, int]:
     Gordon 1989) holds for every k, so each term outside [a, b] is below
     e**-WINDOW_MARGIN times the floor. D falls to 0 at k = Np and rises on
     either side of it, and the mode m is inside (pmf(m) >= 1/(N+1), so
-    N·D(m/N || p) <= ln(N+1)), so each edge is found by bisection between m
-    and 0 or N, never evaluating D at every count.
+    N·D(m/N || p) <= ln(N+1)), so each edge is found by bisection on the
+    counts from m to 0 or to N, never evaluating D at every count.
     """
+    from bisect import bisect_left  # here, not at the top: only spectrum calls this
+
     m = _mode(n, p)
     if not 0.0 < p < 1.0:
         return m, m
     limit = -math.log(WEIGHT_FLOOR) + WINDOW_MARGIN
     log_p, log_q = math.log(p), math.log1p(-p)
 
-    def inside(k: int) -> bool:
+    def outside(k: int) -> bool:
         rate = k * (math.log(k / n) - log_p) if k else 0.0
         if k < n:
             rate += (n - k) * (math.log((n - k) / n) - log_q)
-        return rate <= limit
+        return rate > limit
 
-    def edge(inner: int, outer: int) -> int:
-        if inside(outer):
-            return outer
-        while abs(outer - inner) > 1:
-            mid = (inner + outer) // 2
-            if inside(mid):
-                inner = mid
-            else:
-                outer = mid
-        return inner
-
-    return edge(m, 0), edge(m, n)
+    # The first count outside, walking from m down to 0 and from m up to N.
+    down = bisect_left(range(m, -1, -1), True, key=outside)
+    up = bisect_left(range(m, n + 1), True, key=outside)
+    return m + 1 - down, m + up - 1
 
 
 def spectral_weights(spec: EnsembleSpec) -> np.ndarray:

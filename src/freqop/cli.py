@@ -454,11 +454,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # The reader closed stdout (`| head -1`): no error line, and with fd 1
-        # on /dev/null the flush at exit stays silent.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
+        # The reader closed stdout (`| head -1`): no error line.
         return EXIT_BROKEN_PIPE
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,13 +41,12 @@ def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
 
 def build_frequency_operator(spec: EnsembleSpec) -> np.ndarray:
     """Literal construction: sum over all basis strings of f_j times the
-    rank-one projector onto that string, returned as its diagonal."""
+    rank-one projector onto that string, returned as its diagonal; the
+    strings are enumerated in index order (``itertools.product``)."""
     d, n, j = spec.state.dim, spec.n, spec.j
     total = guards.check_literal_scale(d, n)
-    diag = np.zeros(total, dtype=np.complex128)
-    for string in itertools.product(range(d), repeat=n):
-        diag[string_to_index(string, d)] = string.count(j) / n
-    return diag
+    strings = itertools.product(range(d), repeat=n)
+    return np.fromiter((s.count(j) / n for s in strings), np.complex128, total)
 
 
 def _site_sum(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -214,11 +213,9 @@ def verify_operator_algebra(d: int, n: int) -> dict:
         report["hermiticity"] = max(
             float(np.max(np.abs(op - op.conj()))) for op in ops
         )
+        pairs = itertools.combinations(ops, 2)
         report["max_commutator"] = max(
-            float(np.max(np.abs(ops[a] * ops[b] - ops[b] * ops[a])))
-            for a in range(d)
-            for b in range(a + 1, d)
-        ) if d > 1 else 0.0
+            (float(np.max(np.abs(a * b - b * a))) for a, b in pairs), default=0.0)
         report["sum_to_identity"] = max(
             report["sum_to_identity"], float(np.max(np.abs(sum(ops) - 1.0)))
         )

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 from math import comb
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -214,6 +216,49 @@ def test_window_matches_full_table(case):
     n, p = case
     expected = full_table_weights(n, p)
     assert spectral_weights(spec_with_p(n, p)).tobytes() == expected.tobytes()
+
+
+def chernoff_rate(n: int, k: int, p: float) -> mpmath.mpf:
+    """N·D(k/N || p), the Chernoff exponent of the count k, at 30 digits
+    from the float p itself, with 0 log 0 = 0."""
+    with mpmath.workdps(30):
+        p = mpmath.mpf(p)
+        rate = k * (mpmath.log(mpmath.mpf(k) / n) - mpmath.log(p)) if k else mpmath.mpf(0)
+        if k < n:
+            rate += (n - k) * (mpmath.log(mpmath.mpf(n - k) / n) - mpmath.log1p(-p))
+        return rate
+
+
+# Room for the package's float rounding of the rate. At an edge the rate
+# moves by more than 0.07 from one count to the next (N <= 10**6), so a
+# window one count too wide or too narrow still fails.
+RATE_SLACK = 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes_and_probabilities())
+@example((1, 0.5))
+@example((10**6, 0.3712))
+@example((10**6, 5e-324))
+@example((10**6, 1 - 1e-12))
+def test_window_edges_are_tight(case):
+    """[a, b] holds the mode and is exactly the run of counts within the
+    Chernoff limit: the rate is within it at a and b and above it at a - 1
+    and b + 1. A window too wide still matches the full table, because its
+    extra terms floor to the same zeros; only this test sees it."""
+    n, p = case
+    a, b = analytic._window(n, p)
+    mode = min(int((n + 1) * Fraction(p)), n)
+    if p in (0.0, 1.0):
+        assert (a, b) == (mode, mode)
+        return
+    limit = -math.log(analytic.WEIGHT_FLOOR) + analytic.WINDOW_MARGIN
+    assert a <= mode <= b
+    for k in (a, b):
+        assert chernoff_rate(n, k, p) <= limit + RATE_SLACK, k
+    for k in (a - 1, b + 1):
+        if 0 <= k <= n:
+            assert chernoff_rate(n, k, p) > limit - RATE_SLACK, k
 
 
 @pytest.mark.parametrize("p", [1e-7, 0.01, 0.3712, 0.5, 0.9999, 3 / 11])

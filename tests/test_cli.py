@@ -811,29 +811,40 @@ def test_array_commands_import_numpy(name):
     assert proc.stdout.splitlines()[-1] == repr(expected).encode()
 
 
-def test_closed_stdout_pipe_exits_141_without_an_error_line():
+# The exit path of ``freqop`` itself: a ``python -m freqop.cli`` child, with
+# nothing patched, ends through ``cli.run``'s flush and ``os._exit``. Its
+# stdout is block-buffered (no PYTHONUNBUFFERED) unless ``env`` sets it, so
+# the output reaches the pipe at that flush.
+def real_child_env(env=()) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+def real_child(argv, env=(), **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "freqop.cli", *argv],
+                          env=real_child_env(env),
+                          cwd=SRC.parent / "tests" / "golden", **kwargs)
+
+
+@pytest.mark.parametrize("extra_env", [
+    pytest.param({}, id="buffered"),
+    pytest.param({"PYTHONUNBUFFERED": "1"}, id="unbuffered"),
+])
+def test_closed_stdout_pipe_exits_141_without_an_error_line(extra_env):
     """A reader that stops after one line (``| head -1``) is not a usage
     error: the child exits 141, as a shell reports for a filter killed by
-    SIGPIPE, and writes nothing to stderr, not even at its final flush."""
+    SIGPIPE, and writes nothing to stderr, not even at its final flush.
+    Unbuffered, the failed write in ``main`` returns 141; buffered, the
+    output still held fails again at ``cli.run``'s flush."""
     argv = ["spectrum", "--state", "two-level:0.5", "--n", "1000000", "--format", "csv"]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    with subprocess.Popen([sys.executable, "-m", "freqop.cli", *argv], env=env,
+    with subprocess.Popen([sys.executable, "-m", "freqop.cli", *argv],
+                          env=real_child_env(extra_env),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b'# tool="freqop"\n'
         proc.stdout.close()
         err = proc.stderr.read()
     assert proc.returncode == 141 and err == b"", err
-
-
-# The exit path of ``freqop`` itself: a ``python -m freqop.cli`` child, with
-# nothing patched, ends through ``cli.run``'s flush and ``os._exit``. Its
-# stdout is block-buffered (no PYTHONUNBUFFERED), so the output reaches the
-# pipe at that flush.
-def real_child(argv, env=(), **kwargs) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
-    env["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, "-m", "freqop.cli", *argv], env=env,
-                          cwd=SRC.parent / "tests" / "golden", **kwargs)
 
 
 # The golden cases of each command and format that no other test runs as a

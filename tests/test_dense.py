@@ -16,8 +16,8 @@ from freqop.dense import (
     statistics_dense,
     verify_operator_algebra,
 )
-from freqop.guards import LITERAL_ROUTE_GUARD, ScaleError, check_literal_scale
-from freqop.hilbert import EnsembleSpec, StateVector
+from freqop.guards import LITERAL_ROUTE_GUARD, ScaleError, check_literal_scale, fits
+from freqop.hilbert import EnsembleSpec, StateVector, string_to_index
 
 from conftest import random_state
 
@@ -74,6 +74,21 @@ class TestBuild:
         for n in range(1, 7):
             dev = verify_operator_algebra(d, n)["construction_route_deviation"]
             assert dev < 1e-14
+
+    def test_literal_diagonal_bytes_match_a_per_string_reference(self):
+        """Every (d, N) the literal guard admits for d = 1..6, plus d = 64
+        and 4096: each string's frequency placed at its own index gives the
+        literal route's bytes. Every j for d <= 3, the first and last above."""
+        sizes = [(d, n) for d in range(1, 7) for n in range(1, 13)
+                 if fits(d, n, LITERAL_ROUTE_GUARD)]
+        for d, n in [*sizes, (64, 2), (4096, 1)]:
+            for j in range(d) if d <= 3 else (0, d - 1):
+                expected = np.zeros(d**n, dtype=np.complex128)
+                for string in itertools.product(range(d), repeat=n):
+                    expected[string_to_index(string, d)] = string.count(j) / n
+                op = build_frequency_operator(EnsembleSpec(StateVector.uniform(d), n, j))
+                assert op.dtype == np.complex128, (d, n, j)
+                assert op.tobytes() == expected.tobytes(), (d, n, j)
 
     def test_projector_sum_matches_counts(self):
         for d, n in [(2, 6), (3, 4), (2, 12), (3, 7)]:
