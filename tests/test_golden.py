@@ -52,6 +52,12 @@ CASES = {
     "stats_two_level_n16_cross_check": (
         "stats", *TWO_LEVEL, "--j", "1", "--n", "16", "--cross-check"),
     "stats_d3_n12_cross_check": ("stats", *D3, "--j", "2", "--n", "12", "--cross-check"),
+    # The largest product space the dense oracle takes, 2**20 strings.
+    "stats_two_level_n20_cross_check": (
+        "stats", "--state", "two-level:0.3712", "--j", "1", "--n", "20", "--cross-check"),
+    # 5**8 = 390625 strings: not a power of two, so the sums' halves end on odd tails.
+    "stats_uniform5_n8_cross_check": (
+        "stats", "--state", "uniform:5", "--j", "3", "--n", "8", "--cross-check"),
     # Closed forms of a d=3 state, a preset and a JSON file, with no dense oracle.
     "stats_uniform3": ("stats", "--state", "uniform:3", "--j", "2", "--n", "1000"),
     "stats_d3": ("stats", *D3, "--j", "2", "--n", "100000"),
