@@ -3,12 +3,15 @@
 Everything here works with explicit vectors (coefficients, Born weights) on
 the d**N product space. The frequency operator is diagonal in the product basis, so an
 operator is its complex128 diagonal, a vector of length d**N; no d**N x d**N
-matrix is ever built. The closed forms in :mod:`freqop.analytic` are
-validated against these routines.
+matrix is ever built. ``statistics_dense`` holds no vector of d**N entries
+either: it walks the basis strings in blocks and sums them in numpy's
+pairwise order. The closed forms in :mod:`freqop.analytic` are validated
+against these routines.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -18,6 +21,7 @@ from .hilbert import (
     StateVector,
     born_weights,
     kron_fold,
+    pairwise_sum,
     product_state_vector,
     string_to_index,
 )
@@ -113,32 +117,69 @@ def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
     return diag_route
 
 
+# Most basis strings in one block of statistics_dense's weights and counts,
+# and in one node of its pairwise sums.
+_BLOCK = 2**15
+_NODE = 2**13
+
+
 def statistics_dense(spec: EnsembleSpec) -> dict:
     """<psi^N| F |psi^N>, |F psi^N - p psi^N|^2 (p = |c_j|^2) and
     <F psi^N | F psi^N>, in ``stats`` order. F is diagonal, so each is a sum
-    over basis strings of the Born weight w times f, (f - p)^2 or f^2, taken
-    by numpy's pairwise sums: no BLAS call, so no CPU-count dependence.
+    over basis strings of the Born weight w times f, (f - p)^2 or f^2. Each
+    has the bits of ``np.sum`` over the d**N products w * f, w * (f - p)**2
+    and w * f * f: no BLAS call, so no CPU-count dependence.
 
-    Holds w, the int8 counts and one float vector f; w and f are updated in
-    place: w * f and then w * f * f reuse w, so each sum sees the same
-    values in the same order as the three separate products would give."""
-    n = spec.n
-    w = born_weights(spec)
-    counts = frequency_counts(spec.state.dim, n, spec.j)
-    f = counts / n
-    f -= spec.born_probability
-    np.square(f, out=f)
-    f *= w
-    distance_sq = float(np.sum(f))
-    np.divide(counts, n, out=f)
-    w *= f
-    expectation = float(np.sum(w))
-    w *= f
-    return {
-        "expectation": expectation,
-        "distance_sq": distance_sq,
-        "gram": float(np.sum(w)),
-    }
+    No vector of d**N entries is held. The strings are walked in blocks of
+    the last m digits, d**m <= ``_BLOCK`` with m >= 1. A block's weights
+    are the Kronecker fold of the probabilities started from its prefix's
+    fold, which gives each entry the full fold's bits (a prefix weight
+    times a table of suffix weights would round differently); its counts
+    are the prefix's count plus one table of suffix counts. The sums follow
+    numpy's pairwise tree (``pairwise_sum``) down to runs of at most
+    ``_NODE`` strings: each is one ``np.sum`` over its slice, gathered from
+    the blocks it spans, and the runs' sums are added in tree order."""
+    d, n, j = spec.state.dim, spec.n, spec.j
+    total = guards.check_vector_scale(d, n)
+    p = spec.born_probability
+    probs = spec.state.probabilities()
+    hit = np.zeros(d, dtype=np.int8)
+    hit[j] = 1
+    m = 1
+    while m < n and d ** (m + 1) <= _BLOCK:
+        m += 1
+    width = d**m
+    suffix = kron_fold(hit, m, np.add)
+    if m < n:
+        starts, offsets = kron_fold(probs, n - m), kron_fold(hit, n - m, np.add)
+    else:
+        starts, offsets = np.ones(1), np.zeros(1, dtype=np.int8)
+
+    @functools.lru_cache(maxsize=1)  # a node starts in the block where the last one ended
+    def block(k):
+        return kron_fold(probs, m, start=starts[k]), suffix + offsets[k]
+
+    def run(lo, size):
+        """Weights and counts of the strings lo .. lo + size - 1."""
+        k, lo = divmod(lo, width)
+        w, counts = block(k)
+        if lo + size <= width:
+            return w[lo : lo + size], counts[lo : lo + size]
+        w2, counts2 = run((k + 1) * width, lo + size - width)
+        return np.concatenate((w[lo:], w2)), np.concatenate((counts[lo:], counts2))
+
+    def node(lo, size):
+        w, counts = run(lo, size)
+        f = counts / n
+        e = w * f
+        g = e * f
+        f -= p
+        np.square(f, out=f)
+        f *= w
+        return np.array((e.sum(), f.sum(), g.sum()))
+
+    sums = pairwise_sum(node, 0, total, _NODE)
+    return dict(zip(("expectation", "distance_sq", "gram"), map(float, sums)))
 
 
 def expectation_dense(spec: EnsembleSpec) -> float:

@@ -13,7 +13,7 @@ import json
 import math
 from array import array
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from operator import add, mul
 
@@ -26,19 +26,28 @@ def _is_json_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _pairwise_sum(a, lo: int, n: int) -> float:
-    """``np.sum``'s bits for a[lo : lo + n], by numpy's pairwise float64 sum
-    term for term: below 8 terms one running sum from 0.0, up to 128 eight
-    interleaved sums, above that the halves, split at a multiple of 8."""
+def pairwise_sum(node, lo: int, n: int, size: int = 128):
+    """The n terms from index lo added in numpy's pairwise float64 order: a
+    run of more than 128 terms splits at the multiple of 8 below its middle
+    into halves whose sums are added. node(lo, k) sums a run of k <= size
+    terms; runs are visited left to right. numpy sums each run of its tree
+    as ``np.sum`` sums that run alone, so with size >= 128 and nodes that
+    have ``np.sum``'s bits the total has them too."""
+    if n <= size:
+        return node(lo, n)
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(node, lo, half, size) + pairwise_sum(node, lo + half, n - half, size)
+
+
+def _leaf_sum(a, lo: int, n: int) -> float:
+    """``np.sum``'s bits for a[lo : lo + n], n <= 128, term for term: below
+    8 terms one running sum from 0.0, else eight interleaved sums."""
     if n < 8:
         return reduce(add, a[lo : lo + n], 0.0)
-    if n <= 128:
-        m = lo + n - n % 8
-        r = [reduce(add, a[i:m:8]) for i in range(lo, lo + 8)]
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, a[m : lo + n], res)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+    m = lo + n - n % 8
+    r = [reduce(add, a[i:m:8]) for i in range(lo, lo + 8)]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, a[m : lo + n], res)
 
 
 class StateVector:
@@ -66,8 +75,8 @@ class StateVector:
             raise ValueError("state vector needs at least one amplitude")
         re, im = parts[0::2], parts[1::2]
         # Pairwise, as np.sum: a running sum's error passes NORM_TOL near 10**6.
-        total = _pairwise_sum(array("d", map(add, map(mul, re, re), map(mul, im, im))),
-                              0, len(re))
+        squares = array("d", map(add, map(mul, re, re), map(mul, im, im)))
+        total = pairwise_sum(partial(_leaf_sum, squares), 0, len(re))
         if not math.isfinite(total) and not all(map(math.isfinite, parts)):
             raise ValueError("state amplitudes must be finite")
         norm = math.sqrt(total)
@@ -195,10 +204,12 @@ def string_to_index(indices, d: int) -> int:
     return idx
 
 
-def kron_fold(factor, n: int, ufunc=None):
+def kron_fold(factor, n: int, ufunc=None, start=None):
     """The n-fold Kronecker fold of a 1-D numpy factor under a binary ufunc
-    (``np.multiply`` if None): at basis string (i_1, ..., i_n), factor[i_1]
-    op ... op factor[i_n], folded left to right from ``ufunc.identity``.
+    (``np.multiply`` if None): at basis string (i_1, ..., i_n), start op
+    factor[i_1] op ... op factor[i_n], folded left to right from ``start``
+    (``ufunc.identity`` if None). Started from the fold of a prefix, it
+    gives the entries of the strings with that prefix the full fold's bits.
     ``np.multiply`` gives the Kronecker power with ``np.kron``'s bytes;
     ``np.add`` on j's indicator gives the count of j. The first site is one
     ufunc call; each later one writes column i of an (M, d) buffer,
@@ -210,7 +221,7 @@ def kron_fold(factor, n: int, ufunc=None):
     if n < 1:
         raise ValueError(f"Kronecker fold needs n >= 1, got {n}")
     ufunc = np.multiply if ufunc is None else ufunc
-    out = ufunc(factor.dtype.type(ufunc.identity), factor)
+    out = ufunc(factor.dtype.type(ufunc.identity if start is None else start), factor)
     for _ in range(n - 1):
         new = np.empty((out.size, factor.size), dtype=out.dtype)
         for i in range(factor.size):

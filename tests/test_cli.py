@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from freqop import analysis, analytic, cli, dense
 from freqop.cli import CSV_CHUNK_ROWS, main, parse_state
+from freqop.hilbert import kron_fold
 
 from test_golden import CASES, golden_path
 
@@ -210,7 +211,11 @@ class TestStats:
         assert doc["result"]["cross_check_deviation"] < 1e-11
 
     def test_cross_check_builds_each_vector_once(self, capsys, monkeypatch):
-        calls = []
+        # N = 17: the two-digit prefixes' weights and counts, one table of
+        # suffix counts and four blocks of 2**15 weights, each folded once
+        # from its prefix's weight. No vector of 2**17 entries is built,
+        # and no product-state amplitude.
+        calls, folds = [], []
 
         def counting(name):
             build = getattr(dense, name)
@@ -220,14 +225,21 @@ class TestStats:
                 return build(*args)
             return wrapper
 
+        def folding(factor, n, ufunc=None, start=None):
+            folds.append((factor.dtype.kind, n, start is not None))
+            return kron_fold(factor, n, ufunc, start)
+
         for name in ("born_weights", "frequency_counts", "product_state_vector"):
             monkeypatch.setattr(dense, name, counting(name))
+        monkeypatch.setattr(dense, "kron_fold", folding)
         code, doc = run_json(
-            capsys, "stats", "--state", "two-level:0.36", "--j", "1", "--n", "8",
+            capsys, "stats", "--state", "two-level:0.36", "--j", "1", "--n", "17",
             "--cross-check",
         )
         assert code == 0 and doc["result"]["cross_check"] == "PASS"
-        assert sorted(calls) == ["born_weights", "frequency_counts"]
+        assert calls == []
+        assert sorted(folds) == sorted(
+            [("f", 2, False), ("i", 2, False), ("i", 15, False)] + [("f", 15, True)] * 4)
 
     def test_cross_check_refused_before_closed_forms(self, capsys, monkeypatch):
         # 3**13 is above the vector guard though N = 13 <= 20 passes the

@@ -14,9 +14,10 @@ from freqop.hilbert import (
     EnsembleSpec,
     StateVector,
     kron_fold,
+    pairwise_sum,
     product_state_vector,
     string_to_index,
-    _pairwise_sum,
+    _leaf_sum,
 )
 
 from conftest import random_state
@@ -85,7 +86,8 @@ class TestStateVectorWithoutNumpy:
     def test_pairwise_sum_matches_np_sum(self, rng):
         for _ in range(300):
             a = rng.random(int(rng.integers(1, 5000))) * 10.0 ** rng.integers(-3, 4)
-            assert _pairwise_sum(array("d", a.tolist()), 0, a.size) == np.sum(a)
+            assert pairwise_sum(functools.partial(_leaf_sum, array("d", a.tolist())), 0, a.size) \
+                == np.sum(a)
 
     @pytest.mark.parametrize("dim", [1, 3, 1000, 4099])
     def test_norm_check_matches_numpy_one_ulp_either_side(self, rng, dim):
@@ -216,6 +218,14 @@ class TestKronFold:
                 functools.reduce(ufunc, s, ufunc.identity)
                 for s in itertools.product(factor.tolist(), repeat=n)
             ]
+
+    @pytest.mark.parametrize("d, n", [(2, 12), (3, 7), (7, 4)])
+    def test_folds_started_from_each_prefix_give_the_full_folds_bytes(self, rng, d, n):
+        factor = random_state(rng, d).probabilities()
+        full = kron_fold(factor, n).tobytes()
+        for k in range(1, n):
+            blocks = [kron_fold(factor, n - k, start=s) for s in kron_fold(factor, k)]
+            assert np.concatenate(blocks).tobytes() == full, k
 
     def test_refuses_an_empty_fold_and_the_guard(self):
         with pytest.raises(ValueError, match="n >= 1"):

@@ -194,23 +194,39 @@ def test_statistics_dense_matches_three_products(spec):
     assert dense.statistics_dense(spec) == _statistics_reference(spec)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 16, 1024, 4099])
 def test_statistics_dense_matches_three_products_at_the_guard(rng, d):
-    spec = EnsembleSpec(random_state(rng, d), _largest_n(d), d - 1)
-    assert dense.statistics_dense(spec) == _statistics_reference(spec)
+    # Blocks of d**m <= 2**15 strings and sums in runs of at most 2**13:
+    # runs that cross blocks (d = 3, 5, 7), runs of several blocks (16,
+    # 1024), one block of the last digit alone (4099) and odd tails (3**12).
+    state = random_state(rng, d)
+    for j in range(d) if d <= 5 else sorted({0, d - 1}):
+        spec = EnsembleSpec(state, _largest_n(d), j)
+        assert dense.statistics_dense(spec) == _statistics_reference(spec), j
+
+
+def test_statistics_dense_matches_three_products_at_each_n(rng):
+    # d = 2 from one string to the guard: one block up to N = 15, then
+    # 2**(N - 15) blocks and, from N = 14, more than one pairwise run.
+    state = random_state(rng, 2)
+    for n in range(1, 21):
+        spec = EnsembleSpec(state, n, 1)
+        assert dense.statistics_dense(spec) == _statistics_reference(spec), n
 
 
 def test_statistics_dense_peak_memory():
-    # Two float vectors of 8 MiB and 1 MiB of int8 counts: 17 MiB. Three
-    # full-size float temporaries peaked at 24.1 MiB.
-    spec = EnsembleSpec(StateVector.two_level(0.36), 20, 0)
-    tracemalloc.start()
-    try:
-        dense.statistics_dense(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 18 * 2**20, peak / 2**20
+    # One block of 2**15 weights and counts and the temporaries of one run
+    # of 2**13 strings. Holding the 2**20 weights, one float vector and
+    # the int8 counts peaked at 17.1 MiB at d = 2, N = 20.
+    for state, n in ((StateVector.two_level(0.36), 20), (StateVector.uniform(3), 12)):
+        spec = EnsembleSpec(state, n, 0)
+        tracemalloc.start()
+        try:
+            dense.statistics_dense(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, (state.dim, n, peak / 2**20)
 
 
 def _nearby(c: float, ulps: int) -> float:
