@@ -36,7 +36,8 @@ def pairwise_sum(node, lo: int, n: int, size: int = 128):
     if n <= size:
         return node(lo, n)
     half = n // 2 - n // 2 % 8
-    return pairwise_sum(node, lo, half, size) + pairwise_sum(node, lo + half, n - half, size)
+    return (pairwise_sum(node, lo, half, size)
+            + pairwise_sum(node, lo + half, n - half, size))
 
 
 def _leaf_sum(a, lo: int, n: int) -> float:

@@ -86,8 +86,8 @@ class TestStateVectorWithoutNumpy:
     def test_pairwise_sum_matches_np_sum(self, rng):
         for _ in range(300):
             a = rng.random(int(rng.integers(1, 5000))) * 10.0 ** rng.integers(-3, 4)
-            assert pairwise_sum(functools.partial(_leaf_sum, array("d", a.tolist())), 0, a.size) \
-                == np.sum(a)
+            leaf = functools.partial(_leaf_sum, array("d", a.tolist()))
+            assert pairwise_sum(leaf, 0, a.size) == np.sum(a)
 
     @pytest.mark.parametrize("dim", [1, 3, 1000, 4099])
     def test_norm_check_matches_numpy_one_ulp_either_side(self, rng, dim):

@@ -215,9 +215,8 @@ def test_statistics_dense_matches_three_products_at_each_n(rng):
 
 
 def test_statistics_dense_peak_memory():
-    # One block of 2**15 weights and counts and the temporaries of one run
-    # of 2**13 strings. Holding the 2**20 weights, one float vector and
-    # the int8 counts peaked at 17.1 MiB at d = 2, N = 20.
+    # One block of at most 2**15 weights and counts and the temporaries of
+    # one run of at most 2**13 strings; the 2**20 weights alone take 8 MiB.
     for state, n in ((StateVector.two_level(0.36), 20), (StateVector.uniform(3), 12)):
         spec = EnsembleSpec(state, n, 0)
         tracemalloc.start()
