@@ -45,6 +45,11 @@ CASES = {
     "verify_d2_n14": ("verify", "--dim", "2", "--n-max", "14"),
     # 3**7 = 2187 basis strings: the d=3 literal routes just below the guard.
     "verify_d3_n7": ("verify", "--dim", "3", "--n-max", "7"),
+    # The largest product space, 2**20 strings, and the largest d at N = 5
+    # and at N = 1 that the work guard admits.
+    "verify_d2_n20": ("verify", "--dim", "2", "--n-max", "20"),
+    "verify_d16_n5": ("verify", "--dim", "16", "--n-max", "5"),
+    "verify_d4096_n1": ("verify", "--dim", "4096", "--n-max", "1"),
     "stats_two_level": ("stats", *TWO_LEVEL, "--j", "1", "--n", "10"),
     "stats_uniform_cross_check": (
         "stats", "--state", "uniform:2", "--j", "1", "--n", "7", "--cross-check"),
