@@ -4,11 +4,11 @@ Every command emits machine-readable output (JSON by default, CSV where a
 row schema exists) with an embedded metadata block: tool version, the
 parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
-files. A JSON document is written at once, and so is a sweep's CSV table
-(``converge``, ``noncollapse``, one row per N), whose records, tuples and
-dicts are held whole anyway. A column table (``spectrum``, ``sample``) is
-never held whole as text: it is formatted from its array and written
-``CSV_CHUNK_ROWS`` rows at a time. Exit codes:
+files. A sweep's CSV table (``converge``, ``noncollapse``, one row per N)
+is written at once, as its records, tuples and dicts are held whole
+anyway. A column (``spectrum``, ``sample``) is never held whole as text,
+in JSON or CSV: it is formatted from its array and written
+``CSV_CHUNK_ROWS`` cells at a time. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 
 Each command runs its request in one order: the guards that need its
@@ -157,15 +157,13 @@ def _column_rows(w):
 
 
 def _column_json(w):
-    """``w.tolist()`` as ``json.dumps(indent=2)`` lays out a value of the
-    result (two levels deep): a float's JSON text is its ``repr``, and a
-    zero's is ``0.0``."""
+    """The items of ``w.tolist()`` as ``json.dumps(indent=2)`` lays out a
+    value of the result (two levels deep), one string per slice: a float's
+    JSON text is its ``repr``, and a zero's is ``0.0``."""
     sep = ",\n      "
-    items = "".join(
-        sep + sep.join(map(repr, w[c:d].tolist())) if nonzero else (sep + "0.0") * (d - c)
-        for c, d, nonzero in _slices(w)
-    )
-    return "[" + items[1:] + "\n    ]"
+    for c, d, nonzero in _slices(w):
+        items = map(repr, w[c:d].tolist()) if nonzero else ("0.0",) * (d - c)
+        yield (sep if c else sep[1:]) + sep.join(items)
 
 
 def _template_rows(rows) -> str:
@@ -185,17 +183,17 @@ def _csv_head(meta, header) -> str:
 
 
 def _json_text(doc, column):
-    """``json.dumps(doc, indent=2)``. A ``column`` must also be a value of
-    the result: it is rendered by :func:`_column_json` and spliced in,
-    sparing the encoder's pure-Python walk over its items."""
+    """``json.dumps(doc, indent=2)``, in pieces. A ``column`` must also be a
+    value of the result: it is rendered by :func:`_column_json` and spliced
+    in, sparing the encoder's pure-Python walk over its items."""
     if column is None:
-        return json.dumps(doc, indent=2)
+        return (json.dumps(doc, indent=2),)
     result = doc["result"]
     key = next(k for k, v in result.items() if v is column)
     text = json.dumps({**doc, "result": {**result, key: []}}, indent=2)
     # The result comes last, so its own key: [] is the last one in the text.
     head, empty, tail = text.rpartition(json.dumps(key) + ": []")
-    return head + empty[:-2] + _column_json(column) + tail
+    return itertools.chain((head + empty[:-1],), _column_json(column), ("\n    ]" + tail,))
 
 
 def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
@@ -203,13 +201,13 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
 
     The only place values turn into text: ``result`` and ``table`` hold what
     the layers return, as Python values or 1-D float arrays. JSON (the
-    default) is the meta block plus ``result``, written at once. CSV is the
-    meta block, then the ``result`` fields named in ``csv_meta``, one per
-    ``# key=value`` line, then ``table``, a ``(header, rows)`` pair with at
-    least one row. A sweep's tuple rows are a list the caller already
-    holds, with its records and ``result`` dicts, and are written in one
-    piece; a column's text is never held whole, but written at most
-    ``CSV_CHUNK_ROWS`` rows at a time.
+    default) is the meta block plus ``result``. CSV is the meta block, then
+    the ``result`` fields named in ``csv_meta``, one per ``# key=value``
+    line, then ``table``, a ``(header, rows)`` pair with at least one row.
+    A sweep's tuple rows are a list the caller already holds, with its
+    records and ``result`` dicts, and are written in one piece; in either
+    format a column's text is never held whole, but written at most
+    ``CSV_CHUNK_ROWS`` cells at a time.
 
     Rows are tuples, or a 1-D float array ``w``, a column whose row k is
     ``(k, w[k])``: the spectrum's weights or the sampled frequencies, by
@@ -222,7 +220,7 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     in both formats, with the same bytes as its rows would give, a slice of
     exact zeros from its indices alone: in CSV a zero row is ``k,0``, 100
     rows at a time from one block (:func:`_zero_rows`), and in JSON the
-    column, also a value of ``result``, is spliced into the document.
+    column, a value of ``result``, is spliced into the document by slices.
     """
     meta = _meta(args, extra_meta)
     header, rows = table or ((), None)
@@ -232,7 +230,7 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
         body = (_template_rows(rows),) if column is None else _column_rows(column)
         pieces = itertools.chain((_csv_head(meta, header),), body)
     else:
-        pieces = [_json_text({"meta": meta, "result": result}, column) + "\n"]
+        pieces = itertools.chain(_json_text({"meta": meta, "result": result}, column), ["\n"])
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as f:
             f.writelines(pieces)

@@ -3,15 +3,14 @@
 Everything here works with explicit vectors (coefficients, Born weights) on
 the d**N product space. The frequency operator is diagonal in the product basis, so an
 operator is its complex128 diagonal, a vector of length d**N; no d**N x d**N
-matrix is ever built. ``statistics_dense`` holds no vector of d**N entries
-either: it walks the basis strings in blocks and sums them in numpy's
-pairwise order. The closed forms in :mod:`freqop.analytic` are validated
-against these routines.
+matrix is ever built. The CLI's routes, ``verify_operator_algebra`` and
+``statistics_dense``, hold no vector of d**N entries either: both walk the
+basis strings in the same blocks (``_walk``). The closed forms in
+:mod:`freqop.analytic` are validated against these routines.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from math import comb
 
@@ -117,10 +116,39 @@ def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
     return diag_route
 
 
-# Most basis strings in one block of statistics_dense's weights and counts,
-# and in one node of its pairwise sums.
+# Most strings in a block of the walk, and in a pairwise run or a prefix table.
 _BLOCK = 2**15
 _NODE = 2**13
+
+
+def _walk(d: int, n: int, tables):
+    """Walk the d**n basis strings in index order, in blocks: the runs of
+    numpy's pairwise tree (``pairwise_sum``) of at most ``_BLOCK`` strings.
+    Per block, yield a generator of each Kronecker fold's entries on it,
+    built as read, for the (factor, ufunc) pairs of ``tables()``. At N = 1
+    a block slices the factor; a space of one block is folded whole. Else a
+    block folds on from its prefixes' folds, the first k < n digits with
+    d**k < ``_NODE``, at once: a float fold digit by digit, for the full
+    fold's bits, and an exact integer fold with its last n - k digits as one."""
+    # pairwise_sum adds the lists that its node returns, so this lists runs.
+    runs = pairwise_sum(lambda lo, size: [(lo, size)], 0, d**n, _BLOCK)
+    if n == 1 or len(runs) == 1:  # slices of the factors, or the whole space
+        for lo, size in runs:
+            yield ((factor if n == 1 else kron_fold(factor, n, ufunc))[lo : lo + size]
+                   for factor, ufunc in tables())
+        return
+    k = next((k for k in range(n - 1, 1, -1) if d**k < _NODE), 1)
+    width = d ** (n - k)
+    folds = []
+    for factor, ufunc in tables():
+        prefixes, sites = kron_fold(factor, k, ufunc), n - k
+        if factor.dtype.kind == "i":
+            factor, sites = kron_fold(factor, sites, ufunc), 1
+        folds.append((prefixes, factor, sites, ufunc))
+    for lo, size in runs:
+        (first, skip), last = divmod(lo, width), -(-(lo + size) // width)
+        yield (kron_fold(factor, sites, ufunc, start=prefixes[first:last])[skip : skip + size]
+               for prefixes, factor, sites, ufunc in folds)
 
 
 def statistics_dense(spec: EnsembleSpec) -> dict:
@@ -130,55 +158,29 @@ def statistics_dense(spec: EnsembleSpec) -> dict:
     has the bits of ``np.sum`` over the d**N products w * f, w * (f - p)**2
     and w * f * f: no BLAS call, so no CPU-count dependence.
 
-    No vector of d**N entries is held. The strings are walked in blocks of
-    the last m digits, d**m <= ``_BLOCK`` with m >= 1. A block's weights
-    are the Kronecker fold of the probabilities started from its prefix's
-    fold, which gives each entry the full fold's bits (a prefix weight
-    times a table of suffix weights would round differently); its counts
-    are the prefix's count plus one table of suffix counts. The sums follow
-    numpy's pairwise tree (``pairwise_sum``) down to runs of at most
-    ``_NODE`` strings: each is one ``np.sum`` over its slice, gathered from
-    the blocks it spans, and the runs' sums are added in tree order."""
-    d, n, j = spec.state.dim, spec.n, spec.j
+    No vector of d**N entries is held: the sums follow numpy's pairwise tree
+    down to runs of at most ``_NODE`` strings, each one ``np.sum`` of a slice
+    of a block of ``_walk``'s weights and counts."""
+    d, n, j, p = spec.state.dim, spec.n, spec.j, spec.born_probability
     total = guards.check_vector_scale(d, n)
-    p = spec.born_probability
-    probs = spec.state.probabilities()
-    hit = np.zeros(d, dtype=np.int8)
-    hit[j] = 1
-    m = 1
-    while m < n and d ** (m + 1) <= _BLOCK:
-        m += 1
-    width = d**m
-    suffix = kron_fold(hit, m, np.add)
-    if m < n:
-        starts, offsets = kron_fold(probs, n - m), kron_fold(hit, n - m, np.add)
-    else:
-        starts, offsets = np.ones(1), np.zeros(1, dtype=np.int8)
+    probs, hit = spec.state.probabilities(), np.eye(1, d, j, np.int8)[0]
+    blocks = _walk(d, n, lambda: ((probs, np.multiply), (hit, np.add)))
+    w = None
+    def block(lo, size):  # the walk's next block, which holds whole runs
+        nonlocal w  # held while the next block is built, so the heap reuses its pages
+        w, counts = next(blocks)
 
-    @functools.lru_cache(maxsize=1)  # a node starts in the block where the last one ended
-    def block(k):
-        return kron_fold(probs, m, start=starts[k]), suffix + offsets[k]
+        def run(lo, size):
+            f = counts[lo : lo + size] / n
+            e = w[lo : lo + size] * f
+            g = e * f
+            np.square(f - p, out=f)
+            f *= w[lo : lo + size]
+            return np.array((e.sum(), f.sum(), g.sum()))
 
-    def run(lo, size):
-        """Weights and counts of the strings lo .. lo + size - 1."""
-        k, lo = divmod(lo, width)
-        w, counts = block(k)
-        if lo + size <= width:
-            return w[lo : lo + size], counts[lo : lo + size]
-        w2, counts2 = run((k + 1) * width, lo + size - width)
-        return np.concatenate((w[lo:], w2)), np.concatenate((counts[lo:], counts2))
+        return pairwise_sum(run, 0, size, _NODE)
 
-    def node(lo, size):
-        w, counts = run(lo, size)
-        f = counts / n
-        e = w * f
-        g = e * f
-        f -= p
-        np.square(f, out=f)
-        f *= w
-        return np.array((e.sum(), f.sum(), g.sum()))
-
-    sums = pairwise_sum(node, 0, total, _NODE)
+    sums = pairwise_sum(block, 0, total, _BLOCK)
     return dict(zip(("expectation", "distance_sq", "gram"), map(float, sums)))
 
 
@@ -207,8 +209,8 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     d count vectors within the work guard. Up to the literal-route guard,
     with d**2 commutator pairs within the work guard, it also builds each
     literal diagonal once per j, checks the identities on it and compares
-    it with the projector sum. No explicit matrix is ever built, and only
-    one count vector is held at a time, so memory does not grow with d.
+    it with the projector sum. No explicit matrix is ever built, nor, as
+    the counts are walked in blocks (``_walk``), any vector of d**N entries.
 
     Returns the whole ``verify`` entry for this N: the maximum deviation of
     each identity, ``max_deviation`` over them, and, where the literal
@@ -221,29 +223,28 @@ def verify_operator_algebra(d: int, n: int) -> dict:
         d, n + 2, guards.VERIFY_WORK_GUARD)
 
     # Counts are exact integers, so spectrum membership is checked exactly:
-    # every diagonal entry must be k/N for an integer k in [0, N].
+    # each entry is k/N, k in [0, N], if F^j's eigenspaces hold all strings.
     expected = [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)]
-    in_range, multiplicity_ok = True, True
-    # One float sum in a fixed order over j, so sum_to_identity keeps its bytes.
-    diag_sum, f = np.zeros(d**n), np.empty(d**n)
-    for j in range(d):
-        counts = frequency_counts(d, n, j)
-        in_range &= bool(counts.min() >= 0 and counts.max() <= n)
-        multiplicity_ok &= in_range and [
-            np.count_nonzero(counts == k) for k in range(n + 1)] == expected
-        diag_sum += np.divide(counts, n, out=f)
-    del counts, f
-    diag_sum -= 1.0
+    multiplicities, deviation = np.zeros((d, n + 1), dtype=np.int64), 0.0
+    for block in _walk(d, n, lambda: (
+            (np.eye(1, d, j, np.int8)[0], np.add) for j in range(d))):
+        diag_sum = 0.0  # per string from 0.0 in order over j: the same bits in any block
+        for row, counts in zip(multiplicities, block):
+            # Below N = 8 count_nonzero beats bincount; as uint8 a negative count is above N.
+            row += ([np.count_nonzero(counts == k) for k in range(n + 1)] if n < 8
+                    else np.bincount(counts.view(np.uint8), minlength=n + 1)[: n + 1])
+            diag_sum += counts / n
+        deviation = max(deviation, float(diag_sum.max()) - 1, 1 - float(diag_sum.min()))
 
     report = {
         "n": n,
         "d": d,
         "dense_matrices": literal,
-        "sum_to_identity": float(np.max(np.abs(diag_sum, out=diag_sum))),
+        "sum_to_identity": deviation,
         "max_commutator": 0.0,
         "hermiticity": 0.0,
-        "spectrum_membership": 0.0 if in_range else float("inf"),
-        "multiplicity_ok": multiplicity_ok,
+        "spectrum_membership": 0.0 if (multiplicities.sum(1) == d**n).all() else float("inf"),
+        "multiplicity_ok": bool((multiplicities == expected).all()),
         "max_deviation": 0.0,  # set last; its place keeps the verify key order
     }
 

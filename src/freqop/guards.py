@@ -2,9 +2,9 @@
 its request here before any work. Every limit raises :class:`ScaleError`.
 Pure Python with no imports, so a refusal never depends on numpy."""
 
-# Largest product space the dense oracle takes. Vectors of this many entries
-# are materialized (verify's counts); statistics_dense walks the strings in
-# small blocks, so for stats --cross-check it bounds time, not memory.
+# Largest product space the dense oracle takes. verify and stats
+# --cross-check walk its strings in small blocks, so for them it bounds
+# time, not memory.
 DENSE_VECTOR_GUARD = 2**20
 
 # The literal constructions loop over every basis string in Python, so they

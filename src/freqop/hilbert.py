@@ -209,20 +209,21 @@ def kron_fold(factor, n: int, ufunc=None, start=None):
     """The n-fold Kronecker fold of a 1-D numpy factor under a binary ufunc
     (``np.multiply`` if None): at basis string (i_1, ..., i_n), start op
     factor[i_1] op ... op factor[i_n], folded left to right from ``start``
-    (``ufunc.identity`` if None). Started from the fold of a prefix, it
-    gives the entries of the strings with that prefix the full fold's bits.
-    ``np.multiply`` gives the Kronecker power with ``np.kron``'s bytes;
-    ``np.add`` on j's indicator gives the count of j. The first site is one
-    ufunc call; each later one writes column i of an (M, d) buffer,
-    ``out[x] op factor[i]``, with one call per digit: 1 + (n-1)*d calls in
-    all."""
+    (``ufunc.identity`` if None). Started from the fold of a prefix, or an
+    array of them, it gives the strings with each prefix in turn the full
+    fold's bits. ``np.multiply`` gives the Kronecker power with
+    ``np.kron``'s bytes; ``np.add`` on j's indicator gives the count of j.
+    The first site is one ufunc call; each later one writes column i of an
+    (M, d) buffer, ``out[x] op factor[i]``, with one call per digit:
+    1 + (n-1)*d calls in all."""
     import numpy as np
 
     check_vector_scale(factor.size, n)
     if n < 1:
         raise ValueError(f"Kronecker fold needs n >= 1, got {n}")
     ufunc = np.multiply if ufunc is None else ufunc
-    out = ufunc(factor.dtype.type(ufunc.identity if start is None else start), factor)
+    start = np.asarray(ufunc.identity if start is None else start, factor.dtype)
+    out = ufunc(start[..., None], factor).ravel()
     for _ in range(n - 1):
         new = np.empty((out.size, factor.size), dtype=out.dtype)
         for i in range(factor.size):

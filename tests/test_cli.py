@@ -211,10 +211,11 @@ class TestStats:
         assert doc["result"]["cross_check_deviation"] < 1e-11
 
     def test_cross_check_builds_each_vector_once(self, capsys, monkeypatch):
-        # N = 17: the two-digit prefixes' weights and counts, one table of
-        # suffix counts and four blocks of 2**15 weights, each folded once
-        # from its prefix's weight. No vector of 2**17 entries is built,
-        # and no product-state amplitude.
+        # N = 17: the weights and counts of the 2**12 prefixes of 12 digits
+        # and the counts of the 32 suffixes of 5, then four blocks of 2**15
+        # strings, each folding its weights on over the last 5 digits and
+        # adding its counts, once each, from its 2**10 prefixes' folds. No
+        # vector of 2**17 entries is built, and no product-state amplitude.
         calls, folds = [], []
 
         def counting(name):
@@ -239,7 +240,8 @@ class TestStats:
         assert code == 0 and doc["result"]["cross_check"] == "PASS"
         assert calls == []
         assert sorted(folds) == sorted(
-            [("f", 2, False), ("i", 2, False), ("i", 15, False)] + [("f", 15, True)] * 4)
+            [("f", 12, False), ("i", 12, False), ("i", 5, False)]
+            + [("f", 5, True), ("i", 1, True)] * 4)
 
     def test_cross_check_refused_before_closed_forms(self, capsys, monkeypatch):
         # 3**13 is above the vector guard though N = 13 <= 20 passes the
@@ -548,7 +550,8 @@ class TestCsvRows:
     def test_zero_rows_match_the_template(self, c, rows):
         assert cli._zero_rows(c, c + rows) == zero_template(c, c + rows)
 
-    def test_writes_at_most_a_chunk_of_rows(self, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writes_at_most_a_chunk_of_rows(self, monkeypatch, fmt):
         class Recording(io.StringIO):
             def __init__(self):
                 super().__init__()
@@ -561,10 +564,13 @@ class TestCsvRows:
         stdout = Recording()
         monkeypatch.setattr(sys, "stdout", stdout)
         argv = ["spectrum", "--state", "two-level:0.36", "--n", "100000",
-                "--format", "csv"]
+                "--format", fmt]
         assert main(argv) == 0
-        # Three meta lines, the header, and N + 1 rows.
-        assert stdout.getvalue().count("\n") == 4 + 100001
+        out = stdout.getvalue()
+        if fmt == "csv":  # three meta lines, the header, and N + 1 rows
+            assert out.count("\n") == 4 + 100001
+        else:  # one line per weight
+            assert len(json.loads(out)["result"]["weights"]) == 100001
         assert max(s.count("\n") for s in stdout.writes) <= CSV_CHUNK_ROWS
 
     def test_sweep_longer_than_a_chunk(self, capsys):

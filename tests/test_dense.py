@@ -244,12 +244,11 @@ class TestAlgebra:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
-    @pytest.mark.parametrize("d, n", [(2, 20), (16, 5)])
-    def test_one_float_vector_and_one_scratch_vector(self, d, n):
-        # 2**20 entries: the sum and the scratch vector at 8 MiB each, the
-        # int8 counts and their k-mask at 1 MiB each, and the next counts
-        # being built. The bincount cast and the full-size temporaries of
-        # counts / n and |sum - 1| peaked at 24.0 MiB.
+    @pytest.mark.parametrize("d, n", [(2, 20), (16, 5), (4096, 1)])
+    def test_peak_memory_holds_no_vector_of_the_whole_space(self, d, n):
+        # 2**20 strings at N = 20 and N = 5, and 4096 count vectors of 4096
+        # at N = 1. Holding the int8 counts, a float sum and one scratch
+        # vector of the whole space peaked at 18.5 MiB.
         tracemalloc.start()
         try:
             report = verify_operator_algebra(d, n)
@@ -257,7 +256,7 @@ class TestAlgebra:
         finally:
             tracemalloc.stop()
         assert report["multiplicity_ok"] and report["max_deviation"] <= 1e-14
-        assert peak <= 19 * 2**20, peak / 2**20
+        assert peak <= 2**20, peak / 2**20
 
     def test_large_dimension_at_n1(self):
         # d = 4096 count vectors of 4096 entries, each built in one call.
@@ -272,30 +271,35 @@ class TestAlgebra:
         assert report["multiplicity_ok"]
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_eigenspace_multiplicities(self, d, n, monkeypatch, capsys):
         # Multiplicities C(N, k) * (d-1)**(N-k), checked inside verify.
         assert verify_operator_algebra(d, n)["multiplicity_ok"] is True
         # One string's count moved down by one: still a valid eigenvalue,
         # but eigenspaces k and k-1 change size. A count of -1 is no
         # eigenvalue at all. Either is a tolerance FAIL (exit 1), not a
-        # usage error.
+        # usage error. Both reach verify through the walk's count blocks.
         def moved(counts):
             counts[int(np.argmax(counts))] -= 1
+            return counts
 
         def negative(counts):
             counts[0] = -1
+            return counts
 
+        walk = dense._walk
         for mutate, membership in ((moved, 0.0), (negative, float("inf"))):
-            def broken(d, n, j, mutate=mutate):
-                counts = frequency_counts(d, n, j)
-                mutate(counts)
-                return counts
+            def broken(d, n, tables, mutate=mutate):
+                for block in walk(d, n, tables):
+                    yield map(mutate, block)
 
-            monkeypatch.setattr(dense, "frequency_counts", broken)
+            monkeypatch.setattr(dense, "_walk", broken)
             report = verify_operator_algebra(d, n)
             assert report["spectrum_membership"] == membership
             assert report["multiplicity_ok"] is False
+            # The strings j...j now sum to 1 - 1/N; string 0...0 to -d/N.
+            assert report["sum_to_identity"] == pytest.approx(
+                1 / n if membership == 0.0 else 1 + d / n)
             assert main(["verify", "--dim", str(d), "--n-max", str(n)]) == 1
             capsys.readouterr()
 

@@ -224,8 +224,12 @@ class TestKronFold:
         factor = random_state(rng, d).probabilities()
         full = kron_fold(factor, n).tobytes()
         for k in range(1, n):
-            blocks = [kron_fold(factor, n - k, start=s) for s in kron_fold(factor, k)]
+            prefixes = kron_fold(factor, k)
+            blocks = [kron_fold(factor, n - k, start=s) for s in prefixes]
             assert np.concatenate(blocks).tobytes() == full, k
+            # All but the first prefix at once: the strings from d**(n-k) on.
+            rest = kron_fold(factor, n - k, start=prefixes[1:]).tobytes()
+            assert rest == full[8 * d ** (n - k):], k
 
     def test_refuses_an_empty_fold_and_the_guard(self):
         with pytest.raises(ValueError, match="n >= 1"):
