@@ -4,11 +4,11 @@ Every command emits machine-readable output (JSON by default, CSV where a
 row schema exists) with an embedded metadata block: tool version, the
 parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
-files. A sweep's CSV table (``converge``, ``noncollapse``, one row per N)
-is written at once, as its records, tuples and dicts are held whole
-anyway. A column (``spectrum``, ``sample``) is never held whole as text,
-in JSON or CSV: it is formatted from its array and written
-``CSV_CHUNK_ROWS`` cells at a time. Exit codes:
+files. Each command's table is held once, in its result: a sweep
+(``converge``, ``noncollapse``) as a list of row dicts, one per N, whose
+CSV is written at once; a column (``spectrum``, ``sample``) as its array,
+never held whole as text, in JSON or CSV: it is formatted from the array
+and written ``CSV_CHUNK_ROWS`` cells at a time. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 
 Each command runs its request in one order: the guards that need its
@@ -16,12 +16,11 @@ arguments alone, then the layers it calls, then the state, then the
 answer. So ``--version``, ``--help``, a usage error and a refused request
 import no numpy. Nor do ``stats``, ``noncollapse`` and ``converge``: only
 a command that builds arrays loads numpy. Each command binds only the
-layers it calls: ``verify`` binds ``dense``; ``sample`` ``hilbert`` and
-``sampler``; ``stats`` and ``spectrum`` (whose array ``analytic`` builds)
-``hilbert`` and ``analytic``, plus ``dense`` under ``--cross-check``;
-``converge`` and ``noncollapse`` ``hilbert`` and ``analysis``, plus
-``sampler`` under ``--sample``. A column's rows of exact zeros are
-formatted 100 rows at a time, from one block of their last two digits.
+layers it calls: ``verify`` binds ``hilbert`` and ``dense``; ``sample``
+``hilbert`` and ``sampler``; ``stats`` and ``spectrum`` (whose array
+``analytic`` builds) ``hilbert`` and ``analytic``, plus ``dense`` under
+``--cross-check``; ``converge`` and ``noncollapse`` ``hilbert`` and
+``analysis``, plus ``sampler`` under ``--sample``.
 
 ``freqop`` and ``python -m freqop.cli`` enter through :func:`run`: once
 ``main`` returns, or argparse exits for ``--help``, ``--version`` or a
@@ -167,12 +166,11 @@ def _column_json(w):
 
 
 def _template_rows(rows) -> str:
-    """The list ``rows`` formatted by one template from the first row's cell
-    types (see :func:`_emit`)."""
-    template = ",".join(
-        "%.0s" if v is None else "%d" if isinstance(v, int) else "%.17g" for v in rows[0]
-    ) + "\n"
-    return "".join(map(template.__mod__, rows))
+    """A sweep's list of row dicts formatted by one template from the first
+    row's cell types (see :func:`_emit`)."""
+    template = ",".join("%.0s" if v is None else "%d" if isinstance(v, int) else "%.17g"
+                        for v in rows[0].values()) + "\n"
+    return "".join([template % tuple(row.values()) for row in rows])
 
 
 def _csv_head(meta, header) -> str:
@@ -182,52 +180,54 @@ def _csv_head(meta, header) -> str:
     ) + ",".join(header) + "\n"
 
 
-def _json_text(doc, column):
-    """``json.dumps(doc, indent=2)``, in pieces. A ``column`` must also be a
-    value of the result: it is rendered by :func:`_column_json` and spliced
-    in, sparing the encoder's pure-Python walk over its items."""
-    if column is None:
+def _json_text(doc, key):
+    """``json.dumps(doc, indent=2)``, in pieces. The result's column at
+    ``key``, if one is given, is rendered by :func:`_column_json` and
+    spliced in, sparing the encoder's pure-Python walk over its items."""
+    if key is None:
         return (json.dumps(doc, indent=2),)
     result = doc["result"]
-    key = next(k for k, v in result.items() if v is column)
     text = json.dumps({**doc, "result": {**result, key: []}}, indent=2)
     # The result comes last, so its own key: [] is the last one in the text.
     head, empty, tail = text.rpartition(json.dumps(key) + ": []")
-    return itertools.chain((head + empty[:-1],), _column_json(column), ("\n    ]" + tail,))
+    return itertools.chain((head + empty[:-1],), _column_json(result[key]),
+                           ("\n    ]" + tail,))
 
 
 def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     """Write one command's output to --out or stdout.
 
-    The only place values turn into text: ``result`` and ``table`` hold what
-    the layers return, as Python values or 1-D float arrays. JSON (the
-    default) is the meta block plus ``result``. CSV is the meta block, then
-    the ``result`` fields named in ``csv_meta``, one per ``# key=value``
-    line, then ``table``, a ``(header, rows)`` pair with at least one row.
-    A sweep's tuple rows are a list the caller already holds, with its
-    records and ``result`` dicts, and are written in one piece; in either
-    format a column's text is never held whole, but written at most
-    ``CSV_CHUNK_ROWS`` cells at a time.
+    The only place values turn into text: ``result`` holds what the layers
+    return, as Python values or 1-D float arrays, and is the only copy of
+    the command's table. JSON (the default) is the meta block plus
+    ``result``. CSV is the meta block, then the ``result`` fields named in
+    ``csv_meta``, one per ``# key=value`` line, then the table: ``table`` is
+    its ``(key, header)``, and ``result[key]`` holds at least one row.
 
-    Rows are tuples, or a 1-D float array ``w``, a column whose row k is
+    A sweep's table is its ``rows``, a list of dicts keyed by the header,
+    one per N, written in one piece. Each row is formatted at write time by
+    one ``%``-template, from the first row's cell types: ``int`` as ``%d``
+    (its ``str``), ``float`` as ``%.17g`` and ``None`` as ``%.0s``, an empty
+    cell. One template fits because the columns are homogeneous by
+    construction: ``n`` is always ``int``, the closed forms ``float``, and a
+    sweep samples every N or none.
+
+    Any other key names a column, a 1-D float array ``w`` whose row k is
     ``(k, w[k])``: the spectrum's weights or the sampled frequencies, by
-    trial. Tuple rows are formatted by one ``%``-template, from the first
-    row's cell types: ``int`` as ``%d`` (its ``str``), ``float`` as
-    ``%.17g`` and ``None`` as ``%.0s``, an empty cell. One template fits
-    because the columns are homogeneous by construction: ``n`` and ``k``
-    are always ``int``, the closed forms ``float``, and a sweep samples
-    every N or none. A column is rendered slice by slice (:func:`_slices`)
-    in both formats, with the same bytes as its rows would give, a slice of
-    exact zeros from its indices alone: in CSV a zero row is ``k,0``, 100
-    rows at a time from one block (:func:`_zero_rows`), and in JSON the
-    column, a value of ``result``, is spliced into the document by slices.
+    trial. In either format its text is never held whole, but rendered
+    slice by slice (:func:`_slices`), at most ``CSV_CHUNK_ROWS`` cells at a
+    time, with the same bytes as its rows would give, a slice of exact
+    zeros from its indices alone: in CSV a zero row is ``k,0``, 100 rows at
+    a time from one block (:func:`_zero_rows`), and in JSON the column is
+    spliced into the document at its key.
     """
     meta = _meta(args, extra_meta)
-    header, rows = table or ((), None)
-    column = None if rows is None or isinstance(rows, list) else rows
+    key, header = table or (None, ())
+    column = None if key in (None, "rows") else key
     if getattr(args, "format", "json") == "csv":
         meta.update((k, result[k]) for k in csv_meta)
-        body = (_template_rows(rows),) if column is None else _column_rows(column)
+        rows = result[key]
+        body = (_template_rows(rows),) if column is None else _column_rows(rows)
         pieces = itertools.chain((_csv_head(meta, header),), body)
     else:
         pieces = itertools.chain(_json_text({"meta": meta, "result": result}, column), ["\n"])
@@ -238,14 +238,9 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _table(columns, records):
-    """(header, rows) with each row read off a record's attributes."""
-    return columns, [tuple(getattr(r, c) for c in columns) for r in records]
-
-
-def _row_dicts(table) -> list[dict]:
-    header, rows = table
-    return [dict(zip(header, row)) for row in rows]
+def _row_dicts(columns, records) -> list[dict]:
+    """Each record's ``columns`` attributes, as one dict per record."""
+    return [{c: getattr(r, c) for c in columns} for r in records]
 
 
 def _sampling_meta(seed: int) -> dict:
@@ -259,7 +254,7 @@ def _sampling_meta(seed: int) -> dict:
 def cmd_verify(args) -> int:
     d, n_max = args.dim, args.n_max
     check_verify(d, n_max)
-    _load_layers("dense")
+    _load_layers("hilbert", "dense")
     tol_algebra = 1e-13
     tol_routes = 1e-14
     checks = [dense.verify_operator_algebra(d, n) for n in range(1, n_max + 1)]
@@ -305,7 +300,12 @@ def cmd_stats(args) -> int:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    """The comma-separated integers of ``--n-list``; a blank entry, a
+    trailing comma's included, is refused like any other non-integer."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--n-list entries must be integers, got {text!r}") from None
 
 
 def cmd_converge(args) -> int:
@@ -325,12 +325,12 @@ def cmd_converge(args) -> int:
             rows[i] = row._replace(sampled_mean=summary.mean_frequency,
                                    sampled_variance=summary.sample_variance)
     slope = analysis.loglog_slope(rows)
-    table = _table(CONVERGE_COLUMNS, rows)
     result = {
         "slope": "undefined" if slope is None else slope,
-        "rows": _row_dicts(table),
+        "rows": _row_dicts(CONVERGE_COLUMNS, rows),
     }
-    _emit(args, result, table, ("slope",), _sampling_meta(args.seed) if args.sample else None)
+    _emit(args, result, ("rows", CONVERGE_COLUMNS), ("slope",),
+          _sampling_meta(args.seed) if args.sample else None)
     return EXIT_OK
 
 
@@ -339,10 +339,9 @@ def cmd_noncollapse(args) -> int:
     _load_layers("hilbert", "analysis")
     state = parse_state(args.state)
     rows = analysis.convergence_sweep(state, args.j, ns)
-    table = _table(NONCOLLAPSE_COLUMNS, rows)
     verdict = analysis.noncollapse_verdict(state, args.j, rows)
-    result = {"rows": _row_dicts(table), "verdict": verdict}
-    _emit(args, result, table, ("verdict",))
+    result = {"rows": _row_dicts(NONCOLLAPSE_COLUMNS, rows), "verdict": verdict}
+    _emit(args, result, ("rows", NONCOLLAPSE_COLUMNS), ("verdict",))
     return EXIT_OK
 
 
@@ -357,9 +356,8 @@ def cmd_sample(args) -> int:
         "sample_variance": summary.sample_variance,
         "frequencies": summary.frequencies,
     }
-    table = (("trial", "frequency"), summary.frequencies)
-    _emit(args, result, table, ("mean_frequency", "sample_variance"),
-          _sampling_meta(args.seed))
+    _emit(args, result, ("frequencies", ("trial", "frequency")),
+          ("mean_frequency", "sample_variance"), _sampling_meta(args.seed))
     return EXIT_OK
 
 
@@ -374,7 +372,7 @@ def cmd_spectrum(args) -> int:
         "max_weight": w.max(),  # np.float64 is a float
         "argmax": int(w.argmax()),
     }
-    _emit(args, result, (("k", "weight"), w))
+    _emit(args, result, ("weights", ("k", "weight")))
     return EXIT_OK
 
 

@@ -324,6 +324,20 @@ class TestConverge:
         config = doc["meta"]["config"]
         assert (config["trials"], config["seed"], doc["meta"]["seed"]) == (1000, 0, 0)
 
+    @pytest.mark.parametrize("n_list", ["10,,20", ",10", "10,", "10, ,20", "", "10,abc"])
+    @pytest.mark.parametrize("command", ["converge", "noncollapse"])
+    def test_blank_or_non_integer_entry_refused_before_any_layer(
+            self, capsys, monkeypatch, command, n_list):
+        """A blank entry is not dropped: it is refused like any other entry
+        that is not an integer, before a layer or the state is loaded."""
+        def no_layers(*names):
+            raise AssertionError(f"loaded {names}")
+
+        monkeypatch.setattr(cli, "_load_layers", no_layers)
+        error = assert_usage_error(capsys, command, "--state", "two-level:0.5",
+                                   "--n-list", n_list)
+        assert error == f"error: --n-list entries must be integers, got {n_list!r}"
+
 
 class TestSampleAndSpectrum:
     @pytest.mark.parametrize("n", ["0", "-3"])

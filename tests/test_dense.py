@@ -185,6 +185,43 @@ class TestApplyToProduct:
             apply_to_product(EnsembleSpec(random_state(rng, d), n, j))
 
 
+def kron_site_sum(a, b, n):
+    """``dense._site_sum`` built with ``np.kron``: the reference for its bytes."""
+    total = np.zeros(1, dtype=np.complex128)
+    plain = np.ones(1, dtype=np.complex128)
+    for _ in range(n):
+        total = np.kron(total, b)
+        total += np.kron(plain, a)
+        plain = np.kron(plain, b)
+    return total
+
+
+def assert_same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestSiteSum:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_projector_sum_has_the_kron_bytes(self, d):
+        """j's indicator with ones, the projector sum, at every N the literal
+        guard admits."""
+        ones = np.ones(d, dtype=np.complex128)
+        ns = itertools.takewhile(lambda n: fits(d, n, LITERAL_ROUTE_GUARD), itertools.count(1))
+        for n in ns:
+            for hit in np.eye(d, dtype=np.complex128):
+                assert_same_bytes(dense._site_sum(hit, ones, n), kron_site_sum(hit, ones, n))
+
+    def test_structural_route_has_the_kron_bytes(self, rng):
+        """e_j with a complex state's amplitudes, as ``apply_to_product``
+        sums them, up to N = 20, with j = 0 and 1 in turn."""
+        amplitudes = random_state(rng, 2).amplitudes
+        e = np.eye(2, dtype=np.complex128)
+        for n in range(1, 21):
+            assert_same_bytes(dense._site_sum(e[n % 2], amplitudes, n),
+                              kron_site_sum(e[n % 2], amplitudes, n))
+
+
 class TestScalars:
     def test_distance_known_value(self):
         spec = EnsembleSpec(StateVector.two_level(0.5), 10, 0)
