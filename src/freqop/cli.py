@@ -391,8 +391,18 @@ def _add_common(p, *, fmt=True):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of help, version or
+    usage text raises: argparse drops the write's ``OSError``, so a closed
+    pipe would exit 0 under ``PYTHONUNBUFFERED=1``. Subparsers share it."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freqop",
         description="Frequency operators on N-fold product spaces: "
         "verification, statistics, and sampling.",
@@ -445,9 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout (`| head -1`): no error line.
@@ -465,7 +474,8 @@ def run() -> None:
     ``--out`` file is closed (``_emit``) and the sampler's threads are
     joined. argparse's ``SystemExit`` (``--help``, ``--version``, a usage
     error) ends the same way, with its code: it leaves ``parse_args``
-    before any layer, file or thread exists. Only an uncaught exception,
+    before any layer, file or thread exists; a write of its text to a
+    closed pipe makes ``main`` return 141. Only an uncaught exception,
     whose traceback must print, leaves by the normal exit."""
     try:
         rc = main()

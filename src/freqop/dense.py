@@ -126,16 +126,15 @@ def _walk(d: int, n: int, tables):
     numpy's pairwise tree (``pairwise_sum``) of at most ``_BLOCK`` strings.
     Per block, yield a generator of each Kronecker fold's entries on it,
     built as read, for the (factor, ufunc) pairs of ``tables()``. At N = 1
-    a block slices the factor; a space of one block is folded whole. Else a
-    block folds on from its prefixes' folds, the first k < n digits with
-    d**k < ``_NODE``, at once: a float fold digit by digit, for the full
-    fold's bits, and an exact integer fold with its last n - k digits as one."""
+    a block slices the factor. Else a block folds on from its prefixes'
+    folds, the first k < n digits with d**k < ``_NODE``, at once: a float
+    fold digit by digit, for the full fold's bits, and an exact integer fold
+    with its last n - k digits as one."""
     # pairwise_sum adds the lists that its node returns, so this lists runs.
     runs = pairwise_sum(lambda lo, size: [(lo, size)], 0, d**n, _BLOCK)
-    if n == 1 or len(runs) == 1:  # slices of the factors, or the whole space
+    if n == 1:
         for lo, size in runs:
-            yield ((factor if n == 1 else kron_fold(factor, n, ufunc))[lo : lo + size]
-                   for factor, ufunc in tables())
+            yield (factor[lo : lo + size] for factor, _ in tables())
         return
     k = next((k for k in range(n - 1, 1, -1) if d**k < _NODE), 1)
     width = d ** (n - k)
@@ -151,6 +150,16 @@ def _walk(d: int, n: int, tables):
                for prefixes, factor, sites, ufunc in folds)
 
 
+def _run_sums(w: np.ndarray, counts: np.ndarray, n: int, p: float) -> np.ndarray:
+    """``np.sum`` of w * f, w * (f - p)**2 and w * f * f on one run, f = counts / n."""
+    f = counts / n
+    e = w * f
+    g = e * f
+    np.square(f - p, out=f)
+    f *= w
+    return np.array((e.sum(), f.sum(), g.sum()))
+
+
 def statistics_dense(spec: EnsembleSpec) -> dict:
     """<psi^N| F |psi^N>, |F psi^N - p psi^N|^2 (p = |c_j|^2) and
     <F psi^N | F psi^N>, in ``stats`` order. F is diagonal, so each is a sum
@@ -158,29 +167,19 @@ def statistics_dense(spec: EnsembleSpec) -> dict:
     has the bits of ``np.sum`` over the d**N products w * f, w * (f - p)**2
     and w * f * f: no BLAS call, so no CPU-count dependence.
 
-    No vector of d**N entries is held: the sums follow numpy's pairwise tree
-    down to runs of at most ``_NODE`` strings, each one ``np.sum`` of a slice
-    of a block of ``_walk``'s weights and counts."""
+    No vector of d**N entries is held: each block of ``_walk``'s weights and
+    counts splits into runs of numpy's pairwise tree of at most ``_NODE``
+    strings, whose sums are then added up the tree. The loop holds a block
+    while the next is built, so the heap reuses its pages."""
     d, n, j, p = spec.state.dim, spec.n, spec.j, spec.born_probability
     total = guards.check_vector_scale(d, n)
     probs, hit = spec.state.probabilities(), np.eye(1, d, j, np.int8)[0]
-    blocks = _walk(d, n, lambda: ((probs, np.multiply), (hit, np.add)))
-    w = None
-    def block(lo, size):  # the walk's next block, which holds whole runs
-        nonlocal w  # held while the next block is built, so the heap reuses its pages
-        w, counts = next(blocks)
-
-        def run(lo, size):
-            f = counts[lo : lo + size] / n
-            e = w[lo : lo + size] * f
-            g = e * f
-            np.square(f - p, out=f)
-            f *= w[lo : lo + size]
-            return np.array((e.sum(), f.sum(), g.sum()))
-
-        return pairwise_sum(run, 0, size, _NODE)
-
-    sums = pairwise_sum(block, 0, total, _BLOCK)
+    runs = []
+    for w, counts in _walk(d, n, lambda: ((probs, np.multiply), (hit, np.add))):
+        for lo, size in pairwise_sum(lambda lo, size: [(lo, size)], 0, w.size, _NODE):
+            runs.append(_run_sums(w[lo : lo + size], counts[lo : lo + size], n, p))
+    runs = iter(runs)
+    sums = pairwise_sum(lambda lo, size: next(runs), 0, total, _NODE)
     return dict(zip(("expectation", "distance_sq", "gram"), map(float, sums)))
 
 

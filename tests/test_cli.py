@@ -214,8 +214,10 @@ class TestStats:
         # N = 17: the weights and counts of the 2**12 prefixes of 12 digits
         # and the counts of the 32 suffixes of 5, then four blocks of 2**15
         # strings, each folding its weights on over the last 5 digits and
-        # adding its counts, once each, from its 2**10 prefixes' folds. No
-        # vector of 2**17 entries is built, and no product-state amplitude.
+        # adding its counts, once each, from its 2**10 prefixes' folds.
+        # N = 7, one block: the same walk from the 2**6 prefixes of 6 digits,
+        # not one fold of the whole space. No vector of 2**N entries is
+        # built, and no product-state amplitude.
         calls, folds = [], []
 
         def counting(name):
@@ -233,15 +235,19 @@ class TestStats:
         for name in ("born_weights", "frequency_counts", "product_state_vector"):
             monkeypatch.setattr(dense, name, counting(name))
         monkeypatch.setattr(dense, "kron_fold", folding)
-        code, doc = run_json(
-            capsys, "stats", "--state", "two-level:0.36", "--j", "1", "--n", "17",
-            "--cross-check",
-        )
-        assert code == 0 and doc["result"]["cross_check"] == "PASS"
-        assert calls == []
-        assert sorted(folds) == sorted(
-            [("f", 12, False), ("i", 12, False), ("i", 5, False)]
-            + [("f", 5, True), ("i", 1, True)] * 4)
+        for n, expected in (
+                (17, [("f", 12, False), ("i", 12, False), ("i", 5, False)]
+                 + [("f", 5, True), ("i", 1, True)] * 4),
+                (7, [("f", 6, False), ("i", 6, False), ("i", 1, False),
+                     ("f", 1, True), ("i", 1, True)])):
+            folds.clear()
+            code, doc = run_json(
+                capsys, "stats", "--state", "two-level:0.36", "--j", "1", "--n", str(n),
+                "--cross-check",
+            )
+            assert code == 0 and doc["result"]["cross_check"] == "PASS"
+            assert calls == []
+            assert sorted(folds) == sorted(expected), n
 
     def test_cross_check_refused_before_closed_forms(self, capsys, monkeypatch):
         # 3**13 is above the vector guard though N = 13 <= 20 passes the
@@ -934,11 +940,14 @@ STATS_ARGV = ["stats", "--state", "two-level:0.3", "--n", "10"]
 @pytest.mark.parametrize("argv, extra_env", [
     pytest.param(STATS_ARGV, {}, id="buffered"),
     pytest.param(STATS_ARGV, {"PYTHONUNBUFFERED": "1"}, id="unbuffered"),
-    # argparse's own exits. Unbuffered, argparse swallows the write's
-    # error and exits 0, so only the buffered case is pinned.
+    # argparse's own exits. Unbuffered, its text's failed write raises
+    # from parse_args inside main, not at the flush.
     pytest.param(["--version"], {}, id="buffered-version"),
     pytest.param(["--help"], {}, id="buffered-help"),
     pytest.param(["stats", "--help"], {}, id="buffered-stats-help"),
+    pytest.param(["--version"], {"PYTHONUNBUFFERED": "1"}, id="unbuffered-version"),
+    pytest.param(["--help"], {"PYTHONUNBUFFERED": "1"}, id="unbuffered-help"),
+    pytest.param(["stats", "--help"], {"PYTHONUNBUFFERED": "1"}, id="unbuffered-stats-help"),
 ])
 def test_pipe_closed_before_the_write_exits_141(argv, extra_env):
     """No reader at all: a block-buffered stdout fails at ``cli.run``'s
@@ -952,6 +961,19 @@ def test_pipe_closed_before_the_write_exits_141(argv, extra_env):
     finally:
         os.close(write_end)
     assert proc.returncode == 141 and proc.stderr == b"", proc.stderr
+
+
+class ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["stats", "--help"]])
+def test_argparse_text_into_a_closed_pipe_returns_141(argv, monkeypatch):
+    """argparse drops its write's OSError; freqop's parser lets it reach
+    ``main``, which returns 141 in process as through ``cli.run``."""
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == 141
 
 
 @pytest.mark.parametrize("preset", [None, "4"])

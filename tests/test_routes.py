@@ -228,6 +228,33 @@ def test_statistics_dense_peak_memory():
         assert peak <= 2**20, (state.dim, n, peak / 2**20)
 
 
+def test_statistics_dense_sums_its_runs_outside_pairwise_sum(monkeypatch):
+    # A traced run charges a call to the layer whose binding it entered, and
+    # a pairwise_sum callback runs inside hilbert's span. The run sums are
+    # dense's arithmetic, so statistics_dense computes them in its own loop:
+    # one block of one run (N = 7), and four blocks of four runs (N = 17).
+    depth, seen = [0], []
+    pairwise, run_sums = dense.pairwise_sum, dense._run_sums
+
+    def tracked(*args):
+        depth[0] += 1
+        try:
+            return pairwise(*args)
+        finally:
+            depth[0] -= 1
+
+    def recorded(*args):
+        seen.append(depth[0])
+        return run_sums(*args)
+
+    monkeypatch.setattr(dense, "pairwise_sum", tracked)
+    monkeypatch.setattr(dense, "_run_sums", recorded)
+    for n in (7, 17):
+        spec = EnsembleSpec(StateVector.two_level(0.36), n, 1)
+        assert dense.statistics_dense(spec) == _statistics_reference(spec), n
+    assert len(seen) == 1 + 2**17 // 2**13 and set(seen) == {0}, seen
+
+
 def _nearby(c: float, ulps: int) -> float:
     for _ in range(abs(ulps)):
         c = math.nextafter(c, math.copysign(math.inf, ulps))
