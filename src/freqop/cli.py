@@ -94,13 +94,24 @@ def _load_layers(*names: str) -> None:
             globals()[name] = importlib.import_module(f"{__package__}.{name}")
 
 
+def _preset_value(text: str, convert, what: str):
+    """``convert`` of the value after a preset's colon. ``what`` names the
+    value in the refusal and ends in its letter: "an integer D" for
+    ``uniform:D``."""
+    preset, value = text.split(":", 1)
+    try:
+        return convert(value)
+    except ValueError:
+        raise ValueError(f"--state {preset}:{what[-1]} needs {what}, got {value!r}") from None
+
+
 def parse_state(text: str) -> hilbert.StateVector:
     """Parse a state argument: 'two-level:p', 'uniform:d', or a JSON path."""
     _load_layers("hilbert")
     if text.startswith("two-level:"):
-        return hilbert.StateVector.two_level(float(text.split(":", 1)[1]))
+        return hilbert.StateVector.two_level(_preset_value(text, float, "a number P"))
     if text.startswith("uniform:"):
-        return hilbert.StateVector.uniform(int(text.split(":", 1)[1]))
+        return hilbert.StateVector.uniform(_preset_value(text, int, "an integer D"))
     try:
         with open(text, encoding="utf-8") as f:
             return hilbert.StateVector.from_json(f.read())

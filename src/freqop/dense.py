@@ -20,7 +20,6 @@ from . import guards
 from .hilbert import (
     EnsembleSpec,
     StateVector,
-    born_weights,
     kron_fold,
     pairwise_sum,
     product_state_vector,
@@ -35,9 +34,7 @@ def frequency_counts(d: int, n: int, j: int) -> np.ndarray:
     frequency operator are counts / N."""
     guards.check_vector_scale(d, n)
     guards.check_target(j, d)
-    hit = np.zeros(d, dtype=np.int8)
-    hit[j] = 1
-    return kron_fold(hit, n, np.add)
+    return kron_fold(np.eye(1, d, j, np.int8)[0], n, np.add)
 
 
 def build_frequency_operator(spec: EnsembleSpec) -> np.ndarray:
@@ -75,8 +72,7 @@ def build_frequency_operator_projector_sum(spec: EnsembleSpec) -> np.ndarray:
     it stays an independent check on them."""
     d, n, j = spec.state.dim, spec.n, spec.j
     guards.check_literal_scale(d, n)
-    proj = np.zeros(d, dtype=np.complex128)
-    proj[j] = 1.0
+    proj = np.eye(1, d, j, np.complex128)[0]
     return _site_sum(proj, np.ones(d, dtype=np.complex128), n) / n
 
 
@@ -106,8 +102,7 @@ def apply_to_product(spec: EnsembleSpec) -> np.ndarray:
     vec = product_state_vector(spec)
     diag_route = frequency_counts(d, n, j) / n * vec
 
-    e_j = np.zeros(d, dtype=np.complex128)
-    e_j[j] = 1.0
+    e_j = np.eye(1, d, j, np.complex128)[0]
     c_j = complex(spec.state.amplitudes[j])
     structural = c_j / n * _site_sum(e_j, spec.state.amplitudes, n)
 
@@ -124,24 +119,26 @@ _NODE = 2**13
 def _walk(d: int, n: int, tables):
     """Walk the d**n basis strings in index order, in blocks: the runs of
     numpy's pairwise tree (``pairwise_sum``) of at most ``_BLOCK`` strings.
-    Per block, yield a generator of each Kronecker fold's entries on it,
-    built as read, for the (factor, ufunc) pairs of ``tables()``. At N = 1
-    a block slices the factor. Else a block folds on from its prefixes'
-    folds, the first k < n digits with d**k < ``_NODE``, at once: a float
-    fold digit by digit, for the full fold's bits, and an exact integer fold
-    with its last n - k digits as one."""
+    Per block, yield a generator of each 1-D table's Kronecker fold on it,
+    built as read, under the ufunc the table's dtype picks: ``np.add`` on
+    an integer table (j's indicator) into exact counts, ``np.multiply`` on a
+    float one (Born weights). At N = 1 a block slices the table. Else a
+    block folds on from its prefixes' folds, the first k < n digits with
+    d**k < ``_NODE``, at once: a float fold digit by digit, for the full
+    fold's bits, and an integer fold with its last n - k digits as one."""
     # pairwise_sum adds the lists that its node returns, so this lists runs.
     runs = pairwise_sum(lambda lo, size: [(lo, size)], 0, d**n, _BLOCK)
     if n == 1:
         for lo, size in runs:
-            yield (factor[lo : lo + size] for factor, _ in tables())
+            yield (table[lo : lo + size] for table in tables)
         return
     k = next((k for k in range(n - 1, 1, -1) if d**k < _NODE), 1)
     width = d ** (n - k)
     folds = []
-    for factor, ufunc in tables():
+    for factor in tables:
+        ufunc = np.add if factor.dtype.kind == "i" else np.multiply
         prefixes, sites = kron_fold(factor, k, ufunc), n - k
-        if factor.dtype.kind == "i":
+        if ufunc is np.add:
             factor, sites = kron_fold(factor, sites, ufunc), 1
         folds.append((prefixes, factor, sites, ufunc))
     for lo, size in runs:
@@ -175,7 +172,7 @@ def statistics_dense(spec: EnsembleSpec) -> dict:
     total = guards.check_vector_scale(d, n)
     probs, hit = spec.state.probabilities(), np.eye(1, d, j, np.int8)[0]
     runs = []
-    for w, counts in _walk(d, n, lambda: ((probs, np.multiply), (hit, np.add))):
+    for w, counts in _walk(d, n, (probs, hit)):
         for lo, size in pairwise_sum(lambda lo, size: [(lo, size)], 0, w.size, _NODE):
             runs.append(_run_sums(w[lo : lo + size], counts[lo : lo + size], n, p))
     runs = iter(runs)
@@ -196,7 +193,8 @@ def spectral_weights_dense(spec: EnsembleSpec) -> np.ndarray:
     Born weights. Oracle for the binomial closed form.
     """
     counts = frequency_counts(spec.state.dim, spec.n, spec.j)
-    return np.bincount(counts, weights=born_weights(spec), minlength=spec.n + 1)
+    weights = kron_fold(spec.state.probabilities(), spec.n)
+    return np.bincount(counts, weights=weights, minlength=spec.n + 1)
 
 
 def verify_operator_algebra(d: int, n: int) -> dict:
@@ -225,8 +223,9 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     # each entry is k/N, k in [0, N], if F^j's eigenspaces hold all strings.
     expected = [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)]
     multiplicities, deviation = np.zeros((d, n + 1), dtype=np.int64), 0.0
-    for block in _walk(d, n, lambda: (
-            (np.eye(1, d, j, np.int8)[0], np.add) for j in range(d))):
+    # j's indicator is a view of one unit vector, whose 1 sits at d - 1.
+    unit = np.eye(1, 2 * d - 1, d - 1, np.int8)[0]
+    for block in _walk(d, n, [unit[d - 1 - j : 2 * d - 1 - j] for j in range(d)]):
         diag_sum = 0.0  # per string from 0.0 in order over j: the same bits in any block
         for row, counts in zip(multiplicities, block):
             # Below N = 8 count_nonzero beats bincount; as uint8 a negative count is above N.

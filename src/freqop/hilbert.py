@@ -145,6 +145,8 @@ class StateVector:
         dim, amps = obj["dim"], obj["amplitudes"]
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f'"dim" must be an integer, got {dim!r}')
+        if dim < 1:
+            raise ValueError(f'"dim" needs dimension >= 1, got {dim}')
         check_vector_scale(dim, 1)
         if not isinstance(amps, list) or not all(
             isinstance(a, dict) and _is_json_number(a.get("re"))
@@ -236,9 +238,3 @@ def product_state_vector(spec: EnsembleSpec):
     """Coefficient vector of the N-fold tensor power of spec.state: at basis
     string (i_1, ..., i_N), the product of the amplitudes c_{i_alpha}."""
     return kron_fold(spec.state.amplitudes, spec.n)
-
-
-def born_weights(spec: EnsembleSpec):
-    """Born weight |c_s|^2 of each basis string s, indexed as in
-    :func:`product_state_vector`: the product of the |c_{i_alpha}|^2."""
-    return kron_fold(spec.state.probabilities(), spec.n)

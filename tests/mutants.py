@@ -27,7 +27,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN = "tests/test_golden.py::test_golden_output"
 MULTIPLICITIES = "tests/test_dense.py::TestAlgebra::test_eigenspace_multiplicities"
+INDICATORS = "tests/test_dense.py::TestAlgebra::test_indicators_are_views_of_one_unit_vector"
 THREE_PRODUCTS = "tests/test_routes.py::test_statistics_dense_matches_three_products_at_each_n"
+AT_THE_GUARD = "tests/test_routes.py::test_statistics_dense_matches_three_products_at_the_guard"
+TRIALS = "tests/test_sampler.py::test_trial_frequencies_match_searchsorted_reference"
+MPMATH = "tests/test_routes.py::test_closed_forms_against_mpmath"
+PEAK_TABLE = "tests/test_analytic.py::TestNoncollapse::test_peak_at_mode_matches_table"
 
 MUTANTS = [
     # The run sums added left to right instead of up numpy's pairwise tree.
@@ -39,7 +44,7 @@ MUTANTS = [
     # The float weights' suffix folded as one digit, like the exact counts:
     # a block's weights lose the full fold's bits.
     ("src/freqop/dense.py",
-     '        if factor.dtype.kind == "i":\n',
+     "        if ufunc is np.add:\n",
      "        if True:\n",
      (THREE_PRODUCTS, f"{GOLDEN}[stats_two_level_n20_cross_check]",
       "tests/test_cli.py::TestStats::test_cross_check_builds_each_vector_once")),
@@ -62,6 +67,77 @@ MUTANTS = [
      ("tests/test_dense.py::TestSiteSum::test_projector_sum_has_the_kron_bytes[2]",
       "tests/test_dense.py::TestSiteSum::test_structural_route_has_the_kron_bytes",
       f"{GOLDEN}[verify_d2_n6]")),
+    # j's indicator read one entry off the shared unit vector: outcome j
+    # counts j - 1, and outcome 0's view is one entry short.
+    ("src/freqop/dense.py",
+     "unit[d - 1 - j : 2 * d - 1 - j]",
+     "unit[d - j : 2 * d - j]",
+     (f"{INDICATORS}[16]", f"{MULTIPLICITIES}[2-3]", f"{GOLDEN}[verify_d4096_n1]")),
+    # A block's weights as each prefix's weight times a table of the suffix
+    # folds: the products associate otherwise and lose the full fold's bits.
+    ("src/freqop/dense.py",
+     "        yield (kron_fold(factor, sites, ufunc, start=prefixes[first:last])[skip : skip + size]\n",
+     "        yield (ufunc.outer(prefixes[first:last], kron_fold(factor, sites, ufunc)).ravel()"
+     "[skip : skip + size]\n",
+     (THREE_PRODUCTS, f"{AT_THE_GUARD}[3]", f"{GOLDEN}[stats_two_level_n20_cross_check]")),
+    # The literal diagonal as count * (1 / N): 5 * (1/7) is not 5/7 in binary.
+    ("src/freqop/dense.py",
+     "(s.count(j) / n for s in strings)",
+     "(s.count(j) * (1 / n) for s in strings)",
+     ("tests/test_dense.py::TestBuild::test_literal_diagonal_bytes_match_a_per_string_reference",
+      f"{GOLDEN}[verify_d3_n7]")),
+    # A word compared with t << 11 alone: the draws whose low 11 bits are
+    # not all zero, at the threshold's top 53 bits, fall outside.
+    ("src/freqop/sampler.py",
+     "words <= ((t << 11) | 2047)",
+     "words <= (t << 11)",
+     ("tests/test_routes.py::test_word_thresholds_match_float_draws",)),
+    # The last partial block of short trials never drawn: its frequencies
+    # are whatever np.empty held.
+    ("src/freqop/sampler.py",
+     "        for a in range(0, len(out), len(block)):\n",
+     "        for a in range(0, len(out) - len(out) % len(block), len(block)):\n",
+     (f"{TRIALS}[complex_d5-101]", f"{GOLDEN}[sample]",
+      "tests/test_acceptance.py::test_criterion_7_monte_carlo")),
+    # A block's rows written one trial off.
+    ("src/freqop/sampler.py",
+     "            out[a : a + len(rows)] = counts / n\n",
+     "            out[a : a + len(rows)] = np.roll(counts / n, 1)\n",
+     (f"{TRIALS}[two_level-101]", f"{TRIALS}[zero_last-2048]", f"{GOLDEN}[sample_csv]")),
+    # A long trial's frequency as count * (1 / n), off by an ulp for some counts.
+    ("src/freqop/sampler.py",
+     "        out[i] = count / n\n",
+     "        out[i] = count * (1 / n)\n",
+     (f"{TRIALS}[two_level-2049]", f"{TRIALS}[complex_d5-32769]")),
+    # The spectrum window one count too wide at its low edge. Its extra term
+    # floors to the same zero, so only the tightness test sees it.
+    ("src/freqop/analytic.py",
+     "    return m + 1 - down, m + up - 1\n",
+     "    return max(m - down, 0), m + up - 1\n",
+     ("tests/test_analytic.py::test_window_edges_are_tight",)),
+    # The window's margin below the Chernoff limit: counts whose terms are
+    # above the floor fall outside and read as zeros.
+    ("src/freqop/analytic.py",
+     "WINDOW_MARGIN = 5.0\n",
+     "WINDOW_MARGIN = -5.0\n",
+     (MPMATH, "tests/test_analytic.py::test_spectrum_against_mpmath[1000-1e-07]",
+      "tests/test_golden.py::test_large_n_digest[spectrum_0.9999_n1e5]")),
+    # noncollapse's peak read at the mode alone: at a two-mode tie, or where
+    # the kernel's rounding puts the maximum at m + 1, the peak is missed.
+    # The mpmath test sees it only at some of its random draws, so it is not
+    # named here.
+    ("src/freqop/analytic.py",
+     "    max_w = max(_binom_term(k, n, p) for k in range(max(m - 1, 0), min(m + 1, n) + 1))\n",
+     "    max_w = _binom_term(m, n, p)\n",
+     (f"{PEAK_TABLE}[3-0.5]", f"{PEAK_TABLE}[99-0.5]", f"{PEAK_TABLE}[194-0.1282051282051282]")),
+    # main without its BrokenPipeError clause: a closed stdout falls to the
+    # OSError clause, an error line and exit 2 instead of a silent 141.
+    ("src/freqop/cli.py",
+     "    except BrokenPipeError:\n        # The reader closed stdout (`| head -1`): no error line.\n"
+     "        return EXIT_BROKEN_PIPE\n",
+     "",
+     ("tests/test_cli.py::test_closed_stdout_pipe_exits_141_without_an_error_line[buffered]",
+      "tests/test_cli.py::test_argparse_text_into_a_closed_pipe_returns_141[argv0]")),
 ]
 
 # Mutants that change no output, with the same columns; their tests must pass.
@@ -71,8 +147,8 @@ EQUIVALENT = [
     # of sums is the same: the string with each digit i read as d - 1 - i
     # has the reversed counts.
     ("src/freqop/dense.py",
-     "(np.eye(1, d, j, np.int8)[0], np.add) for j in range(d))):",
-     "(np.eye(1, d, j, np.int8)[0], np.add) for j in range(d - 1, -1, -1))):",
+     "for j in range(d)]):",
+     "for j in range(d - 1, -1, -1)]):",
      (f"{GOLDEN}[verify_d3_n7]", f"{GOLDEN}[verify_d16_n5]", f"{MULTIPLICITIES}[8-3]")),
 ]
 
@@ -110,7 +186,8 @@ def main() -> int:
             finally:
                 (copy / path).write_text(source)
             wrong = sorted(set(tests) - failed if killed else failed)
-            print(f"{'ok  ' if not wrong else 'BAD '}{path}: {new.strip()!r}")
+            change = repr(new.strip()) if new else f"deleted {old.strip().splitlines()[0]!r}"
+            print(f"{'ok  ' if not wrong else 'BAD '}{path}: {change}")
             for test in wrong:
                 print(f"     {'passed' if killed else 'failed'}: {test}")
             bad += bool(wrong)

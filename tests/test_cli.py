@@ -58,6 +58,24 @@ class TestParseState:
         s = parse_state(str(path))
         assert s.probability(1) == pytest.approx(0.64)
 
+    @pytest.mark.parametrize("state,message", [
+        ("uniform:abc", "--state uniform:D needs an integer D, got 'abc'"),
+        ("uniform:1.5", "--state uniform:D needs an integer D, got '1.5'"),
+        ("uniform:", "--state uniform:D needs an integer D, got ''"),
+        ("two-level:", "--state two-level:P needs a number P, got ''"),
+        ("two-level:0.5x", "--state two-level:P needs a number P, got '0.5x'"),
+    ])
+    def test_malformed_preset_names_its_value(self, capsys, state, message):
+        error = assert_usage_error(capsys, "stats", "--state", state, "--n", "5")
+        assert error == f"error: {message}"
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_json_dim_below_one_exit_2(self, tmp_path, capsys, dim):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dim": dim, "amplitudes": []}))
+        error = assert_usage_error(capsys, "stats", "--state", str(path), "--n", "3")
+        assert error == f'error: "dim" needs dimension >= 1, got {dim}'
+
     @pytest.mark.parametrize("doc", [
         [0.6, 0.8],
         {"amplitudes": [{"re": 1.0, "im": 0.0}]},
@@ -232,7 +250,7 @@ class TestStats:
             folds.append((factor.dtype.kind, n, start is not None))
             return kron_fold(factor, n, ufunc, start)
 
-        for name in ("born_weights", "frequency_counts", "product_state_vector"):
+        for name in ("frequency_counts", "product_state_vector"):
             monkeypatch.setattr(dense, name, counting(name))
         monkeypatch.setattr(dense, "kron_fold", folding)
         for n, expected in (

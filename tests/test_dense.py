@@ -340,6 +340,25 @@ class TestAlgebra:
             assert main(["verify", "--dim", str(d), "--n-max", str(n)]) == 1
             capsys.readouterr()
 
+    @pytest.mark.parametrize("d", [2, 16, 4096])
+    def test_indicators_are_views_of_one_unit_vector(self, d, monkeypatch):
+        # verify builds no indicator per outcome: j's table is a view of
+        # one int8 array of 2d - 1 entries, its only 1 at index j.
+        seen, walk = [], dense._walk
+
+        def recording(d, n, tables):
+            seen.append(tables)
+            return walk(d, n, tables)
+
+        monkeypatch.setattr(dense, "_walk", recording)
+        verify_operator_algebra(d, 1)
+        (tables,) = seen
+        assert len(tables) == d
+        base = tables[0].base
+        assert base.dtype == np.int8 and base.size == 2 * d - 1
+        assert all(table.base is base for table in tables)
+        assert np.array_equal(np.stack(tables), np.eye(d, dtype=np.int8))
+
     def test_spectrum_of_f0_n4(self):
         vals = sorted(set(frequency_counts(2, 4, 0) / 4))
         assert vals == [0.0, 0.25, 0.5, 0.75, 1.0]

@@ -66,6 +66,12 @@ class TestStateVector:
         with pytest.raises(ScaleError, match="guard"):
             StateVector.from_json_dict({"dim": dim, "amplitudes": []})
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_json_dim_below_one_refused_first(self, dim):
+        # Before the amplitudes are read: the list's length is not the fault.
+        with pytest.raises(ValueError, match=r'^"dim" needs dimension >= 1, got -?\d$'):
+            StateVector.from_json_dict({"dim": dim, "amplitudes": [{"re": 1.0, "im": 0.0}]})
+
     def test_json_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match dim"):
             StateVector.from_json_dict(

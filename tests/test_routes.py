@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from freqop import analytic, dense, guards, sampler
 from freqop.analytic import WEIGHT_FLOOR, noncollapse_metrics, spectral_weights
-from freqop.hilbert import EnsembleSpec, StateVector, born_weights, product_state_vector
+from freqop.hilbert import EnsembleSpec, StateVector, kron_fold, product_state_vector
 from freqop.sampler import _count_at_most, _thresholds
 
 from conftest import (
@@ -179,7 +179,7 @@ def test_per_digit_builders_match_kron(rng, d):
     for n in range(1, _largest_n(d) + 1):
         spec = EnsembleSpec(state, n, 0)
         for got, factor in ((product_state_vector(spec), state.amplitudes),
-                            (born_weights(spec), state.probabilities())):
+                            (kron_fold(state.probabilities(), n), state.probabilities())):
             ref = _kron_reference(factor, n)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), n
         for j in sorted({0, d - 1}):
