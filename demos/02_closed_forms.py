@@ -22,5 +22,5 @@ for n in (2, 5, 7):
 rows = convergence_sweep(state, 0, [10, 100, 1000, 10000])
 print("\nDistance law over large N (no dense matrices needed):")
 for row in rows:
-    print(f"  N={row.n:>6}  distance^2 = {row.distance_sq:.2e}")
+    print(f"  N={row['n']:>6}  distance^2 = {row['distance_sq']:.2e}")
 print(f"log-log slope: {loglog_slope(rows):.9f}  (the 1/N law)")

@@ -15,12 +15,12 @@ print("p = 0.5:")
 print(f"{'N':>8}  {'distance^2':>12}  {'max weight':>12}  {'off-peak mass':>14}")
 for row in rows:
     print(
-        f"{row.n:>8}  {row.distance_sq:>12.3e}  {row.max_weight:>12.3e}  "
-        f"{row.off_peak_mass:>14.6f}"
+        f"{row['n']:>8}  {row['distance_sq']:>12.3e}  {row['max_weight']:>12.3e}  "
+        f"{row['off_peak_mass']:>14.6f}"
     )
 
 print("\nmax_weight * sqrt(N) stays near sqrt(2/pi) = 0.7979:")
 for row in rows:
-    print(f"  N={row.n:>8}: {row.max_weight * math.sqrt(row.n):.4f}")
+    print(f"  N={row['n']:>8}: {row['max_weight'] * math.sqrt(row['n']):.4f}")
 
 print("\nVerdict:", noncollapse_verdict(state, 0, rows))

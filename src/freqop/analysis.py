@@ -4,38 +4,22 @@ verdict."""
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from . import analytic
 from .guards import check_n_list
 from .hilbert import EnsembleSpec, StateVector
 
-# One ensemble size of a sweep: the closed forms, and the sampled moments,
-# None here; ``converge --sample`` fills them from the sampler.
-ConvergenceRow = namedtuple(
-    "ConvergenceRow",
-    ("n", "distance_sq", "uncertainty", "max_weight", "off_peak_mass",
-     "sampled_mean", "sampled_variance"),
-    defaults=(None, None),
-)
 
-
-def convergence_sweep(state: StateVector, j: int, n_list) -> list[ConvergenceRow]:
-    """Evaluate the distance law and spectral peak at each N, one row each,
-    with the sampled columns left None."""
+def convergence_sweep(state: StateVector, j: int, n_list) -> list[dict]:
+    """Evaluate the distance law and spectral peak at each N: one dict of
+    the closed forms per N, keyed ``n``, ``distance_sq``, ``uncertainty``,
+    ``max_weight`` and ``off_peak_mass``."""
     rows = []
     for n in check_n_list(n_list):
         spec = EnsembleSpec(state, n, j)
         d2, max_w, off_peak = analytic.noncollapse_metrics(spec)
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                distance_sq=d2,
-                uncertainty=analytic.uncertainty(spec),
-                max_weight=max_w,
-                off_peak_mass=off_peak,
-            )
-        )
+        rows.append({"n": n, "distance_sq": d2, "uncertainty": analytic.uncertainty(spec),
+                     "max_weight": max_w, "off_peak_mass": off_peak})
     return rows
 
 
@@ -44,10 +28,10 @@ def loglog_slope(rows) -> float | None:
     sweep's rows, about the means, each sum rounded once by ``math.fsum``;
     None for a single row or when any distance is exactly zero (degenerate
     p), which is a legitimate input, not an error."""
-    if len(rows) < 2 or any(r.distance_sq == 0.0 for r in rows):
+    if len(rows) < 2 or any(r["distance_sq"] == 0.0 for r in rows):
         return None
-    xs = [math.log(r.n) for r in rows]
-    ys = [math.log(r.distance_sq) for r in rows]
+    xs = [math.log(r["n"]) for r in rows]
+    ys = [math.log(r["distance_sq"]) for r in rows]
     x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
     dxs = [x - x_mean for x in xs]
     return (math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
@@ -70,9 +54,9 @@ def noncollapse_verdict(state: StateVector, j: int, rows) -> str:
         )
     last = rows[-1]
     return (
-        f"at N={last.n} the squared distance to the Born-scaled state is "
-        f"{last.distance_sq:.3e}, yet {last.off_peak_mass:.4f} of the "
+        f"at N={last['n']} the squared distance to the Born-scaled state is "
+        f"{last['distance_sq']:.3e}, yet {last['off_peak_mass']:.4f} of the "
         f"spectral mass lies off the largest eigenspace "
-        f"(max weight {last.max_weight:.3e}): the product state never "
+        f"(max weight {last['max_weight']:.3e}): the product state never "
         f"becomes a frequency eigenstate"
     )

@@ -40,6 +40,7 @@ import sys
 
 from . import __version__
 from .guards import (
+    check_float_n,
     check_n_list,
     check_sampling,
     check_spectral_n,
@@ -66,7 +67,10 @@ CROSS_CHECK_TOL = 1e-11
 # already raises the spectrum's tracemalloc peak above a 4096-row one).
 CSV_CHUNK_ROWS = 4096
 
-# Row schemas: JSON rows and CSV rows both take their columns from these.
+# Row schemas, the only list of each sweep's output columns: its JSON and
+# CSV rows take their columns, in order, from these. The closed forms come
+# from ``analysis.convergence_sweep``; ``converge --sample`` fills the two
+# sampled cells, which are None otherwise.
 CONVERGE_COLUMNS = (
     "n",
     "distance_sq",
@@ -249,11 +253,6 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _row_dicts(columns, records) -> list[dict]:
-    """Each record's ``columns`` attributes, as one dict per record."""
-    return [{c: getattr(r, c) for c in columns} for r in records]
-
-
 def _sampling_meta(seed: int) -> dict:
     """The meta fields of a sampling command: its master seed and RNG."""
     return {"seed": seed, "rng": sampler.RNG_ALGORITHM, "stream_rule": sampler.STREAM_RULE}
@@ -286,6 +285,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    check_float_n(args.n)
     if args.cross_check:
         check_vector_n(args.n)
     _load_layers("hilbert", "analytic", *(("dense",) if args.cross_check else ()))
@@ -328,18 +328,16 @@ def cmd_converge(args) -> int:
         args.trials = args.seed = None
     _load_layers("hilbert", "analysis", *(("sampler",) if args.sample else ()))
     state = parse_state(args.state)
-    rows = analysis.convergence_sweep(state, args.j, ns)
+    rows = [{c: row.get(c) for c in CONVERGE_COLUMNS}
+            for row in analysis.convergence_sweep(state, args.j, ns)]
     if args.sample:
         # Every N runs the same trials from the same master seed.
-        for i, row in enumerate(rows):
-            summary = sampler.run_trials(state, row.n, args.trials, args.seed, args.j)
-            rows[i] = row._replace(sampled_mean=summary.mean_frequency,
-                                   sampled_variance=summary.sample_variance)
+        for row in rows:
+            summary = sampler.run_trials(state, row["n"], args.trials, args.seed, args.j)
+            row["sampled_mean"] = summary.mean_frequency
+            row["sampled_variance"] = summary.sample_variance
     slope = analysis.loglog_slope(rows)
-    result = {
-        "slope": "undefined" if slope is None else slope,
-        "rows": _row_dicts(CONVERGE_COLUMNS, rows),
-    }
+    result = {"slope": "undefined" if slope is None else slope, "rows": rows}
     _emit(args, result, ("rows", CONVERGE_COLUMNS), ("slope",),
           _sampling_meta(args.seed) if args.sample else None)
     return EXIT_OK
@@ -351,7 +349,8 @@ def cmd_noncollapse(args) -> int:
     state = parse_state(args.state)
     rows = analysis.convergence_sweep(state, args.j, ns)
     verdict = analysis.noncollapse_verdict(state, args.j, rows)
-    result = {"rows": _row_dicts(NONCOLLAPSE_COLUMNS, rows), "verdict": verdict}
+    result = {"rows": [{c: row[c] for c in NONCOLLAPSE_COLUMNS} for row in rows],
+              "verdict": verdict}
     _emit(args, result, ("rows", NONCOLLAPSE_COLUMNS), ("verdict",))
     return EXIT_OK
 

@@ -119,7 +119,8 @@ _NODE = 2**13
 def _walk(d: int, n: int, tables):
     """Walk the d**n basis strings in index order, in blocks: the runs of
     numpy's pairwise tree (``pairwise_sum``) of at most ``_BLOCK`` strings.
-    Per block, yield a generator of each 1-D table's Kronecker fold on it,
+    ``tables`` is a sequence of 1-D arrays, a list or the rows of a 2-D
+    array. Per block, yield a generator of each table's Kronecker fold on it,
     built as read, under the ufunc the table's dtype picks: ``np.add`` on
     an integer table (j's indicator) into exact counts, ``np.multiply`` on a
     float one (Born weights). At N = 1 a block slices the table. Else a
@@ -223,9 +224,11 @@ def verify_operator_algebra(d: int, n: int) -> dict:
     # each entry is k/N, k in [0, N], if F^j's eigenspaces hold all strings.
     expected = [comb(n, k) * (d - 1) ** (n - k) for k in range(n + 1)]
     multiplicities, deviation = np.zeros((d, n + 1), dtype=np.int64), 0.0
-    # j's indicator is a view of one unit vector, whose 1 sits at d - 1.
+    # j's indicator is row j, unit[d - 1 - j : 2d - 1 - j], of one read-only
+    # strided view of a unit vector whose 1 sits at d - 1; _walk makes each
+    # row's view only as it reads it.
     unit = np.eye(1, 2 * d - 1, d - 1, np.int8)[0]
-    for block in _walk(d, n, [unit[d - 1 - j : 2 * d - 1 - j] for j in range(d)]):
+    for block in _walk(d, n, np.lib.stride_tricks.sliding_window_view(unit, d)[::-1]):
         diag_sum = 0.0  # per string from 0.0 in order over j: the same bits in any block
         for row, counts in zip(multiplicities, block):
             # Below N = 8 count_nonzero beats bincount; as uint8 a negative count is above N.

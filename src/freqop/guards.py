@@ -99,6 +99,16 @@ def check_spectral_n(n: int) -> None:
         raise ScaleError(f"spectral weights limited to N <= {MAX_SPECTRAL_N}, got {n}")
 
 
+def check_float_n(n: int) -> None:
+    """Refuse a ``stats --n`` whose N**2 overflows a float, which the Gram
+    closed form divides by; the other closed forms need only float(N)."""
+    try:
+        float(n * n)
+    except OverflowError:
+        raise ScaleError(f"--n too large: N**2 overflows a float for an N of "
+                         f"{n.bit_length()} bits") from None
+
+
 def check_n_list(n_list) -> list[int]:
     """A sweep's ensemble sizes as ints: nonempty, each >= 1, increasing."""
     ns = [int(n) for n in n_list]

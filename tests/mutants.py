@@ -68,10 +68,10 @@ MUTANTS = [
       "tests/test_dense.py::TestSiteSum::test_structural_route_has_the_kron_bytes",
       f"{GOLDEN}[verify_d2_n6]")),
     # j's indicator read one entry off the shared unit vector: outcome j
-    # counts j - 1, and outcome 0's view is one entry short.
+    # counts j + 1, and outcome d - 1 is never walked.
     ("src/freqop/dense.py",
-     "unit[d - 1 - j : 2 * d - 1 - j]",
-     "unit[d - j : 2 * d - j]",
+     "sliding_window_view(unit, d)[::-1]",
+     "sliding_window_view(unit, d)[-2::-1]",
      (f"{INDICATORS}[16]", f"{MULTIPLICITIES}[2-3]", f"{GOLDEN}[verify_d4096_n1]")),
     # A block's weights as each prefix's weight times a table of the suffix
     # folds: the products associate otherwise and lose the full fold's bits.
@@ -104,6 +104,19 @@ MUTANTS = [
      "            out[a : a + len(rows)] = counts / n\n",
      "            out[a : a + len(rows)] = np.roll(counts / n, 1)\n",
      (f"{TRIALS}[two_level-101]", f"{TRIALS}[zero_last-2048]", f"{GOLDEN}[sample_csv]")),
+    # A block of short trials counts every word at or below the interval's
+    # top, outcome j's and all below it: the count at or below lo is dropped.
+    ("src/freqop/sampler.py",
+     "            counts = _count_at_most(rows, hi) - _count_at_most(rows, lo)\n",
+     "            counts = _count_at_most(rows, hi)\n",
+     (f"{TRIALS}[two_level-101]", f"{TRIALS}[complex_d5-1000]", f"{TRIALS}[zero_middle-101]")),
+    # Each re-keyed stream starts with a full buffer of stale words: the
+    # state is no longer that of a fresh Philox(key=k).
+    ("src/freqop/sampler.py",
+     '"buffer_pos": 4',
+     '"buffer_pos": 0',
+     ("tests/test_sampler.py::test_rekeyed_state_is_fresh_philox_state[0]",
+      "tests/test_sampler.py::test_uniforms_match_fresh_philox[101]")),
     # A long trial's frequency as count * (1 / n), off by an ulp for some counts.
     ("src/freqop/sampler.py",
      "        out[i] = count / n\n",
@@ -130,6 +143,11 @@ MUTANTS = [
      "    max_w = max(_binom_term(k, n, p) for k in range(max(m - 1, 0), min(m + 1, n) + 1))\n",
      "    max_w = _binom_term(m, n, p)\n",
      (f"{PEAK_TABLE}[3-0.5]", f"{PEAK_TABLE}[99-0.5]", f"{PEAK_TABLE}[194-0.1282051282051282]")),
+    # converge's sampled variance filled with the sampled mean.
+    ("src/freqop/cli.py",
+     '            row["sampled_variance"] = summary.sample_variance\n',
+     '            row["sampled_variance"] = summary.mean_frequency\n',
+     (f"{GOLDEN}[converge_sample]",)),
     # main without its BrokenPipeError clause: a closed stdout falls to the
     # OSError clause, an error line and exit 2 instead of a silent 141.
     ("src/freqop/cli.py",
@@ -142,14 +160,27 @@ MUTANTS = [
 
 # Mutants that change no output, with the same columns; their tests must pass.
 EQUIVALENT = [
-    # verify adds counts / N over j in reverse. Each string's sum may move,
-    # but sum_to_identity reads only the largest and smallest, and the set
-    # of sums is the same: the string with each digit i read as d - 1 - i
-    # has the reversed counts.
+    # verify's tables in reverse, table j indicating outcome d - 1 - j: each
+    # multiplicity row expects the same sizes, and verify adds counts / N
+    # over the outcomes in reverse. Each string's sum may move, but
+    # sum_to_identity reads only the largest and smallest, and the set of
+    # sums is the same: the string with each digit i read as d - 1 - i has
+    # the reversed counts.
     ("src/freqop/dense.py",
-     "for j in range(d)]):",
-     "for j in range(d - 1, -1, -1)]):",
+     "sliding_window_view(unit, d)[::-1]",
+     "sliding_window_view(unit, d)",
      (f"{GOLDEN}[verify_d3_n7]", f"{GOLDEN}[verify_d16_n5]", f"{MULTIPLICITIES}[8-3]")),
+    # The spectrum window at no margin above the floor's Chernoff limit:
+    # every term outside it is then still at most e**0 times the floor by
+    # the Chernoff bound, so the floor zeroes it anyway. The tightness test
+    # reads the margin it checks from the module.
+    ("src/freqop/analytic.py",
+     "WINDOW_MARGIN = 5.0\n",
+     "WINDOW_MARGIN = 0.0\n",
+     ("tests/test_analytic.py::test_window_edges_are_tight",
+      "tests/test_analytic.py::test_window_matches_full_table", MPMATH,
+      "tests/test_analytic.py::test_spectrum_against_mpmath",
+      "tests/test_golden.py::test_large_n_digest")),
 ]
 
 

@@ -2,18 +2,12 @@ import json
 import math
 import re
 import statistics
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from freqop import analytic, dense, guards, sampler
-from freqop.analysis import (
-    ConvergenceRow,
-    convergence_sweep,
-    loglog_slope,
-    noncollapse_verdict,
-)
+from freqop.analysis import convergence_sweep, loglog_slope, noncollapse_verdict
 from freqop.cli import main
 from freqop.hilbert import EnsembleSpec, StateVector
 
@@ -22,24 +16,28 @@ _TOP = guards.MAX_DRAWS // 1000
 
 
 class TestConvergenceSweep:
-    def test_row_fields_and_defaults(self):
-        assert ConvergenceRow._fields == (
-            "n", "distance_sq", "uncertainty", "max_weight", "off_peak_mass",
-            "sampled_mean", "sampled_variance")
-        row = ConvergenceRow(10, 0.1, 0.2, 0.3, 0.4)
-        assert (row.sampled_mean, row.sampled_variance) == (None, None)
+    def test_rows_hold_the_closed_forms_only(self, capsys):
         rows = convergence_sweep(StateVector.two_level(0.36), 0, [10, 100])
-        assert all(r.sampled_mean is None and r.sampled_variance is None for r in rows)
+        assert [list(row) for row in rows] == [
+            ["n", "distance_sq", "uncertainty", "max_weight", "off_peak_mass"]] * 2
+        # The CLI adds the sampled cells, empty unless converge samples.
+        argv = ["converge", "--state", "two-level:0.36", "--n-list", "10,100"]
+        assert main(argv) == 0
+        for row in json.loads(capsys.readouterr().out)["result"]["rows"]:
+            assert (row["sampled_mean"], row["sampled_variance"]) == (None, None)
+        assert main([*argv, "--format", "csv"]) == 0
+        body = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+        assert len(body) == 2 and all(line.endswith(",,") for line in body)
 
     def test_known_distances_and_slope(self):
         rows = convergence_sweep(StateVector.two_level(0.5), 0, [10, 100, 1000])
-        d2 = [r.distance_sq for r in rows]
+        d2 = [r["distance_sq"] for r in rows]
         assert d2 == pytest.approx([0.025, 0.0025, 0.00025], abs=1e-15)
         assert loglog_slope(rows) == pytest.approx(-1.0, abs=1e-9)
 
     def test_degenerate_slope_marker(self):
         rows = convergence_sweep(StateVector.two_level(1.0), 0, [10, 100])
-        assert all(r.distance_sq == 0.0 for r in rows)
+        assert all(r["distance_sq"] == 0.0 for r in rows)
         assert loglog_slope(rows) is None
 
     def test_slope_error_within_polyfit(self):
@@ -52,8 +50,8 @@ class TestConvergenceSweep:
             ns = np.unique(rng.integers(1, 10**6, size=int(rng.integers(2, 10))))
             if ns.size < 2:
                 continue
-            rows = [SimpleNamespace(n=int(n), distance_sq=p * (1.0 - p) / int(n)) for n in ns]
-            d2 = [r.distance_sq for r in rows]
+            rows = [{"n": int(n), "distance_sq": p * (1.0 - p) / int(n)} for n in ns]
+            d2 = [r["distance_sq"] for r in rows]
             fsum_err.append(abs(loglog_slope(rows) + 1.0))
             polyfit_err.append(abs(np.polyfit(np.log(ns), np.log(d2), 1)[0] + 1.0))
         assert statistics.median(fsum_err) <= statistics.median(polyfit_err)
@@ -62,18 +60,18 @@ class TestConvergenceSweep:
     def test_dense_cross_check_small_n(self):
         state = StateVector.two_level(0.3)
         for row in convergence_sweep(state, 0, [2, 3, 5, 7]):
-            spec = EnsembleSpec(state, row.n, 0)
-            assert row.distance_sq == pytest.approx(
+            spec = EnsembleSpec(state, row["n"], 0)
+            assert row["distance_sq"] == pytest.approx(
                 dense.statistics_dense(spec)["distance_sq"], abs=1e-11
             )
 
     def test_identity_per_row(self):
         for row in convergence_sweep(StateVector.two_level(0.42), 0, [3, 30, 300]):
-            assert row.uncertainty**2 == pytest.approx(row.distance_sq, abs=1e-14)
+            assert row["uncertainty"]**2 == pytest.approx(row["distance_sq"], abs=1e-14)
 
     def test_monotone_decrease(self):
         rows = convergence_sweep(StateVector.two_level(0.2), 0, [1, 2, 5, 50, 500])
-        d2 = [r.distance_sq for r in rows]
+        d2 = [r["distance_sq"] for r in rows]
         assert all(b < a for a, b in zip(d2, d2[1:]))
 
     def test_sampled_columns(self, capsys):
@@ -163,15 +161,15 @@ def refused_sweep(capsys, n_list, trials, seed) -> str:
 class TestNoncollapseReport:
     def test_large_n_numbers(self):
         row = convergence_sweep(StateVector.two_level(0.5), 0, [10**4])[0]
-        assert row.distance_sq == pytest.approx(2.5e-5, abs=1e-18)
-        assert row.max_weight == pytest.approx(0.00798, abs=5e-5)
-        assert row.off_peak_mass > 0.99
+        assert row["distance_sq"] == pytest.approx(2.5e-5, abs=1e-18)
+        assert row["max_weight"] == pytest.approx(0.00798, abs=5e-5)
+        assert row["off_peak_mass"] > 0.99
 
     def test_eigenstate_verdict(self):
         state = StateVector.two_level(0.0)
         rows = convergence_sweep(state, 0, [10, 100])
         assert "exact eigenstate" in noncollapse_verdict(state, 0, rows)
-        assert all(r.off_peak_mass == 0.0 for r in rows)
+        assert all(r["off_peak_mass"] == 0.0 for r in rows)
 
     def test_generic_verdict_mentions_spread(self):
         state = StateVector.two_level(0.5)
@@ -182,14 +180,14 @@ class TestNoncollapseReport:
         # De Moivre-Laplace: max weight ~ 1/sqrt(2 pi N p(1-p)), so
         # max_weight * sqrt(N) ~ sqrt(2/pi) = 0.7979 at p = 0.5.
         rows = convergence_sweep(StateVector.two_level(0.5), 0, [10**2, 10**4, 10**6])
-        scaled = [r.max_weight * math.sqrt(r.n) for r in rows]
+        scaled = [r["max_weight"] * math.sqrt(r["n"]) for r in rows]
         ref = math.sqrt(2 / math.pi)
         for value in scaled:
             assert value == pytest.approx(ref, rel=0.02)
 
     def test_distance_vs_spread_opposition(self):
         rows = convergence_sweep(StateVector.two_level(0.3), 0, [10, 100, 1000, 10000])
-        d2 = [r.distance_sq for r in rows]
-        off = [r.off_peak_mass for r in rows]
+        d2 = [r["distance_sq"] for r in rows]
+        off = [r["off_peak_mass"] for r in rows]
         assert all(b < a for a, b in zip(d2, d2[1:]))
         assert all(b > a for a, b in zip(off, off[1:]))

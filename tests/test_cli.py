@@ -295,6 +295,15 @@ class TestStats:
             *cross_check,
         )
 
+    def test_n_is_refused_exactly_where_its_square_overflows_a_float(self, capsys):
+        # Python rounds an int at or above 2**1024 - 2**970 to infinity.
+        top = math.isqrt(2**1024 - 2**970 - 1)
+        code, doc = run_json(capsys, "stats", "--state", "two-level:0.3", "--n", str(top))
+        assert code == 0 and doc["result"]["gram"] == pytest.approx(0.09)
+        for n in (top + 1, 2**512):
+            err = assert_usage_error(capsys, "stats", "--state", "two-level:0.3", "--n", str(n))
+            assert err.startswith("error: --n too large: N**2 overflows a float")
+
     def test_metadata_block(self, capsys):
         _, doc = run_json(
             capsys, "stats", "--state", "uniform:2", "--n", "3"
@@ -411,7 +420,10 @@ class TestSampleAndSpectrum:
         (("stats", "--state", "nosuch.json", "--n", "21", "--cross-check"),
          "N = 21 exceeds the dense vector guard's N <= 20 for any dimension; "
          "use the analytic engine"),
-    ], ids=["spectrum-file", "sample-j", "converge-p", "noncollapse-dim", "stats-file"])
+        (("stats", "--state", "nosuch.json", "--n", str(2**512)),
+         "--n too large: N**2 overflows a float for an N of 513 bits"),
+    ], ids=["spectrum-file", "sample-j", "converge-p", "noncollapse-dim", "stats-file",
+            "stats-float"])
     def test_argv_guard_reported_before_state_fault(self, capsys, tmp_path,
                                                     monkeypatch, argv, message):
         """A request with a fault in its state (or --j) and one that a guard
@@ -625,7 +637,7 @@ class TestCsvRows:
         assert "\n# verdict=" in head
         rows = analysis.convergence_sweep(parse_state("two-level:0.36"), 0, ns)
         assert body == "".join("%d,%.17g,%.17g,%.17g\n"
-                               % (r.n, r.distance_sq, r.max_weight, r.off_peak_mass)
+                               % (r["n"], r["distance_sq"], r["max_weight"], r["off_peak_mass"])
                                for r in rows)
 
 
@@ -737,6 +749,8 @@ ARGV_ONLY_RUNS = {
                                "error: sampling limited to N x trials <= 1000000000 draws"),
     "refused-sample-n": (["sample", "--state", "two-level:0.3", "--n", "0", "--trials", "10",
                           "--seed", "0"], 2, "error: need at least one draw, got n=0"),
+    "refused-stats-float": (["stats", "--state", "two-level:0.3", "--n", str(2**512)], 2,
+                            "error: --n too large: N**2 overflows a float"),
     # The argv guard comes before the state, which here does not exist.
     "refused-spectrum-no-state": (["spectrum", "--state", "no-such-state.json",
                                    "--n", "2000000"], 2,

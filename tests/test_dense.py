@@ -316,11 +316,15 @@ class TestAlgebra:
         # but eigenspaces k and k-1 change size. A count of -1 is no
         # eigenvalue at all. Either is a tolerance FAIL (exit 1), not a
         # usage error. Both reach verify through the walk's count blocks.
+        # Each mutates a copy: at N = 1 a block is a read-only view of the
+        # indicators.
         def moved(counts):
+            counts = counts.copy()
             counts[int(np.argmax(counts))] -= 1
             return counts
 
         def negative(counts):
+            counts = counts.copy()
             counts[0] = -1
             return counts
 
@@ -342,8 +346,9 @@ class TestAlgebra:
 
     @pytest.mark.parametrize("d", [2, 16, 4096])
     def test_indicators_are_views_of_one_unit_vector(self, d, monkeypatch):
-        # verify builds no indicator per outcome: j's table is a view of
-        # one int8 array of 2d - 1 entries, its only 1 at index j.
+        # verify builds no indicator per outcome, nor a list of d views:
+        # j's table is row j of one read-only 2-D view, its only 1 at index
+        # j, and the rows share one int8 buffer of 2d - 1 entries.
         seen, walk = [], dense._walk
 
         def recording(d, n, tables):
@@ -353,11 +358,12 @@ class TestAlgebra:
         monkeypatch.setattr(dense, "_walk", recording)
         verify_operator_algebra(d, 1)
         (tables,) = seen
-        assert len(tables) == d
-        base = tables[0].base
-        assert base.dtype == np.int8 and base.size == 2 * d - 1
-        assert all(table.base is base for table in tables)
-        assert np.array_equal(np.stack(tables), np.eye(d, dtype=np.int8))
+        assert isinstance(tables, np.ndarray) and tables.shape == (d, d)
+        assert tables.dtype == np.int8 and not tables.flags.writeable
+        assert np.array_equal(tables, np.eye(d, dtype=np.int8))
+        starts = [row.__array_interface__["data"][0] for row in tables]
+        assert all(row.strides == (1,) for row in tables)
+        assert max(starts) + d - min(starts) == 2 * d - 1
 
     def test_spectrum_of_f0_n4(self):
         vals = sorted(set(frequency_counts(2, 4, 0) / 4))
