@@ -16,9 +16,6 @@ from .hilbert import EnsembleSpec
 # Binomial terms smaller than this underflow to exact zero.
 WEIGHT_FLOOR = 1e-300
 
-# Elements per slice in :func:`_libm`, so that its Python floats stay few.
-_LIBM_SLICE = 4096
-
 # Slack, in units of the exponent, between the floor and the edge of the
 # window on which spectral weights are computed: outside the window the
 # Chernoff bound puts every term below e**-5 * WEIGHT_FLOOR.
@@ -68,41 +65,22 @@ def _mode(n: int, p: float) -> int:
     return min(int((n + 1) * p), n)
 
 
-def _libm(f, x):
-    """f, a function of ``math``, at a float x or at each element of a float
-    array x, ``_LIBM_SLICE`` at a time: numpy's own ``exp`` and ``log`` can
-    differ from libm's in the last bit, by the CPU's SIMD dispatch."""
-    if isinstance(x, float):
-        return f(x)
-    import numpy as np
-
-    out = np.empty_like(x)
-    for c in range(0, x.size, _LIBM_SLICE):
-        part = x[c : c + _LIBM_SLICE]
-        out[c : c + _LIBM_SLICE] = np.fromiter(map(f, part.tolist()), float, part.size)
-    return out
+def _stirlerr(k: float) -> float:
+    """Stirling's error log(k!) - log(sqrt(2 pi k) (k/e)**k) at an integer
+    k >= 1, as a float: the table up to 15, above it the asymptotic series
+    to 1/k**9, whose first omitted term is about 1e-16 at k = 16."""
+    if k <= 15:
+        return _STIRLERR[int(k)]
+    kk = k * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
 
 
-def _stirlerr(k):
-    """Stirling's error log(k!) - log(sqrt(2 pi k) (k/e)**k) at integers
-    k >= 1, a float or a float array: the table up to 15, above it the
-    asymptotic series to 1/k**9, whose first omitted term is about 1e-16 at
-    k = 16."""
-    big = max(k, 16.0) if isinstance(k, float) else k.clip(16.0)
-    kk = big * big
-    out = (
-        1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk
-    ) / big
-    if isinstance(k, float):
-        return _STIRLERR[int(k)] if k <= 15 else out
-    small = k <= 15
-    out[small] = [_STIRLERR[int(v)] for v in k[small].tolist()]
-    return out
+# 1/(2j + 1) for j = 9 down to 1: the coefficients of _bd0's series.
+_BD0_SERIES = tuple(1 / (2 * j + 1) for j in range(9, 0, -1))
 
 
-def _bd0(x, mean: float):
-    """The deviance x log(x/mean) + mean - x, for x >= 1 and mean >= 0, at a
-    float x or at each element of a float array.
+def _bd0(x: float, mean: float) -> float:
+    """The deviance x log(x/mean) + mean - x, for x >= 1 and mean >= 0.
 
     Where |x - mean| < 0.1 (x + mean) the two terms nearly cancel, so it is
     summed as the series of 2x atanh(v) - v (x + mean) in v = (x - mean) /
@@ -111,34 +89,19 @@ def _bd0(x, mean: float):
     deviance is then +inf and the term it belongs to is 0.
     """
     d = x - mean
-    if isinstance(x, float) and abs(d) >= 0.1 * (x + mean):
+    if abs(d) >= 0.1 * (x + mean):
         return x * math.log(x / mean) + mean - x if mean else math.inf
     v = d / (x + mean)
     v2 = v * v
     tail = 0.0
-    for j in range(9, 0, -1):
-        tail = v2 * (1 / (2 * j + 1) + tail)
-    out = d * v + 2 * x * v * tail
-    if not isinstance(x, float):
-        far = abs(d) >= 0.1 * (x + mean)
-        xf = x[far]
-        out[far] = xf * _libm(math.log, xf / mean) + mean - xf
-    return out
+    for c in _BD0_SERIES:
+        tail = v2 * (c + tail)
+    return d * v + 2 * x * v * tail
 
 
-def _log_term(x, n: int, p: float):
-    """The log of Loader's term (see :func:`_binom_term`) at a float count
-    0 < x < n, or by the same operations at each element of a float array."""
-    y = n - x
-    log_c = (_stirlerr(float(n)) - _stirlerr(x) - _stirlerr(y)
-             - _bd0(x, n * p) - _bd0(y, n * (1.0 - p)))
-    # log((n - k)/n), not log1p(-k/n): k/n rounds, and near k = n that
-    # rounding costs up to 2.5e-13.
-    return log_c - 0.5 * (math.log(2 * math.pi) + _libm(math.log, x) + _libm(math.log, y / n))
-
-
-def _binom_term(k: int, n: int, p: float) -> float:
-    """The Binomial(n, p) probability of the integer count k in [0, n].
+def _binom_terms(a: int, b: int, n: int, p: float) -> list[float]:
+    """The Binomial(n, p) probabilities of the counts a..b (0 <= a <= b <=
+    n), as Python floats, each below ``WEIGHT_FLOOR`` reported as 0.0.
 
     C. Loader's saddle-point form (Fast and Accurate Computation of Binomial
     Probabilities, 2000), as in R's dbinom_raw: for 0 < k < n the log term is
@@ -149,28 +112,25 @@ def _binom_term(k: int, n: int, p: float) -> float:
     Against an mpmath reference it is within 1e-14 relative at the mode and
     its neighbours for p in [1e-12, 1 - 1e-12] (1e-12 outside it) and within
     1e-11 across the window. It neither raises nor warns, for p = 0, p = 1
-    and subnormal p too.
+    and subnormal p too. Every ``exp`` and ``log`` is libm's, through
+    ``math``, so no bit depends on numpy's SIMD dispatch; about 2 us a term.
     """
-    if k == 0:
-        return math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
-    if k == n:
-        return math.exp(n * math.log(p)) if p > 0.0 else 0.0
-    return math.exp(_log_term(float(k), n, p))
-
-
-def _binom_pmf(k, n: int, p: float):
-    """:func:`_binom_term` at each integer count of the array k, with the
-    same bits at 0.1 us a term instead of 4."""
-    import numpy as np
-
-    x = np.asarray(k, dtype=np.float64)
-    out = np.empty_like(x)
-    inner = (x > 0) & (x < n)
-    out[x == 0] = _binom_term(0, n, p)
-    out[x == n] = _binom_term(n, n, p)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        out[inner] = _libm(math.exp, _log_term(x[inner], n, p))
-    return out
+    log = math.log
+    exp = math.exp
+    stirlerr_n, mean_k, mean_rest = _stirlerr(float(n)), n * p, n * (1.0 - p)
+    log_2pi = log(2 * math.pi)
+    terms = [exp(n * math.log1p(-p)) if p < 1.0 else 0.0] if a == 0 else []
+    for k in range(max(a, 1), min(b, n - 1) + 1):
+        x = float(k)
+        y = n - x
+        log_c = (stirlerr_n - _stirlerr(x) - _stirlerr(y)
+                 - _bd0(x, mean_k) - _bd0(y, mean_rest))
+        # log((n - k)/n), not log1p(-k/n): k/n rounds, and near k = n that
+        # rounding costs up to 2.5e-13.
+        terms.append(exp(log_c - 0.5 * (log_2pi + log(x) + log(y / n))))
+    if b == n:
+        terms.append(exp(n * log(p)) if p > 0.0 else 0.0)
+    return [0.0 if t < WEIGHT_FLOOR else t for t in terms]
 
 
 def _window(n: int, p: float) -> tuple[int, int]:
@@ -204,33 +164,38 @@ def _window(n: int, p: float) -> tuple[int, int]:
     return m + 1 - down, m + up - 1
 
 
-def spectral_weights(spec: EnsembleSpec) -> np.ndarray:
-    """Binomial pmf over the eigenvalue counts k with parameter p = |c_j|^2.
+def spectral_window(spec: EnsembleSpec) -> tuple[int, list[float]]:
+    """(a, weights): the binomial pmf with parameter p = |c_j|^2 over the
+    counts a..b of its window, as Python floats. Entry i of ``weights`` is
+    the mass of the product state on the eigenspace of eigenvalue
+    (a + i)/N; every count outside [a, b] has mass exactly 0.
 
-    Returns the float64 weights as an array of length N + 1 indexed by k:
-    entry k is the mass of the product state on the eigenspace of
-    eigenvalue k/N.
-
-    Terms come from Loader's saddle-point kernel (see :func:`_binom_pmf`),
+    Terms come from Loader's saddle-point kernel (see :func:`_binom_terms`),
     which neither overflows nor loses the peak for N up to 10**6; terms
-    below the underflow floor are reported as exact zeros. The kernel runs
-    only on the window of counts that can reach the floor (see
-    :func:`_window`): by the Chernoff bound every term outside it is below
-    e**-5 times the floor, so the zeros there are exact, the same zeros the
-    floor would give the full table. At N = 10**6 and p = 0.3712 the window
-    holds 36,040 of the 10**6 + 1 counts. At p = 0 and p = 1 the window is
-    the single count k = 0 or k = N, where the kernel gives exactly 1.
+    below the underflow floor are reported as exact zeros. The window holds
+    every count whose term can reach the floor (see :func:`_window`): by the
+    Chernoff bound every term outside it is below e**-5 times the floor, so
+    the zeros there are exact, the same zeros the floor would give the full
+    table. At N = 10**6 and p = 0.3712 it holds 36,040 of the 10**6 + 1
+    counts. At p = 0 and p = 1 the window is the single count k = 0 or
+    k = N, where the kernel gives exactly 1.
     """
-    import numpy as np
-
     n = spec.n
     check_spectral_n(n)
     p = spec.born_probability
     a, b = _window(n, p)
-    weights = np.zeros(n + 1)
-    window = _binom_pmf(np.arange(a, b + 1), n, p)
-    window[window < WEIGHT_FLOOR] = 0.0
-    weights[a : b + 1] = window
+    return a, _binom_terms(a, b, n, p)
+
+
+def spectral_weights(spec: EnsembleSpec) -> np.ndarray:
+    """The float64 array of length N + 1 indexed by the count k, entry k the
+    mass on the eigenspace of eigenvalue k/N: :func:`spectral_window`,
+    padded with its zeros."""
+    a, window = spectral_window(spec)
+    import numpy as np  # here, not at the top: analytic loads without numpy
+
+    weights = np.zeros(spec.n + 1)
+    weights[a : a + len(window)] = window
     return weights
 
 
@@ -243,15 +208,14 @@ def noncollapse_metrics(spec: EnsembleSpec) -> tuple[float, float, float]:
     p = 1 the state is an eigenstate: distance 0, max weight exactly 1.
 
     The peak is read at the binomial mode floor((N+1)p) rather than from
-    the full table: the kernel, in Python floats with the table's bits, is
-    evaluated at the mode and its two neighbours (clipped to [0, N]), which
-    covers the two-mode tie when (N+1)p is an integer, the rounding of
-    (N+1)p, and the kernel's own rounding, which can put the table's maximum
-    one step above the mode.
+    the full table: the window's kernel is run at the mode and its two
+    neighbours (clipped to [0, N]), which covers the two-mode tie when
+    (N+1)p is an integer, the rounding of (N+1)p, and the kernel's own
+    rounding, which can put the table's maximum one step above the mode.
     """
     n = spec.n
     check_spectral_n(n)
     p = spec.born_probability
     m = _mode(n, p)
-    max_w = max(_binom_term(k, n, p) for k in range(max(m - 1, 0), min(m + 1, n) + 1))
+    max_w = max(_binom_terms(max(m - 1, 0), min(m + 1, n), n, p))
     return distance_sq(spec), max_w, 1.0 - max_w

@@ -6,19 +6,21 @@ parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
 files. Each command's table is held once, in its result: a sweep
 (``converge``, ``noncollapse``) as a list of row dicts, one per N, whose
-CSV is written at once; a column (``spectrum``, ``sample``) as its array,
-never held whole as text, in JSON or CSV: it is formatted from the array
-and written ``CSV_CHUNK_ROWS`` cells at a time. Exit codes:
+CSV is written at once; a column as the span that holds its nonzero
+cells, the spectrum's window of Python floats or the sampled frequencies'
+array, never held whole as text, in JSON or CSV: it is formatted from
+that span and written ``CSV_CHUNK_ROWS`` cells at a time. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 
 Each command runs its request in one order: the guards that need its
 arguments alone, then the layers it calls, then the state, then the
 answer. So ``--version``, ``--help``, a usage error and a refused request
-import no numpy. Nor do ``stats``, ``noncollapse`` and ``converge``: only
-a command that builds arrays loads numpy. Each command binds only the
-layers it calls: ``verify`` binds ``hilbert`` and ``dense``; ``sample``
-``hilbert`` and ``sampler``; ``stats`` and ``spectrum`` (whose array
-``analytic`` builds) ``hilbert`` and ``analytic``, plus ``dense`` under
+import no numpy. Nor do ``stats``, ``noncollapse``, ``converge`` and
+``spectrum``, which answer from Python floats: only the dense oracle
+(``verify``, ``stats --cross-check``) and sampling load numpy. Each
+command binds only the layers it calls: ``verify`` binds ``hilbert`` and
+``dense``; ``sample`` ``hilbert`` and ``sampler``; ``stats`` and
+``spectrum`` ``hilbert`` and ``analytic``, plus ``dense`` under
 ``--cross-check``; ``converge`` and ``noncollapse`` ``hilbert`` and
 ``analysis``, plus ``sampler`` under ``--sample``.
 
@@ -133,15 +135,25 @@ def _meta(args, extra=None) -> dict:
     return meta
 
 
-def _slices(w):
-    """(start, stop, nonzero) of each ``CSV_CHUNK_ROWS``-cell slice of the
-    1-D array ``w``, in order; ``nonzero`` is False for a slice of exact
-    zeros. Fixed slices, not runs of zeros and nonzeros: a sampled
+def _slices(column):
+    """(start, stop, cells) of each ``CSV_CHUNK_ROWS``-cell slice of a
+    column, in order: ``cells`` holds the slice's values as Python floats,
+    or is None for a slice of exact zeros. A column is ``(size, start,
+    values)``: ``size`` cells, zero but for ``values`` (a list of floats or
+    a 1-D float array) from cell ``start`` on. An array is read a slice at
+    a time. Fixed slices, not runs of zeros and nonzeros: a sampled
     frequency column may switch between the two at every cell."""
-    return [
-        (c, min(c + CSV_CHUNK_ROWS, len(w)), bool(w[c : c + CSV_CHUNK_ROWS].any()))
-        for c in range(0, len(w), CSV_CHUNK_ROWS)
-    ]
+    size, start, values = column
+    for c in range(0, size, CSV_CHUNK_ROWS):
+        d = min(c + CSV_CHUNK_ROWS, size)
+        part = values[max(c - start, 0) : max(d - start, 0)]
+        if not isinstance(part, list):
+            part = part.tolist()
+        if any(part):
+            head = max(start - c, 0)
+            yield c, d, [0.0] * head + part + [0.0] * (d - c - head - len(part))
+        else:
+            yield c, d, None
 
 
 def _zero_rows(c: int, d: int) -> str:
@@ -158,25 +170,26 @@ def _zero_rows(c: int, d: int) -> str:
             + ("%d,0\n" * (d - b)) % tuple(range(b, d)))
 
 
-def _column_rows(w):
-    """The CSV rows ``k,w[k]`` of a column, one string per slice. A slice of
-    zeros needs only its indices (:func:`_zero_rows`); any other repeats the
-    ``%d,%.17g`` row template over its cells (``"%.17g" % 0.0`` is ``0``)."""
-    for c, d, nonzero in _slices(w):
-        if nonzero:
-            cells = itertools.chain.from_iterable(zip(range(c, d), w[c:d].tolist()))
-            yield ("%d,%.17g\n" * (d - c)) % tuple(cells)
+def _column_rows(column):
+    """The CSV rows ``k,w[k]`` of a column w, one string per slice. A slice
+    of zeros needs only its indices (:func:`_zero_rows`); any other repeats
+    the ``%d,%.17g`` row template over its cells (``"%.17g" % 0.0`` is
+    ``0``)."""
+    for c, d, cells in _slices(column):
+        if cells:
+            yield ("%d,%.17g\n" * (d - c)) % tuple(
+                itertools.chain.from_iterable(zip(range(c, d), cells)))
         else:
             yield _zero_rows(c, d)
 
 
-def _column_json(w):
-    """The items of ``w.tolist()`` as ``json.dumps(indent=2)`` lays out a
-    value of the result (two levels deep), one string per slice: a float's
+def _column_json(column):
+    """The cells of a column as ``json.dumps(indent=2)`` lays out a list of
+    floats in the result (two levels deep), one string per slice: a float's
     JSON text is its ``repr``, and a zero's is ``0.0``."""
     sep = ",\n      "
-    for c, d, nonzero in _slices(w):
-        items = map(repr, w[c:d].tolist()) if nonzero else ("0.0",) * (d - c)
+    for c, d, cells in _slices(column):
+        items = map(repr, cells) if cells else ("0.0",) * (d - c)
         yield (sep if c else sep[1:]) + sep.join(items)
 
 
@@ -213,8 +226,8 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     """Write one command's output to --out or stdout.
 
     The only place values turn into text: ``result`` holds what the layers
-    return, as Python values or 1-D float arrays, and is the only copy of
-    the command's table. JSON (the default) is the meta block plus
+    return, as Python values, lists or 1-D float arrays, and is the only
+    copy of the command's table. JSON (the default) is the meta block plus
     ``result``. CSV is the meta block, then the ``result`` fields named in
     ``csv_meta``, one per ``# key=value`` line, then the table: ``table`` is
     its ``(key, header)``, and ``result[key]`` holds at least one row.
@@ -227,14 +240,15 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     construction: ``n`` is always ``int``, the closed forms ``float``, and a
     sweep samples every N or none.
 
-    Any other key names a column, a 1-D float array ``w`` whose row k is
-    ``(k, w[k])``: the spectrum's weights or the sampled frequencies, by
-    trial. In either format its text is never held whole, but rendered
-    slice by slice (:func:`_slices`), at most ``CSV_CHUNK_ROWS`` cells at a
-    time, with the same bytes as its rows would give, a slice of exact
-    zeros from its indices alone: in CSV a zero row is ``k,0``, 100 rows at
-    a time from one block (:func:`_zero_rows`), and in JSON the column is
-    spliced into the document at its key.
+    Any other key names a column w, ``(size, start, values)``, whose row k
+    is ``(k, w[k])``: the spectrum's weights, from its window's first count
+    on, or the sampled frequencies, by trial, from trial 0. In either
+    format its text is never held whole, but rendered slice by slice
+    (:func:`_slices`), at most ``CSV_CHUNK_ROWS`` cells at a time, with
+    the same bytes as its rows would give, a slice of exact zeros from its
+    indices alone: in CSV a zero row is ``k,0``, 100 rows at a time from
+    one block (:func:`_zero_rows`), and in JSON the column is spliced into
+    the document at its key.
     """
     meta = _meta(args, extra_meta)
     key, header = table or (None, ())
@@ -364,7 +378,7 @@ def cmd_sample(args) -> int:
         "trials": args.trials,
         "mean_frequency": summary.mean_frequency,
         "sample_variance": summary.sample_variance,
-        "frequencies": summary.frequencies,
+        "frequencies": (args.trials, 0, summary.frequencies),
     }
     _emit(args, result, ("frequencies", ("trial", "frequency")),
           ("mean_frequency", "sample_variance"), _sampling_meta(args.seed))
@@ -375,12 +389,13 @@ def cmd_spectrum(args) -> int:
     check_spectral_n(args.n)
     _load_layers("hilbert", "analytic")
     state = parse_state(args.state)
-    w = analytic.spectral_weights(hilbert.EnsembleSpec(state, args.n, args.j))
+    a, window = analytic.spectral_window(hilbert.EnsembleSpec(state, args.n, args.j))
+    max_weight = max(window)
     result = {
         "n": args.n,
-        "weights": w,
-        "max_weight": w.max(),  # np.float64 is a float
-        "argmax": int(w.argmax()),
+        "weights": (args.n + 1, a, window),
+        "max_weight": max_weight,
+        "argmax": a + window.index(max_weight),
     }
     _emit(args, result, ("weights", ("k", "weight")))
     return EXIT_OK

@@ -140,9 +140,17 @@ MUTANTS = [
     # The mpmath test sees it only at some of its random draws, so it is not
     # named here.
     ("src/freqop/analytic.py",
-     "    max_w = max(_binom_term(k, n, p) for k in range(max(m - 1, 0), min(m + 1, n) + 1))\n",
-     "    max_w = _binom_term(m, n, p)\n",
+     "    max_w = max(_binom_terms(max(m - 1, 0), min(m + 1, n), n, p))\n",
+     "    max_w = _binom_terms(m, m, n, p)[0]\n",
      (f"{PEAK_TABLE}[3-0.5]", f"{PEAK_TABLE}[99-0.5]", f"{PEAK_TABLE}[194-0.1282051282051282]")),
+    # spectrum's argmax read as the peak's place in the window, without the
+    # window's first count: right only where the window starts at k = 0, as
+    # it does for every spectrum small enough to keep as a golden file.
+    ("src/freqop/cli.py",
+     '"argmax": a + window.index(max_weight),',
+     '"argmax": window.index(max_weight),',
+     ("tests/test_cli.py::TestSampleAndSpectrum::test_spectrum_argmax_counts_from_k_0",
+      "tests/test_golden.py::test_large_n_digest[spectrum_0.3712_n1e5]")),
     # converge's sampled variance filled with the sampled mean.
     ("src/freqop/cli.py",
      '            row["sampled_variance"] = summary.sample_variance\n',

@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 from math import comb
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -196,12 +195,80 @@ class TestSpectralWeights:
                     assert abs(Fraction(weights[k]) - exact) <= bound * exact, (n, p, k)
 
 
+# The reference the window kernel is held to, bit for bit: the array form
+# of Loader's kernel that ``spectrum`` ran before its window was computed in
+# Python floats. It does ``analytic._binom_terms``'s float operations, in
+# the same order, on a float array, and takes every exp and log that can
+# reach an output bit from libm, through ``math``: numpy's own can differ
+# in the last bit, by the CPU's SIMD dispatch.
+
+
+def libm(f, x: np.ndarray) -> np.ndarray:
+    """f, a function of ``math``, at each element of the float array x."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def stirlerr_array(k: np.ndarray) -> np.ndarray:
+    big = k.clip(16.0)
+    kk = big * big
+    out = (
+        1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk
+    ) / big
+    small = k <= 15
+    out[small] = [analytic._STIRLERR[int(v)] for v in k[small].tolist()]
+    return out
+
+
+def bd0_array(x: np.ndarray, mean: float, log) -> np.ndarray:
+    d = x - mean
+    v = d / (x + mean)
+    v2 = v * v
+    tail = 0.0
+    for j in range(9, 0, -1):
+        tail = v2 * (1 / (2 * j + 1) + tail)
+    out = d * v + 2 * x * v * tail
+    far = abs(d) >= 0.1 * (x + mean)
+    xf = x[far]
+    out[far] = xf * log(xf / mean) + mean - xf
+    return out
+
+
+def log_term_array(x: np.ndarray, n: int, p: float, log) -> np.ndarray:
+    """The log of the term at each count 0 < x < n, with ``log`` the log."""
+    y = n - x
+    log_c = (stirlerr_array(np.array([float(n)]))[0] - stirlerr_array(x) - stirlerr_array(y)
+             - bd0_array(x, n * p, log) - bd0_array(y, n * (1.0 - p), log))
+    return log_c - 0.5 * (math.log(2 * math.pi) + log(x) + log(y / n))
+
+
+def reference_terms(ks, n: int, p: float) -> np.ndarray:
+    """The kernel's floored terms at the integer counts ``ks``, by the
+    array form. A count whose log term, taken with numpy's own log, is below
+    ln(WEIGHT_FLOOR) - 1 floors to 0.0 whichever libm rounds it (the two
+    logs differ by far less than 1), so only the other counts take libm's
+    log and exp, one Python float at a time."""
+    x = np.asarray(ks, dtype=np.float64)
+    out = np.zeros_like(x)
+    out[x == 0] = math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
+    out[x == n] = math.exp(n * math.log(p)) if p > 0.0 else 0.0
+    inner = np.flatnonzero((x > 0) & (x < n))
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        rough = log_term_array(x[inner], n, p, np.log)
+        near = inner[rough >= math.log(analytic.WEIGHT_FLOOR) - 1]
+        out[near] = libm(math.exp, log_term_array(
+            x[near], n, p, lambda v: libm(math.log, v)))
+    out[out < analytic.WEIGHT_FLOOR] = 0.0
+    return out
+
+
+def window_kernel_bytes(a: int, b: int, n: int, p: float) -> bytes:
+    return np.array(analytic._binom_terms(a, b, n, p), dtype=np.float64).tobytes()
+
+
 def full_table_weights(n: int, p: float) -> np.ndarray:
-    """The package's kernel on all N + 1 counts, floored: the table the
-    window must reproduce. It is ``spectral_weights`` with its window
-    widened to every count."""
-    with mock.patch.object(analytic, "_window", lambda n, p: (0, n)):
-        return spectral_weights(spec_with_p(n, p))
+    """The reference on all N + 1 counts: the table the window, padded with
+    its zeros, must reproduce."""
+    return reference_terms(np.arange(n + 1), n, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,13 +362,12 @@ def mode_and_neighbours(n: int, p: float) -> list[int]:
 @example((7, 1.0))
 @example((10**6, 0.3712))
 def test_scalar_kernel_equals_array_kernel(case):
-    """``noncollapse``'s kernel in Python floats and ``spectrum``'s on an
-    array are one kernel in two forms: bit for bit the same terms at the
-    mode and its neighbours, so the peak equals the table's maximum."""
+    """The window kernel in Python floats, which ``noncollapse`` reads its
+    peak from at the mode and its neighbours, gives the array form's bits
+    there."""
     n, p = case
     ks = mode_and_neighbours(n, p)
-    assert [analytic._binom_term(k, n, p) for k in ks] == (
-        analytic._binom_pmf(np.array(ks), n, p).tolist())
+    assert window_kernel_bytes(ks[0], ks[-1], n, p) == reference_terms(ks, n, p).tobytes()
 
 
 def test_scalar_kernel_equals_array_kernel_random(rng):
@@ -309,15 +375,14 @@ def test_scalar_kernel_equals_array_kernel_random(rng):
         n = int(10 ** rng.uniform(0, 6))
         p = float(rng.choice([rng.random(), rng.random() * 1e-4, 1 - rng.random() * 1e-4]))
         ks = mode_and_neighbours(n, p)
-        assert [analytic._binom_term(k, n, p) for k in ks] == (
-            analytic._binom_pmf(np.array(ks), n, p).tolist()), (n, p)
+        assert window_kernel_bytes(ks[0], ks[-1], n, p) == (
+            reference_terms(ks, n, p).tobytes()), (n, p)
 
 
 def test_scalar_kernel_equals_array_kernel_over_a_window():
     n, p = 10**6, 0.3712
     a, b = analytic._window(n, p)
-    assert [analytic._binom_term(k, n, p) for k in range(a, b + 1)] == (
-        analytic._binom_pmf(np.arange(a, b + 1), n, p).tolist())
+    assert window_kernel_bytes(a, b, n, p) == reference_terms(np.arange(a, b + 1), n, p).tobytes()
 
 
 class TestNoncollapse:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from freqop import analysis, analytic, cli, dense
 from freqop.cli import CSV_CHUNK_ROWS, main, parse_state
 from freqop.hilbert import kron_fold
 
-from test_golden import CASES, golden_path
+from test_golden import CASES, LARGE_CASES, golden_path, read_digests
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -467,6 +468,16 @@ class TestSampleAndSpectrum:
         assert type(result["max_weight"]) is float
         assert result["max_weight"] == max(weights)
 
+    def test_spectrum_argmax_counts_from_k_0(self, capsys):
+        """At N = 10**4 the window starts well above k = 0, so the argmax
+        is its first count plus the peak's place in it: the mode,
+        floor((N + 1)p)."""
+        _, doc = run_json(capsys, "spectrum", "--state", "two-level:0.36", "--n", "10000")
+        result = doc["result"]
+        weights = result["weights"]
+        assert weights[0] == 0.0
+        assert result["argmax"] == weights.index(result["max_weight"]) == 3600
+
     def test_noncollapse_rows(self, capsys):
         code, doc = run_json(
             capsys, "noncollapse", "--state", "two-level:0.5",
@@ -803,13 +814,15 @@ def test_argv_only_runs_import_no_numpy(name):
 
 
 # Golden cases (see test_golden.py) of the commands that answer from Python
-# floats: stats, noncollapse and converge without --sample, in each format
-# they have, with a two-level state, uniform:3 and a JSON state file.
+# floats: stats, noncollapse, converge without --sample and spectrum, in
+# each format they have, with a two-level state, uniform:3 and a JSON state
+# file.
 NUMPY_FREE_CASES = (
     "stats_two_level", "stats_uniform3", "stats_d3",
     "noncollapse_p05", "noncollapse_p05_csv", "noncollapse_uniform3_csv", "noncollapse_d3",
     "converge", "converge_csv", "converge_degenerate_csv", "converge_uniform3",
     "converge_d3_csv",
+    "spectrum", "spectrum_csv", "spectrum_p0", "spectrum_p1_csv", "spectrum_tail_csv",
 )
 
 # The layers a numpy-free command loads, as run_child reports them
@@ -818,14 +831,12 @@ NUMPY_FREE_LAYERS = {
     "stats": ["freqop.analytic"],
     "noncollapse": ["freqop.analysis", "freqop.analytic"],
     "converge": ["freqop.analysis", "freqop.analytic"],
+    "spectrum": ["freqop.analytic"],
 }
 
 # Commands that build arrays, and so still import numpy, with the layers
-# each loads: only those it calls (``spectrum``'s array comes from
-# ``analytic``).
+# each loads: only those it calls.
 ARRAY_RUNS = {
-    "spectrum": (["spectrum", "--state", "two-level:0.36", "--n", "20"],
-                 ("freqop.analytic",)),
     "sample": (["sample", "--state", "uniform:3", "--n", "10", "--trials", "3", "--seed", "1"],
                ("freqop.sampler",)),
     "verify": (["verify", "--dim", "2", "--n-max", "3"], ("freqop.dense",)),
@@ -870,6 +881,17 @@ def test_closed_form_commands_run_without_numpy(name):
     assert proc.returncode == 0, proc.stderr.decode()
     layers = repr(NUMPY_FREE_LAYERS[CASES[name][0]]).encode()
     assert proc.stdout == golden_path(name).read_bytes() + layers + b"\n"
+
+
+def test_spectrum_at_its_largest_n_runs_without_numpy():
+    """The largest spectrum, N = 10**6, whose window holds 36,040 of its
+    counts, prints its pinned bytes with numpy and ``dataclasses`` blocked."""
+    name = "spectrum_0.3712_n1e6_csv"
+    proc = run_child(LARGE_CASES[name], block=("numpy", "dataclasses"))
+    assert proc.returncode == 0, proc.stderr.decode()
+    out, _, layers = proc.stdout[:-1].rpartition(b"\n")
+    assert hashlib.sha256(out + b"\n").hexdigest() == read_digests()[name]
+    assert layers == repr(NUMPY_FREE_LAYERS["spectrum"]).encode()
 
 
 @pytest.mark.parametrize("name", list(ARRAY_RUNS))

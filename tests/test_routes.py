@@ -73,7 +73,7 @@ def test_closed_forms_against_mpmath(case):
         if reference >= WEIGHT_FLOOR:
             assert relative_error(weights[k], reference) <= bound, k
             # The peak's own kernel, in Python floats.
-            assert relative_error(analytic._binom_term(k, n, p), reference) <= bound, k
+            assert relative_error(analytic._binom_terms(k, k, n, p)[0], reference) <= bound, k
     assert relative_error(max_weight, max(peak.values())) <= bound
     # The peak route reads the same kernel terms as the table.
     assert max_weight == weights.max()
