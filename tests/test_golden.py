@@ -131,6 +131,14 @@ LARGE_CASES = {
     "converge_sample_n1e4": (
         "converge", *TWO_LEVEL, "--n-list", "10,100,1000,10000", "--sample",
         "--seed", "104"),
+    # Long trials, counted a chunk of words at a time on each worker: the
+    # benchmark's uniform:8 shape, and trials of 300000 words, whose last
+    # chunk is partial at 2**15 and at 2**16 words a chunk.
+    "sample_uniform8_n1e5_t200": (
+        "sample", "--state", "uniform:8", "--j", "3", "--n", "100000", "--trials", "200",
+        "--seed", "103"),
+    "sample_n3e5_t20": ("sample", *TWO_LEVEL, "--n", "300000", "--trials", "20",
+                        "--seed", "105"),
 }
 LARGE_DIGESTS = GOLDEN / "large_n.sha256"
 
