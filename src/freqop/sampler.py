@@ -14,9 +14,10 @@ entry becomes a 53-bit integer threshold that the word's top 53 bits meet
 exactly when that uniform meets the entry, so no float is formed.
 ``sample_outcomes`` turns each word into an outcome index by a search
 over the thresholds. ``run_trials`` needs only how many of a trial's words
-land on outcome j, so it counts the words inside j's interval, a block of
-short trials or 2**16 words of a long one at a time, and builds no
-indices; from 2**13 words a trial, the trials are split into contiguous
+land on outcome j, so it counts the words inside j's interval and builds
+no indices. Each worker holds one chunk of at most 2**15 words at a time:
+a block of short trials, or a slice of a long one, let go before the next
+is drawn. From 2**13 words a trial, the trials are split into contiguous
 slices over the CPUs the process may use, one thread and one Philox each.
 """
 
@@ -39,11 +40,12 @@ STREAM_CONSTANT = 0x9E3779B97F4A7C15
 # How run_trials derives each trial's stream seed (see stream_seed).
 STREAM_RULE = f"stream_seed = master ^ (trial_index * {STREAM_CONSTANT:#x}) mod 2**64"
 
-# run_trials holds at most _CHUNK words of a trial at a time. Trials of at
-# most _BLOCK_N words are counted a block of _CHUNK // n trials at a time
-# (n = 100: 2.4 us a trial, 4.6 alone); from ~4096 words, copying the words
-# into a block costs more than it saves (n = 10^4: 69 against 58 us).
-_CHUNK = 2**16
+# Each worker of run_trials holds one chunk of at most _CHUNK words (and a
+# compare's bool temporary, an eighth of it) at a time. Trials of at most
+# _BLOCK_N words are counted a block of _CHUNK // n trials at a time
+# (n = 100: 2.1 us a trial, 3.7 alone); from ~4096 words, copying the words
+# into a block costs more than it saves (n = 10^4: 51 against 44 us).
+_CHUNK = 2**15
 _BLOCK_N = 2**11
 
 # Only trials of at least _THREADS_N words run on several threads: shorter
@@ -94,6 +96,12 @@ def _count_at_most(words: np.ndarray, t: int):
     return np.count_nonzero(words <= ((t << 11) | 2047), axis=axis)
 
 
+def _count_in(words: np.ndarray, lo: int, hi: int):
+    """How many words w of ``words`` (of each row, if 2-D) have
+    ``lo < w >> 11 <= hi``, for thresholds lo <= hi of :func:`_thresholds`."""
+    return _count_at_most(words, hi) - _count_at_most(words, lo)
+
+
 def _rekeyed(bit_generator, keys):
     """Yield ``bit_generator``, a Philox, at the start of each key's stream
     in turn: counter 0, key ``[k, 0]`` and an empty buffer (``buffer_pos``
@@ -124,14 +132,13 @@ def _count_trials(bit_generator, keys, n: int, lo: int, hi: int, out) -> None:
             # zip takes a row first, so it re-keys no stream past the block.
             for row, stream in zip(rows, streams):
                 row[:] = stream.random_raw(n)
-            counts = _count_at_most(rows, hi) - _count_at_most(rows, lo)
-            out[a : a + len(rows)] = counts / n
+            out[a : a + len(rows)] = _count_in(rows, lo, hi) / n
         return
     for i, stream in enumerate(streams):
         count = 0
         for start in range(0, n, _CHUNK):
-            words = stream.random_raw(min(_CHUNK, n - start))
-            count += _count_at_most(words, hi) - _count_at_most(words, lo)
+            # No name holds a chunk, so it is freed before the next is drawn.
+            count += _count_in(stream.random_raw(min(_CHUNK, n - start)), lo, hi)
         out[i] = count / n
 
 
@@ -213,8 +220,6 @@ def run_trials(
     check_target(j, state.dim)
     check_sampling(trials, seed, [n])
     thresholds = _thresholds(_born_cdf(state))
-    # The CDF is non-decreasing, so count(u <= hi) - count(u <= lo) is
-    # count(lo < u <= hi).
     lo = int(thresholds[j - 1]) if j else -1
     hi = int(thresholds[j])
     freqs = np.empty(trials)

@@ -4,23 +4,27 @@ only test that caught a mutant makes its row fail here.
 
 A row is (file, old text, new text, tests that must fail); a row of
 ``EQUIVALENT`` names a mutant that changes no output, and its tests must
-pass. The script copies ``pyproject.toml``, ``src/`` and ``tests/`` to a
-temporary directory, so that pyproject's ``pythonpath = ["src"]`` loads the
-mutated copy and not this checkout's ``src``. For each row it replaces the
-old text, which must occur exactly once (a stale row is an error, not a
-pass), and runs the named tests there with pytest, writing no bytecode, so
-no cached module outlives its mutant. The named tests must first pass on
-the unmutated copy. pytest does not collect this file; run it from
-anywhere as a script:
+pass. The old text must occur exactly once (a stale row is an error, not a
+pass). The script copies ``pyproject.toml``, ``src/`` and ``tests/`` to
+one temporary directory per worker, min(2, usable CPUs) of them, so that
+pyproject's ``pythonpath = ["src"]`` loads the mutated copy and not this
+checkout's ``src``. The named tests must first pass on the unmutated
+copies. The rows are then dealt to the workers round robin, and each
+worker, one row at a time in its own copy, replaces the row's old text
+and runs the row's tests with pytest, writing no bytecode, so no cached
+module outlives its mutant. The results print in row order. pytest does
+not collect this file; run it from anywhere as a script:
 
     python tests/mutants.py
 """
 
+import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +35,7 @@ INDICATORS = "tests/test_dense.py::TestAlgebra::test_indicators_are_views_of_one
 THREE_PRODUCTS = "tests/test_routes.py::test_statistics_dense_matches_three_products_at_each_n"
 AT_THE_GUARD = "tests/test_routes.py::test_statistics_dense_matches_three_products_at_the_guard"
 TRIALS = "tests/test_sampler.py::test_trial_frequencies_match_searchsorted_reference"
+BLOCK_COUNTS = "            out[a : a + len(rows)] = _count_in(rows, lo, hi) / n\n"
 MPMATH = "tests/test_routes.py::test_closed_forms_against_mpmath"
 PEAK_TABLE = "tests/test_analytic.py::TestNoncollapse::test_peak_at_mode_matches_table"
 
@@ -101,14 +106,14 @@ MUTANTS = [
       "tests/test_acceptance.py::test_criterion_7_monte_carlo")),
     # A block's rows written one trial off.
     ("src/freqop/sampler.py",
-     "            out[a : a + len(rows)] = counts / n\n",
-     "            out[a : a + len(rows)] = np.roll(counts / n, 1)\n",
+     BLOCK_COUNTS,
+     "            out[a : a + len(rows)] = np.roll(_count_in(rows, lo, hi) / n, 1)\n",
      (f"{TRIALS}[two_level-101]", f"{TRIALS}[zero_last-2048]", f"{GOLDEN}[sample_csv]")),
     # A block of short trials counts every word at or below the interval's
     # top, outcome j's and all below it: the count at or below lo is dropped.
     ("src/freqop/sampler.py",
-     "            counts = _count_at_most(rows, hi) - _count_at_most(rows, lo)\n",
-     "            counts = _count_at_most(rows, hi)\n",
+     BLOCK_COUNTS,
+     "            out[a : a + len(rows)] = _count_at_most(rows, hi) / n\n",
      (f"{TRIALS}[two_level-101]", f"{TRIALS}[complex_d5-1000]", f"{TRIALS}[zero_middle-101]")),
     # Each re-keyed stream starts with a full buffer of stale words: the
     # state is no longer that of a fresh Philox(key=k).
@@ -117,6 +122,13 @@ MUTANTS = [
      '"buffer_pos": 0',
      ("tests/test_sampler.py::test_rekeyed_state_is_fresh_philox_state[0]",
       "tests/test_sampler.py::test_uniforms_match_fresh_philox[101]")),
+    # A long trial's chunk bound to a name, which keeps it while the next
+    # chunk is drawn: two chunks a worker, the same counts.
+    ("src/freqop/sampler.py",
+     "            count += _count_in(stream.random_raw(min(_CHUNK, n - start)), lo, hi)\n",
+     "            words = stream.random_raw(min(_CHUNK, n - start))\n"
+     "            count += _count_in(words, lo, hi)\n",
+     ("tests/test_sampler.py::test_each_worker_holds_one_chunk[1]",)),
     # A long trial's frequency as count * (1 / n), off by an ulp for some counts.
     ("src/freqop/sampler.py",
      "        out[i] = count / n\n",
@@ -202,34 +214,62 @@ def _failed(root: Path, tests) -> set:
     return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE))
 
 
+def _copy(root: Path) -> Path:
+    """Copy the parts pytest reads from this checkout to root."""
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, root / part,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(ROOT / "pyproject.toml", root)
+    return root
+
+
+def _run_rows(root: Path, rows) -> dict:
+    """For each (index, row) of rows in turn, mutate the copy at root, run
+    the row's tests there and restore the source: the failed tests by index."""
+    failed = {}
+    for index, (path, old, new, tests) in rows:
+        source = (root / path).read_text()
+        (root / path).write_text(source.replace(old, new))
+        try:
+            failed[index] = _failed(root, tests)
+        finally:
+            (root / path).write_text(source)
+    return failed
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main() -> int:
     rows = [(row, True) for row in MUTANTS] + [(row, False) for row in EQUIVALENT]
-    bad = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        copy = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
-        named = sorted({test for (*_, tests), _ in rows for test in tests})
-        broken = _failed(copy, named)
+    for (path, old, _, _), _ in rows:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            sys.exit(f"{path}: {count} matches for {old!r}")
+    workers = min(2, _cpus())
+    named = sorted({test for (*_, tests), _ in rows for test in tests})
+    indexed = list(enumerate(row for row, _ in rows))
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(workers) as pool:
+        copies = [_copy(Path(tmp) / str(w)) for w in range(workers)]
+        shares = [named[w::workers] for w in range(workers)]
+        broken = set().union(*pool.map(_failed, copies, shares))
         if broken:
             sys.exit(f"fail without a mutant: {sorted(broken)}")
-        for (path, old, new, tests), killed in rows:
-            source = (copy / path).read_text()
-            if source.count(old) != 1:
-                sys.exit(f"{path}: {source.count(old)} matches for {old!r}")
-            (copy / path).write_text(source.replace(old, new))
-            try:
-                failed = _failed(copy, tests)
-            finally:
-                (copy / path).write_text(source)
-            wrong = sorted(set(tests) - failed if killed else failed)
-            change = repr(new.strip()) if new else f"deleted {old.strip().splitlines()[0]!r}"
-            print(f"{'ok  ' if not wrong else 'BAD '}{path}: {change}")
-            for test in wrong:
-                print(f"     {'passed' if killed else 'failed'}: {test}")
-            bad += bool(wrong)
+        failed = {}
+        for results in pool.map(_run_rows, copies, [indexed[w::workers] for w in range(workers)]):
+            failed.update(results)
+    bad = 0
+    for index, ((path, old, new, tests), killed) in enumerate(rows):
+        wrong = sorted(set(tests) - failed[index] if killed else failed[index])
+        change = repr(new.strip()) if new else f"deleted {old.strip().splitlines()[0]!r}"
+        print(f"{'ok  ' if not wrong else 'BAD '}{path}: {change}")
+        for test in wrong:
+            print(f"     {'passed' if killed else 'failed'}: {test}")
+        bad += bool(wrong)
     print(f"{len(rows) - bad} of {len(rows)} rows as expected")
     return 1 if bad else 0
 

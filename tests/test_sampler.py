@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from freqop.guards import MAX_DRAWS, MAX_TRIAL_RUNS
 from freqop.hilbert import StateVector
 from freqop.sampler import (
+    _CHUNK,
     _born_cdf,
     _rekeyed,
     run_trials,
@@ -168,11 +170,11 @@ def test_rekeyed_state_is_fresh_philox_state(key):
     assert _plain(stream.state) == _plain(_Philox(key=key).state)
 
 
-# Trials of at most 2**11 words are counted in blocks of 2**16 // n: at
-# n = 1000 two blocks of 65 and one of 7, at n = 2**11 two of 32 and one
-# of 3. Longer trials are counted one by one, from 2**13 words on several
-# threads where the process may use several CPUs, and from 2**16 words a
-# trial is drawn in chunks.
+# Trials of at most 2**11 words are counted in blocks of _CHUNK // n: at
+# n = 1000 and at n = 2**11, two full blocks and a partial one (of 7 and
+# of 3 trials). Longer trials are counted one by one, from 2**13 words on
+# several threads where the process may use several CPUs, and from _CHUNK
+# (2**15) words a trial is drawn in chunks.
 @pytest.mark.parametrize("n", [1, 3, 101, 1000, 2**11, 2**11 + 1, 2**15, 2**15 + 1,
                                2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
 @pytest.mark.parametrize("state", [
@@ -187,7 +189,8 @@ def test_trial_frequencies_match_searchsorted_reference(state, n):
     """Counting the words in outcome j's CDF interval gives the bytes of
     building every outcome index from fresh Generator floats and counting
     those equal to j."""
-    trials, seed = {1000: 2 * 65 + 7, 2**11: 2 * 32 + 3}.get(n, 4), 2026
+    partial, seed = {1000: 7, 2**11: 3}.get(n), 2026
+    trials = 2 * (_CHUNK // n) + partial if partial else 4
     cdf = _born_cdf(state)
     outcomes = [
         np.searchsorted(
@@ -309,6 +312,26 @@ def test_worker_count_leaves_frequencies_unchanged(monkeypatch, n):
     assert three.frequencies.tobytes() == one.frequencies.tobytes()
     assert three.mean_frequency == one.mean_frequency
     assert three.sample_variance == one.sample_variance
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_each_worker_holds_one_chunk(monkeypatch, cpus):
+    """Each worker lets go of a trial's chunk of words before it draws the
+    next, so the traced peak stays below one and a half chunks a worker: a
+    chunk and its compare's bool temporary. A loop that keeps the last
+    chunk while it draws the next peaks at two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    # Three full chunks and a partial one a trial, two trials a worker.
+    state, n, trials = StateVector.two_level(0.36), 3 * _CHUNK + 5, 2 * cpus
+    run_trials(state, n, trials, seed=3)  # lazy imports and caches settle first
+    tracemalloc.start()
+    try:
+        run_trials(state, n, trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cpus * _CHUNK * 8
 
 
 def test_worker_exception_propagates(monkeypatch):
