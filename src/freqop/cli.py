@@ -6,10 +6,10 @@ parsed configuration, and RNG details where sampling is involved. Output
 contains no timestamps, so identical invocations produce byte-identical
 files. Each command's table is held once, in its result: a sweep
 (``converge``, ``noncollapse``) as a list of row dicts, one per N, whose
-CSV is written at once; a column as the span that holds its nonzero
-cells, the spectrum's window of Python floats or the sampled frequencies'
-array, never held whole as text, in JSON or CSV: it is formatted from
-that span and written ``CSV_CHUNK_ROWS`` cells at a time. Exit codes:
+CSV is written at once; a column as its size and the span of cells that
+may be nonzero (the spectrum's window or the sampled frequencies), never
+held whole as text: ``CSV_CHUNK_ROWS`` cells at a time, the span's from
+their values and the zeros outside it from their indices. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 
 Each command runs its request in one order: the guards that need its
@@ -136,24 +136,23 @@ def _meta(args, extra=None) -> dict:
 
 
 def _slices(column):
-    """(start, stop, cells) of each ``CSV_CHUNK_ROWS``-cell slice of a
-    column, in order: ``cells`` holds the slice's values as Python floats,
-    or is None for a slice of exact zeros. A column is ``(size, start,
-    values)``: ``size`` cells, zero but for ``values`` (a list of floats or
-    a 1-D float array) from cell ``start`` on. An array is read a slice at
-    a time. Fixed slices, not runs of zeros and nonzeros: a sampled
-    frequency column may switch between the two at every cell."""
+    """(c, d, cells) of each slice [c, d) of a column ``(size, start,
+    values)``, in order: ``size`` cells, zero but for ``values`` (a list of
+    floats or a 1-D float array) from cell ``start`` on. Its three spans,
+    the zeros before ``start``, the values and the zeros after them, are
+    each cut into slices of at most ``CSV_CHUNK_ROWS`` cells. ``cells`` is
+    None on a zero span, else the slice's values as Python floats, zeros
+    included; an array is read a slice at a time."""
     size, start, values = column
-    for c in range(0, size, CSV_CHUNK_ROWS):
-        d = min(c + CSV_CHUNK_ROWS, size)
-        part = values[max(c - start, 0) : max(d - start, 0)]
-        if not isinstance(part, list):
-            part = part.tolist()
-        if any(part):
-            head = max(start - c, 0)
-            yield c, d, [0.0] * head + part + [0.0] * (d - c - head - len(part))
-        else:
-            yield c, d, None
+    stop = start + len(values)
+    for c in range(0, start, CSV_CHUNK_ROWS):
+        yield c, min(c + CSV_CHUNK_ROWS, start), None
+    for c in range(start, stop, CSV_CHUNK_ROWS):
+        d = min(c + CSV_CHUNK_ROWS, stop)
+        cells = values[c - start : d - start]
+        yield c, d, cells if isinstance(cells, list) else cells.tolist()
+    for c in range(stop, size, CSV_CHUNK_ROWS):
+        yield c, min(c + CSV_CHUNK_ROWS, size), None
 
 
 def _zero_rows(c: int, d: int) -> str:
@@ -172,15 +171,15 @@ def _zero_rows(c: int, d: int) -> str:
 
 def _column_rows(column):
     """The CSV rows ``k,w[k]`` of a column w, one string per slice. A slice
-    of zeros needs only its indices (:func:`_zero_rows`); any other repeats
-    the ``%d,%.17g`` row template over its cells (``"%.17g" % 0.0`` is
-    ``0``)."""
+    of a zero span needs only its indices (:func:`_zero_rows`); a slice of
+    the values repeats the ``%d,%.17g`` row template over its cells
+    (``"%.17g" % 0.0`` is ``0``, as in a zero row)."""
     for c, d, cells in _slices(column):
-        if cells:
+        if cells is None:
+            yield _zero_rows(c, d)
+        else:
             yield ("%d,%.17g\n" * (d - c)) % tuple(
                 itertools.chain.from_iterable(zip(range(c, d), cells)))
-        else:
-            yield _zero_rows(c, d)
 
 
 def _column_json(column):
@@ -189,7 +188,7 @@ def _column_json(column):
     JSON text is its ``repr``, and a zero's is ``0.0``."""
     sep = ",\n      "
     for c, d, cells in _slices(column):
-        items = map(repr, cells) if cells else ("0.0",) * (d - c)
+        items = ("0.0",) * (d - c) if cells is None else map(repr, cells)
         yield (sep if c else sep[1:]) + sep.join(items)
 
 
@@ -245,10 +244,10 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     on, or the sampled frequencies, by trial, from trial 0. In either
     format its text is never held whole, but rendered slice by slice
     (:func:`_slices`), at most ``CSV_CHUNK_ROWS`` cells at a time, with
-    the same bytes as its rows would give, a slice of exact zeros from its
-    indices alone: in CSV a zero row is ``k,0``, 100 rows at a time from
-    one block (:func:`_zero_rows`), and in JSON the column is spliced into
-    the document at its key.
+    the same bytes as its rows would give, the rows outside its span
+    from their indices alone: in CSV a zero row is ``k,0``, 100 rows at a
+    time from one block (:func:`_zero_rows`), and in JSON the column is
+    spliced into the document at its key.
     """
     meta = _meta(args, extra_meta)
     key, header = table or (None, ())

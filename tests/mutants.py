@@ -163,6 +163,15 @@ MUTANTS = [
      '"argmax": window.index(max_weight),',
      ("tests/test_cli.py::TestSampleAndSpectrum::test_spectrum_argmax_counts_from_k_0",
       "tests/test_golden.py::test_large_n_digest[spectrum_0.3712_n1e5]")),
+    # A column's zeros after its values never written: the spectrum's rows
+    # above its window go missing, in CSV and in JSON.
+    ("src/freqop/cli.py",
+     "    for c in range(stop, size, CSV_CHUNK_ROWS):\n"
+     "        yield c, min(c + CSV_CHUNK_ROWS, size), None\n",
+     "",
+     ("tests/test_cli.py::TestCsvRows::test_slices_walk_three_spans[inside]",
+      f"{GOLDEN}[spectrum_tail_csv]",
+      "tests/test_golden.py::test_large_n_digest[spectrum_0.3712_n1e5]")),
     # converge's sampled variance filled with the sampled mean.
     ("src/freqop/cli.py",
      '            row["sampled_variance"] = summary.sample_variance\n',

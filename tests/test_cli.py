@@ -573,7 +573,10 @@ class TestCsvRows:
         (("spectrum", "--state", "two-level:0.36", "--n", "100000"), "weights"),
         (("sample", "--state", "two-level:0.36", "--n", "10", "--trials", "20000",
           "--seed", "11"), "frequencies"),
-    ], ids=["spectrum", "sample"])
+        # Whole slices of zero frequencies, each through the row template.
+        (("sample", "--state", "two-level:1e-6", "--n", "10", "--trials", "10000",
+          "--seed", "124"), "frequencies"),
+    ], ids=["spectrum", "sample", "sample_zeros"])
     def test_rows_follow_per_cell_rule(self, capsys, argv, column):
         _, doc = run_json(capsys, *argv)
         code, out = run(capsys, *argv, "--format", "csv")
@@ -584,6 +587,29 @@ class TestCsvRows:
         assert len(lines) - header - 1 == len(values)
         expected = [",".join(map(per_cell, row)) for row in enumerate(values)]
         assert lines[header + 1:] == expected
+
+    @pytest.mark.parametrize("size,start,values", [
+        (5 * CSV_CHUNK_ROWS + 7, CSV_CHUNK_ROWS + 5,
+         [0.25] * 10 + [0.0] * (2 * CSV_CHUNK_ROWS) + [0.5] * 20),
+        (3 * CSV_CHUNK_ROWS, 0, np.array([0.5] * 3 + [0.0] * CSV_CHUNK_ROWS + [0.125])),
+        (2 * CSV_CHUNK_ROWS + 8, 7, [0.0] * CSV_CHUNK_ROWS + [1.0] * (CSV_CHUNK_ROWS + 1)),
+    ], ids=["inside", "from_0", "to_size"])
+    def test_slices_walk_three_spans(self, size, start, values):
+        """The slices tile the column, cut at ``start`` and ``stop``; cells
+        are None exactly outside the values, and a whole slice of zeros
+        among the values comes back as its cells."""
+        stop = start + len(values)
+        slices = list(cli._slices((size, start, values)))
+        edges = [c for c, _, _ in slices] + [size]
+        assert edges[0] == 0
+        assert [d for _, d, _ in slices] == edges[1:]
+        assert all(0 < d - c <= CSV_CHUNK_ROWS for c, d, _ in slices)
+        assert start in edges and stop in edges
+        for c, d, cells in slices:
+            assert (cells is None) == (d <= start or c >= stop)
+        cells = [x for _, _, part in slices if part is not None for x in part]
+        assert all(type(x) is float for x in cells)
+        assert cells == list(values)
 
     def test_zero_rows_match_the_template_on_every_slice(self):
         """Every slice of the N = 10^6 table, as if each held only zeros."""

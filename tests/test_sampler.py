@@ -206,6 +206,24 @@ def test_trial_frequencies_match_searchsorted_reference(state, n):
         assert got.tobytes() == reference.tobytes()
 
 
+# One sampler, two read-outs: trial 0's stream seed is the master seed
+# (stream_seed(seed, 0) == seed), and both compare Philox words with the
+# same thresholds. n covers the block path (up to 2**11 words a trial), the
+# long path, and a long trial whose last chunk is partial.
+@pytest.mark.parametrize("n", [1, 100, 2**11, 2**11 + 1, 2**15 + 3])
+@pytest.mark.parametrize("state", [
+    StateVector([0.0, 0.6, 0.0, 0.8j]),
+    StateVector([0.5, 0.5j, -0.5, 0.5, 0.0]),
+    StateVector([0, 0, 1]),
+], ids=["zero_middle", "zero_last", "basis_d3"])
+def test_sample_outcomes_are_trial_0(state, n):
+    seed = 2027
+    outcomes = sample_outcomes(state, n, seed)
+    for j in range(state.dim):
+        frequency = run_trials(state, n, 2, seed, j).frequencies[0]
+        assert np.count_nonzero(outcomes == j) / n == frequency
+
+
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_draw_on_cdf_boundary_is_lower_outcome(monkeypatch, j):
     # uniform:4 has Born weights of exactly 1/4, so cdf[j] == (j + 1) / 4,
