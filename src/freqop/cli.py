@@ -8,8 +8,9 @@ files. Each command's table is held once, in its result: a sweep
 (``converge``, ``noncollapse``) as a list of row dicts, one per N, whose
 CSV is written at once; a column as its size and the span of cells that
 may be nonzero (the spectrum's window or the sampled frequencies), never
-held whole as text: ``CSV_CHUNK_ROWS`` cells at a time, the span's from
-their values and the zeros outside it from their indices. Exit codes:
+held whole as text: it is cut on a grid of ``CSV_CHUNK_ROWS`` cells and
+at the span's edges, the span's slices written from their values and the
+zeros outside it from their indices. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 
 Each command runs its request in one order: the guards that need its
@@ -63,11 +64,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports for a C filter
 
 CROSS_CHECK_TOL = 1e-11
 
-# Rows of a CSV table formatted and written per write call: large enough
-# that the per-chunk overhead vanishes, small enough that a chunk's text
-# stays far below the table's own arrays (at N = 10^5 a 16384-row chunk
-# already raises the spectrum's tracemalloc peak above a 4096-row one).
-CSV_CHUNK_ROWS = 4096
+# The grid a column is cut on, in rows per write call. A multiple of
+# ``_zero_rows``' 100-row block, so a zero slice has partial blocks only at
+# the span's edges. A slice holds about 140 B a row of Python objects (its
+# ints, floats and text), so 1000 rows keep it near a sampled array's size.
+CSV_CHUNK_ROWS = 1000
 
 # Row schemas, the only list of each sweep's output columns: its JSON and
 # CSV rows take their columns, in order, from these. The closed forms come
@@ -138,21 +139,20 @@ def _meta(args, extra=None) -> dict:
 def _slices(column):
     """(c, d, cells) of each slice [c, d) of a column ``(size, start,
     values)``, in order: ``size`` cells, zero but for ``values`` (a list of
-    floats or a 1-D float array) from cell ``start`` on. Its three spans,
-    the zeros before ``start``, the values and the zeros after them, are
-    each cut into slices of at most ``CSV_CHUNK_ROWS`` cells. ``cells`` is
-    None on a zero span, else the slice's values as Python floats, zeros
-    included; an array is read a slice at a time."""
+    floats or a 1-D float array) from cell ``start`` on. The column is cut
+    on one grid, the multiples of ``CSV_CHUNK_ROWS``, and at the span's
+    edges ``start`` and ``stop``, so each slice lies inside the span or
+    outside it. ``cells`` is None outside, else the slice's values as
+    Python floats, zeros included; an array is read a slice at a time."""
     size, start, values = column
     stop = start + len(values)
-    for c in range(0, start, CSV_CHUNK_ROWS):
-        yield c, min(c + CSV_CHUNK_ROWS, start), None
-    for c in range(start, stop, CSV_CHUNK_ROWS):
-        d = min(c + CSV_CHUNK_ROWS, stop)
-        cells = values[c - start : d - start]
-        yield c, d, cells if isinstance(cells, list) else cells.tolist()
-    for c in range(stop, size, CSV_CHUNK_ROWS):
-        yield c, min(c + CSV_CHUNK_ROWS, size), None
+    cuts = sorted({*range(0, size, CSV_CHUNK_ROWS), start, stop, size})
+    for c, d in itertools.pairwise(cuts):
+        if start <= c < stop:
+            cells = values[c - start : d - start]
+            yield c, d, cells if isinstance(cells, list) else cells.tolist()
+        else:
+            yield c, d, None
 
 
 def _zero_rows(c: int, d: int) -> str:
@@ -243,11 +243,11 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     is ``(k, w[k])``: the spectrum's weights, from its window's first count
     on, or the sampled frequencies, by trial, from trial 0. In either
     format its text is never held whole, but rendered slice by slice
-    (:func:`_slices`), at most ``CSV_CHUNK_ROWS`` cells at a time, with
-    the same bytes as its rows would give, the rows outside its span
-    from their indices alone: in CSV a zero row is ``k,0``, 100 rows at a
-    time from one block (:func:`_zero_rows`), and in JSON the column is
-    spliced into the document at its key.
+    (:func:`_slices`), cut on a grid of ``CSV_CHUNK_ROWS`` cells and at
+    its span's edges, with the same bytes as its rows would give, the rows
+    outside its span from their indices alone: in CSV a zero row is
+    ``k,0``, 100 rows at a time from one block (:func:`_zero_rows`), and in
+    JSON the column is spliced into the document at its key.
     """
     meta = _meta(args, extra_meta)
     key, header = table or (None, ())

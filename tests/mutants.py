@@ -38,6 +38,11 @@ TRIALS = "tests/test_sampler.py::test_trial_frequencies_match_searchsorted_refer
 BLOCK_COUNTS = "            out[a : a + len(rows)] = _count_in(rows, lo, hi) / n\n"
 MPMATH = "tests/test_routes.py::test_closed_forms_against_mpmath"
 PEAK_TABLE = "tests/test_analytic.py::TestNoncollapse::test_peak_at_mode_matches_table"
+VERIFY_TOL = "tests/test_cli.py::TestVerify::test_deviation_at_its_tolerance_passes"
+CROSS_TOL = "tests/test_cli.py::TestStats::test_cross_check_deviation_at_its_tolerance_passes"
+ZERO_ROWS = ("tests/test_cli.py::TestCsvRows::test_zero_rows_match_the_template",
+             "tests/test_cli.py::TestCsvRows::test_zero_rows_match_the_template_on_every_slice",
+             f"{GOLDEN}[spectrum_tail_csv]")
 
 MUTANTS = [
     # The run sums added left to right instead of up numpy's pairwise tree.
@@ -163,13 +168,13 @@ MUTANTS = [
      '"argmax": window.index(max_weight),',
      ("tests/test_cli.py::TestSampleAndSpectrum::test_spectrum_argmax_counts_from_k_0",
       "tests/test_golden.py::test_large_n_digest[spectrum_0.3712_n1e5]")),
-    # A column's zeros after its values never written: the spectrum's rows
-    # above its window go missing, in CSV and in JSON.
+    # A column cut without its span's end: the slice across it reads the
+    # values' last cells and stands for zeros it does not hold, too few
+    # rows in JSON and too few cells for the CSV template.
     ("src/freqop/cli.py",
-     "    for c in range(stop, size, CSV_CHUNK_ROWS):\n"
-     "        yield c, min(c + CSV_CHUNK_ROWS, size), None\n",
-     "",
-     ("tests/test_cli.py::TestCsvRows::test_slices_walk_three_spans[inside]",
+     "{*range(0, size, CSV_CHUNK_ROWS), start, stop, size}",
+     "{*range(0, size, CSV_CHUNK_ROWS), start, size}",
+     ("tests/test_cli.py::TestCsvRows::test_slices_cut_on_the_grid_and_span_edges[inside]",
       f"{GOLDEN}[spectrum_tail_csv]",
       "tests/test_golden.py::test_large_n_digest[spectrum_0.3712_n1e5]")),
     # converge's sampled variance filled with the sampled mean.
@@ -177,6 +182,52 @@ MUTANTS = [
      '            row["sampled_variance"] = summary.sample_variance\n',
      '            row["sampled_variance"] = summary.mean_frequency\n',
      (f"{GOLDEN}[converge_sample]",)),
+    # A tolerance breach exits 0, or 2 as if the request were refused.
+    ("src/freqop/cli.py",
+     "EXIT_TOLERANCE = 1\n",
+     "EXIT_TOLERANCE = 0\n",
+     (f"{VERIFY_TOL}[algebra_above]", f"{CROSS_TOL}[above]")),
+    ("src/freqop/cli.py",
+     "EXIT_TOLERANCE = 1\n",
+     "EXIT_TOLERANCE = 2\n",
+     (f"{VERIFY_TOL}[algebra_above]", f"{CROSS_TOL}[above]")),
+    # Each tolerance a whole unit loose: nothing it guards can fail.
+    ("src/freqop/cli.py",
+     "CROSS_CHECK_TOL = 1e-11\n",
+     "CROSS_CHECK_TOL = 1.00000000001\n",
+     (f"{CROSS_TOL}[above]",)),
+    ("src/freqop/cli.py",
+     "    tol_algebra = 1e-13\n",
+     "    tol_algebra = 1.0000000000001\n",
+     (f"{VERIFY_TOL}[algebra_above]",)),
+    ("src/freqop/cli.py",
+     "    tol_routes = 1e-14\n",
+     "    tol_routes = 1.00000000000001\n",
+     (f"{VERIFY_TOL}[routes_above]",)),
+    # Each tolerance exclusive: a deviation equal to it fails.
+    ("src/freqop/cli.py",
+     'c["max_deviation"] > tol_algebra',
+     'c["max_deviation"] >= tol_algebra',
+     (f"{VERIFY_TOL}[algebra_at_tol]",)),
+    ("src/freqop/cli.py",
+     '"construction_route_deviation", 0.0) > tol_routes',
+     '"construction_route_deviation", 0.0) >= tol_routes',
+     (f"{VERIFY_TOL}[routes_at_tol]",)),
+    ("src/freqop/cli.py",
+     "ok = deviation <= CROSS_CHECK_TOL",
+     "ok = deviation < CROSS_CHECK_TOL",
+     (f"{CROSS_TOL}[at_tol]",)),
+    # A preset split at every colon: a value holding one is refused with
+    # Python's unpacking message instead of one that names it.
+    ("src/freqop/cli.py",
+     'text.split(":", 1)',
+     'text.split(":", 2)',
+     ("tests/test_cli.py::TestParseState::test_preset_value_is_all_after_the_first_colon",)),
+    # A sweep's template taken from its second row: a sweep of one N raises.
+    ("src/freqop/cli.py",
+     "rows[0].values()",
+     "rows[1].values()",
+     ("tests/test_cli.py::TestConverge::test_one_row_csv",)),
     # main without its BrokenPipeError clause: a closed stdout falls to the
     # OSError clause, an error line and exit 2 instead of a silent 141.
     ("src/freqop/cli.py",
@@ -210,6 +261,40 @@ EQUIVALENT = [
       "tests/test_analytic.py::test_window_matches_full_table", MPMATH,
       "tests/test_analytic.py::test_spectrum_against_mpmath",
       "tests/test_golden.py::test_large_n_digest")),
+    # _zero_rows' first whole block at any multiple of 100 at or above c,
+    # or its last at any multiple at or below d, with its edges checked
+    # (a >= b) either way: the rows outside the blocks go through the
+    # "%d,0" template, whose text a block repeats.
+    ("src/freqop/cli.py",
+     "max(-(-c // 100), 1) * 100",
+     "max(-(-c // 99), 1) * 100",
+     ZERO_ROWS),
+    ("src/freqop/cli.py",
+     "max(-(-c // 100), 1) * 100",
+     "max(-(-c // 100), 2) * 100",
+     ZERO_ROWS),
+    ("src/freqop/cli.py",
+     "b = d // 100 * 100",
+     "b = d // 101 * 100",
+     ZERO_ROWS),
+    # At a == b the join over blocks is empty and the two templates meet.
+    ("src/freqop/cli.py",
+     "    if a >= b:\n",
+     "    if a > b:\n",
+     ZERO_ROWS),
+    # A sweep's template from its last row: every column holds one type in
+    # every row (``_emit``), so the last row's types are the first's.
+    ("src/freqop/cli.py",
+     "rows[0].values()",
+     "rows[-1].values()",
+     (f"{GOLDEN}[converge_sample_csv]", f"{GOLDEN}[converge_csv]",
+      "tests/test_cli.py::TestCsvRows::test_sweep_longer_than_a_chunk")),
+    # A check without a route deviation (above the literal-route guard)
+    # read as -1 instead of 0: below the tolerance either way.
+    ("src/freqop/cli.py",
+     '"construction_route_deviation", 0.0)',
+     '"construction_route_deviation", -1.0)',
+     (f"{GOLDEN}[verify_d2_n14]", f"{GOLDEN}[verify_d4096_n1]", VERIFY_TOL)),
 ]
 
 

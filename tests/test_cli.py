@@ -70,6 +70,10 @@ class TestParseState:
         error = assert_usage_error(capsys, "stats", "--state", state, "--n", "5")
         assert error == f"error: {message}"
 
+    def test_preset_value_is_all_after_the_first_colon(self, capsys):
+        error = assert_usage_error(capsys, "stats", "--state", "uniform:4:5", "--n", "5")
+        assert error == "error: --state uniform:D needs an integer D, got '4:5'"
+
     @pytest.mark.parametrize("dim", [0, -1])
     def test_json_dim_below_one_exit_2(self, tmp_path, capsys, dim):
         path = tmp_path / "state.json"
@@ -146,6 +150,21 @@ class TestVerify:
         code, doc = run_json(capsys, "verify", "--dim", "3", "--n-max", "4")
         assert code == 0
         assert doc["result"]["status"] == "PASS"
+
+    @pytest.mark.parametrize("check,status", [
+        ({"max_deviation": 1e-13}, "PASS"),
+        ({"max_deviation": 2e-13}, "FAIL"),
+        ({"construction_route_deviation": 1e-14}, "PASS"),
+        ({"construction_route_deviation": 2e-14}, "FAIL"),
+    ], ids=["algebra_at_tol", "algebra_above", "routes_at_tol", "routes_above"])
+    def test_deviation_at_its_tolerance_passes(self, capsys, monkeypatch, check, status):
+        """A deviation equal to its tolerance passes; one above it fails,
+        with exit 1."""
+        monkeypatch.setattr(dense, "verify_operator_algebra",
+                            lambda d, n: {"max_deviation": 0.0, "multiplicity_ok": True, **check})
+        code, doc = run_json(capsys, "verify", "--dim", "2", "--n-max", "1")
+        assert doc["result"]["status"] == status
+        assert code == (0 if status == "PASS" else 1)
 
     @pytest.mark.parametrize(
         "dim,n_max", [(2, 0), (2, -1), (1, 3), (0, 3), (-2, 3)]
@@ -228,6 +247,19 @@ class TestStats:
         assert code == 0
         assert doc["result"]["cross_check"] == "PASS"
         assert doc["result"]["cross_check_deviation"] < 1e-11
+
+    @pytest.mark.parametrize("deviation,status", [(1e-11, "PASS"), (2e-11, "FAIL")],
+                             ids=["at_tol", "above"])
+    def test_cross_check_deviation_at_its_tolerance_passes(
+            self, capsys, monkeypatch, deviation, status):
+        """The eigenstate's uncertainty is exactly 0, so a dense uncertainty
+        of ``deviation`` deviates by exactly that."""
+        monkeypatch.setattr(dense, "statistics_dense", lambda spec: {"uncertainty": deviation})
+        code, doc = run_json(capsys, "stats", "--state", "two-level:1.0", "--n", "5",
+                             "--cross-check")
+        assert doc["result"]["cross_check_deviation"] == deviation
+        assert doc["result"]["cross_check"] == status
+        assert code == (0 if status == "PASS" else 1)
 
     def test_cross_check_builds_each_vector_once(self, capsys, monkeypatch):
         # N = 17: the weights and counts of the 2**12 prefixes of 12 digits
@@ -332,6 +364,16 @@ class TestConverge:
             "--n-list", "10,100,1000",
         )
         assert doc["result"]["slope"] == pytest.approx(-1.0, abs=1e-9)
+
+    def test_one_row_csv(self, capsys):
+        """A sweep of one N is one template row, and its slope is undefined."""
+        argv = ("converge", "--state", "two-level:0.5", "--n-list", "10")
+        _, doc = run_json(capsys, *argv)
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert '\n# slope="undefined"\n' in out
+        row = ",".join(map(per_cell, doc["result"]["rows"][0].values()))
+        assert out.endswith(f"sampled_variance\n{row}\n")
 
     def test_degenerate_slope_marker(self, capsys):
         _, doc = run_json(
@@ -593,18 +635,21 @@ class TestCsvRows:
          [0.25] * 10 + [0.0] * (2 * CSV_CHUNK_ROWS) + [0.5] * 20),
         (3 * CSV_CHUNK_ROWS, 0, np.array([0.5] * 3 + [0.0] * CSV_CHUNK_ROWS + [0.125])),
         (2 * CSV_CHUNK_ROWS + 8, 7, [0.0] * CSV_CHUNK_ROWS + [1.0] * (CSV_CHUNK_ROWS + 1)),
-    ], ids=["inside", "from_0", "to_size"])
-    def test_slices_walk_three_spans(self, size, start, values):
-        """The slices tile the column, cut at ``start`` and ``stop``; cells
-        are None exactly outside the values, and a whole slice of zeros
-        among the values comes back as its cells."""
+        (4 * CSV_CHUNK_ROWS, CSV_CHUNK_ROWS, np.full(2 * CSV_CHUNK_ROWS, 0.5)),
+    ], ids=["inside", "from_0", "to_size", "on_grid"])
+    def test_slices_cut_on_the_grid_and_span_edges(self, size, start, values):
+        """The slices tile the column, cut exactly at the multiples of
+        ``CSV_CHUNK_ROWS`` and at ``start`` and ``stop``; the grid is a
+        multiple of ``_zero_rows``' 100-row block; cells are None exactly outside the
+        values, and a whole slice of zeros among the values comes back as
+        its cells."""
+        assert CSV_CHUNK_ROWS % 100 == 0
         stop = start + len(values)
         slices = list(cli._slices((size, start, values)))
         edges = [c for c, _, _ in slices] + [size]
-        assert edges[0] == 0
+        assert edges == sorted({*range(0, size, CSV_CHUNK_ROWS), start, stop, size})
         assert [d for _, d, _ in slices] == edges[1:]
         assert all(0 < d - c <= CSV_CHUNK_ROWS for c, d, _ in slices)
-        assert start in edges and stop in edges
         for c, d, cells in slices:
             assert (cells is None) == (d <= start or c >= stop)
         cells = [x for _, _, part in slices if part is not None for x in part]
@@ -705,6 +750,24 @@ def test_spectrum_csv_render_builds_no_list_of_every_weight(tmp_path, monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * (n + 1)
+
+
+@pytest.mark.parametrize("render,size", [(cli._column_rows, 2 * 10**4),
+                                         (cli._column_json, 10**4)], ids=["csv", "json"])
+def test_sampled_column_render_holds_one_small_slice(render, size):
+    """A sampled column of k/1000 rendered piece by piece, each piece
+    dropped once read, as ``_emit`` writes it: the render holds one slice
+    of Python objects at a time, and a slice of at most ``CSV_CHUNK_ROWS``
+    rows stays well below 256 KiB (a 4096-row slice peaks at 430-470 KiB)."""
+    column = (size, 0, np.arange(size) / 1000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert sum(map(len, render(column))) > size
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_no_command_imports_scipy():
