@@ -25,8 +25,9 @@ command binds only the layers it calls: ``verify`` binds ``hilbert`` and
 ``--cross-check``; ``converge`` and ``noncollapse`` ``hilbert`` and
 ``analysis``, plus ``sampler`` under ``--sample``.
 
-``freqop`` and ``python -m freqop.cli`` enter through :func:`run`: once
-``main`` returns, or argparse exits for ``--help``, ``--version`` or a
+``freqop`` and ``python -m freqop.cli`` enter through :func:`run`. It
+blocks ``_hashlib`` first, so that numpy's random module maps no OpenSSL;
+once ``main`` returns, or argparse exits for ``--help``, ``--version`` or a
 usage error, it flushes stdout and stderr and ends the process with
 ``os._exit``, sparing the interpreter's teardown. Only an uncaught
 exception takes the normal exit, which prints its traceback.
@@ -493,14 +494,26 @@ def main(argv=None) -> int:
 def run() -> None:
     """The entry point of ``freqop`` and ``python -m freqop.cli``: ``main``,
     then a flush of stdout and stderr and ``os._exit`` with its exit code.
-    That skips the interpreter's teardown, which frees every object and
-    module one at a time; the OS reclaims the memory anyway. By then an
-    ``--out`` file is closed (``_emit``) and the sampler's threads are
-    joined. argparse's ``SystemExit`` (``--help``, ``--version``, a usage
-    error) ends the same way, with its code: it leaves ``parse_args``
-    before any layer, file or thread exists; a write of its text to a
-    closed pipe makes ``main`` return 141. Only an uncaught exception,
-    whose traceback must print, leaves by the normal exit."""
+
+    Before ``main``, it blocks ``_hashlib`` for the process, unless it is
+    already loaded. ``numpy.random`` imports ``secrets``, hence ``hmac``
+    and ``_hashlib``, which maps OpenSSL's ``libcrypto`` (about 3.4 MB of
+    a sampling child's RSS). freqop keys each Philox itself and never
+    hashes; without ``_hashlib``, ``hashlib`` and ``hmac`` fall back to
+    CPython's built-in hashes. A caller of ``main(argv)`` in process
+    blocks nothing.
+
+    The ``os._exit`` skips the interpreter's teardown, which frees every
+    object and module one at a time; the OS reclaims the memory anyway. By
+    then an ``--out`` file is closed (``_emit``) and the sampler's threads
+    are joined. argparse's ``SystemExit`` (``--help``, ``--version``, a
+    usage error) ends the same way, with its code: it leaves
+    ``parse_args`` before any layer, file or thread exists; a write of its
+    text to a closed pipe makes ``main`` return 141. Only an uncaught
+    exception, whose traceback must print, leaves by the normal exit."""
+    # A None entry makes ``import _hashlib`` raise ModuleNotFoundError, as
+    # on a CPython built without OpenSSL; a loaded module is left alone.
+    sys.modules.setdefault("_hashlib", None)
     try:
         rc = main()
     except SystemExit as exc:

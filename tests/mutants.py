@@ -40,6 +40,7 @@ MPMATH = "tests/test_routes.py::test_closed_forms_against_mpmath"
 PEAK_TABLE = "tests/test_analytic.py::TestNoncollapse::test_peak_at_mode_matches_table"
 VERIFY_TOL = "tests/test_cli.py::TestVerify::test_deviation_at_its_tolerance_passes"
 CROSS_TOL = "tests/test_cli.py::TestStats::test_cross_check_deviation_at_its_tolerance_passes"
+BOUNDARY = "tests/test_cli.py::test_guard_at_its_boundary_names_the_bad_field"
 ZERO_ROWS = ("tests/test_cli.py::TestCsvRows::test_zero_rows_match_the_template",
              "tests/test_cli.py::TestCsvRows::test_zero_rows_match_the_template_on_every_slice",
              f"{GOLDEN}[spectrum_tail_csv]")
@@ -236,6 +237,23 @@ MUTANTS = [
      "",
      ("tests/test_cli.py::test_closed_stdout_pipe_exits_141_without_an_error_line[buffered]",
       "tests/test_cli.py::test_argparse_text_into_a_closed_pipe_returns_141[argv0]")),
+    # run without its block of _hashlib: a sampling child's numpy.random
+    # loads it through secrets and hmac, and maps OpenSSL's libcrypto.
+    ("src/freqop/cli.py",
+     '    sys.modules.setdefault("_hashlib", None)\n',
+     "",
+     ("tests/test_cli.py::test_array_commands_import_numpy[sample]",)),
+    # Each guard's boundary one lower: the smallest value it should refuse
+    # passes it, and a later layer refuses it with a message that does not
+    # name the field (verify's max() of no checks, EnsembleSpec's N).
+    ("src/freqop/guards.py",
+     "    if d < 2 or n_max < 1:\n",
+     "    if d < 2 or n_max < 0:\n",
+     (f"{BOUNDARY}[verify-n-max-0]",)),
+    ("src/freqop/guards.py",
+     "any(n < 1 for n in ns)",
+     "any(n < 0 for n in ns)",
+     (f"{BOUNDARY}[noncollapse-n-0]",)),
 ]
 
 # Mutants that change no output, with the same columns; their tests must pass.
@@ -298,6 +316,14 @@ EQUIVALENT = [
 ]
 
 
+def failed_ids(summary: str) -> set:
+    """The node ids on the ``FAILED`` and ``ERROR`` lines of pytest's
+    ``-rfE`` summary. A line is ``FAILED <node id>``, then `` - `` and the
+    start of the message if the line has room for it; a parametrized id
+    may hold spaces, so the id runs to that separator or the line's end."""
+    return set(re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", summary, re.MULTILINE))
+
+
 def _failed(root: Path, tests) -> set:
     """The named tests that fail (or error) when run in the copy at root."""
     proc = subprocess.run(
@@ -305,7 +331,7 @@ def _failed(root: Path, tests) -> set:
         cwd=root, capture_output=True, text=True)
     if proc.returncode not in (0, 1):  # a usage error, or no test collected
         sys.exit(f"pytest exited {proc.returncode} on {tests}:\n{proc.stdout}{proc.stderr}")
-    return set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE))
+    return failed_ids(proc.stdout)
 
 
 def _copy(root: Path) -> Path:

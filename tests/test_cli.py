@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -218,6 +219,18 @@ def test_single_system_dimension_guard(capsys):
     code, doc = run_json(capsys, "stats", "--state", "uniform:1048576", "--n", "3")
     assert code == 0
     assert doc["result"]["expectation"] == pytest.approx(2.0**-20)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("verify", "--dim", "2", "--n-max", "0"),
+     "error: verify needs --dim >= 2 and --n-max >= 1, got 2 and 0"),
+    (("noncollapse", "--state", "two-level:0.3", "--n-list", "0,10"),
+     "error: n_list must be nonempty with every entry >= 1"),
+], ids=["verify-n-max-0", "noncollapse-n-0"])
+def test_guard_at_its_boundary_names_the_bad_field(capsys, argv, error):
+    """The smallest value a guard refuses is refused by that guard, whose
+    message names the field, and not by a later layer."""
+    assert assert_usage_error(capsys, *argv) == error
 
 
 class TestStats:
@@ -950,26 +963,50 @@ ARRAY_RUNS = {
 REPORTED = ("dataclasses", "freqop.analysis", "freqop.analytic", "freqop.dense",
             "freqop.sampler", "numpy")
 
+# The libraries a process has mapped, one path a line, as Linux lists them.
+MAPS = Path("/proc/self/maps")
 
-def run_child(argv, block=()) -> subprocess.CompletedProcess:
+# The end of a harness script: the child's report (see run_child).
+REPORT = (
+    f"layers = [m for m in {REPORTED!r} if sys.modules.get(m) is not None]\n"
+    "try:\n"
+    f"    with open({str(MAPS)!r}) as f:\n"
+    "        crypto = sorted({line.split()[-1] for line in f if 'libcrypto' in line})\n"
+    "except FileNotFoundError:\n"
+    "    crypto = None\n"
+    "print(repr((layers, sys.modules.get('_hashlib', '') is None, crypto)))\n"
+)
+
+
+def run_child(argv, block=(), first="") -> subprocess.CompletedProcess:
     """``python -m freqop.cli`` in a child run from ``tests/golden`` that
-    then prints, as its last stdout line, the sorted list of the
-    ``REPORTED`` modules it loaded. Importing a module named in ``block``
-    raises in the child."""
+    then prints, as its last stdout line, a report (:func:`child_report`).
+    Importing a module named in ``block`` raises in the child; the script
+    ``first`` runs before the CLI."""
     script = (
         RAISING_EXIT +
         f"for name in {tuple(block)!r}:\n"
         "    sys.modules[name] = None\n"
+        + first +
         "try:\n"
         "    runpy.run_module('freqop.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        f"print([m for m in {REPORTED!r} if sys.modules.get(m) is not None])\n"
+        + REPORT +
         "sys.exit(rc)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           cwd=SRC.parent / "tests" / "golden", capture_output=True)
+
+
+def child_report(proc) -> tuple:
+    """A run_child child's stdout before its report, and the report: the
+    sorted list of the ``REPORTED`` modules it loaded, whether ``_hashlib``
+    is blocked (None in ``sys.modules``), and the ``libcrypto`` paths it has
+    mapped (None where there is no ``/proc/self/maps``)."""
+    out, _, report = proc.stdout[:-1].rpartition(b"\n")
+    return out + b"\n" if out else b"", ast.literal_eval(report.decode())
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE_CASES)
@@ -978,8 +1015,9 @@ def test_closed_form_commands_run_without_numpy(name):
     needed: with both blocked, each case still prints its golden bytes."""
     proc = run_child(CASES[name], block=("numpy", "dataclasses"))
     assert proc.returncode == 0, proc.stderr.decode()
-    layers = repr(NUMPY_FREE_LAYERS[CASES[name][0]]).encode()
-    assert proc.stdout == golden_path(name).read_bytes() + layers + b"\n"
+    out, (layers, _, _) = child_report(proc)
+    assert out == golden_path(name).read_bytes()
+    assert layers == NUMPY_FREE_LAYERS[CASES[name][0]]
 
 
 def test_spectrum_at_its_largest_n_runs_without_numpy():
@@ -988,18 +1026,49 @@ def test_spectrum_at_its_largest_n_runs_without_numpy():
     name = "spectrum_0.3712_n1e6_csv"
     proc = run_child(LARGE_CASES[name], block=("numpy", "dataclasses"))
     assert proc.returncode == 0, proc.stderr.decode()
-    out, _, layers = proc.stdout[:-1].rpartition(b"\n")
-    assert hashlib.sha256(out + b"\n").hexdigest() == read_digests()[name]
-    assert layers == repr(NUMPY_FREE_LAYERS["spectrum"]).encode()
+    out, (layers, _, _) = child_report(proc)
+    assert hashlib.sha256(out).hexdigest() == read_digests()[name]
+    assert layers == NUMPY_FREE_LAYERS["spectrum"]
 
 
 @pytest.mark.parametrize("name", list(ARRAY_RUNS))
 def test_array_commands_import_numpy(name):
+    """Each loads numpy and the layers it calls, and, entered through
+    ``cli.run``, maps no OpenSSL: ``run`` blocks ``_hashlib``, which
+    ``numpy.random`` would load through ``secrets`` and ``hmac``."""
     argv, layers = ARRAY_RUNS[name]
     proc = run_child(argv)
     assert proc.returncode == 0, proc.stderr.decode()
-    expected = sorted(("numpy", *layers))
-    assert proc.stdout.splitlines()[-1] == repr(expected).encode()
+    _, (loaded, hashlib_blocked, crypto) = child_report(proc)
+    assert loaded == sorted(("numpy", *layers))
+    assert hashlib_blocked
+    if crypto is not None:
+        assert crypto == []
+
+
+SAMPLE_ARGV = list(CASES["sample"])
+
+
+def test_main_in_process_blocks_no_hashlib():
+    """Only the process entry blocks ``_hashlib``: after ``cli.main`` in
+    process, as the tests and the benchmark's traced pass call it, the
+    module still imports."""
+    code = ("from freqop import cli\n"
+            f"assert cli.main({SAMPLE_ARGV!r}) == 0\n"
+            "import _hashlib\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          cwd=SRC.parent / "tests" / "golden", capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_run_keeps_a_loaded_hashlib():
+    """A process that loaded ``hashlib`` (and so ``_hashlib``) before
+    ``cli.run`` keeps it, and still prints the golden bytes."""
+    proc = run_child(SAMPLE_ARGV, first="import hashlib\n")
+    assert proc.returncode == 0, proc.stderr.decode()
+    out, (_, hashlib_blocked, _) = child_report(proc)
+    assert out == golden_path("sample").read_bytes()
+    assert not hashlib_blocked
 
 
 # The exit path of ``freqop`` itself: a ``python -m freqop.cli`` child, with
