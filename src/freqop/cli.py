@@ -2,15 +2,16 @@
 
 Every command emits machine-readable output (JSON by default, CSV where a
 row schema exists) with an embedded metadata block: tool version, the
-parsed configuration, and RNG details where sampling is involved. Output
-contains no timestamps, so identical invocations produce byte-identical
-files. Each command's table is held once, in its result: a sweep
-(``converge``, ``noncollapse``) as a list of row dicts, one per N, whose
-CSV is written at once; a column as its size and the span of cells that
-may be nonzero (the spectrum's window or the sampled frequencies), never
-held whole as text: it is cut on a grid of ``CSV_CHUNK_ROWS`` cells and
-at the span's edges, the span's slices written from their values and the
-zeros outside it from their indices. Exit codes:
+parsed configuration, and, where that echoes a seed (only a command that
+drew samples keeps one), the RNG. Output contains no timestamps, so
+identical invocations produce byte-identical files. Each command's table
+is held once, in its result: a sweep (``converge``, ``noncollapse``) as a
+list of row dicts, one per N, whose CSV is written at once; a column as
+its size and the span of cells that may be nonzero (the spectrum's window
+or the sampled frequencies), never held whole as text: it is cut on a
+grid of ``CSV_CHUNK_ROWS`` cells and at the span's edges, the span's
+slices written from their values and the zeros outside it from their
+indices, a whole grid cell of them from 100-row blocks. Exit codes:
 0 all checks pass, 1 tolerance breach, 2 usage or scale errors.
 
 Each command runs its request in one order: the guards that need its
@@ -66,9 +67,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports for a C filter
 CROSS_CHECK_TOL = 1e-11
 
 # The grid a column is cut on, in rows per write call. A multiple of
-# ``_zero_rows``' 100-row block, so a zero slice has partial blocks only at
-# the span's edges. A slice holds about 140 B a row of Python objects (its
-# ints, floats and text), so 1000 rows keep it near a sampled array's size.
+# ``_zero_rows``' 100-row block, so a whole grid cell of zeros is whole
+# blocks. A slice holds about 140 B a row of Python objects (its ints,
+# floats and text), so 1000 rows keep it near a sampled array's size.
 CSV_CHUNK_ROWS = 1000
 
 # Row schemas, the only list of each sweep's output columns: its JSON and
@@ -127,13 +128,16 @@ def parse_state(text: str) -> hilbert.StateVector:
         raise ValueError(f"--state file {text} is not JSON: {exc}") from None
 
 
-def _meta(args, extra=None) -> dict:
+def _meta(args) -> dict:
+    """The tool, its version and the parsed configuration; a config that
+    echoes a seed, as only a command that drew samples does, adds its RNG."""
     config = {
         k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None
     }
     meta = {"tool": "freqop", "version": __version__, "config": config}
-    if extra:
-        meta.update(extra)
+    if "seed" in config:
+        meta.update(seed=config["seed"], rng=sampler.RNG_ALGORITHM,
+                    stream_rule=sampler.STREAM_RULE)
     return meta
 
 
@@ -157,17 +161,14 @@ def _slices(column):
 
 
 def _zero_rows(c: int, d: int) -> str:
-    """The rows ``k,0`` for k in [c, d). Rows 100q .. 100q + 99 of a full
-    block are ``str(q)`` joined over ``_ZERO_BLOCK``; the rows before the
-    first block (all of them below k = 100, where q would be 0) and after
-    the last repeat the ``%d,0`` template."""
-    a = max(-(-c // 100), 1) * 100
-    b = d // 100 * 100
-    if a >= b:
-        return ("%d,0\n" * (d - c)) % tuple(range(c, d))
-    return (("%d,0\n" * (a - c)) % tuple(range(c, a))
-            + "".join([str(q).join(_ZERO_BLOCK) for q in range(a // 100, b // 100)])
-            + ("%d,0\n" * (d - b)) % tuple(range(b, d)))
+    """The rows ``k,0`` for k in [c, d). A whole grid cell other than the
+    first is whole 100-row blocks: rows 100q .. 100q + 99 are ``str(q)``
+    joined over ``_ZERO_BLOCK``. Any other slice (the first cell, where q
+    would be 0, and a cell cut at the span's edges or the column's end)
+    repeats the ``%d,0`` template."""
+    if 0 < c and c % CSV_CHUNK_ROWS == 0 and d - c == CSV_CHUNK_ROWS:
+        return "".join([str(q).join(_ZERO_BLOCK) for q in range(c // 100, d // 100)])
+    return ("%d,0\n" * (d - c)) % tuple(range(c, d))
 
 
 def _column_rows(column):
@@ -222,7 +223,7 @@ def _json_text(doc, key):
                            ("\n    ]" + tail,))
 
 
-def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
+def _emit(args, result: dict, table=None, csv_meta=()) -> None:
     """Write one command's output to --out or stdout.
 
     The only place values turn into text: ``result`` holds what the layers
@@ -247,10 +248,11 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
     (:func:`_slices`), cut on a grid of ``CSV_CHUNK_ROWS`` cells and at
     its span's edges, with the same bytes as its rows would give, the rows
     outside its span from their indices alone: in CSV a zero row is
-    ``k,0``, 100 rows at a time from one block (:func:`_zero_rows`), and in
-    JSON the column is spliced into the document at its key.
+    ``k,0``, whole grid cells 100 rows at a time from one block
+    (:func:`_zero_rows`), and in JSON the column is spliced into the
+    document at its key.
     """
-    meta = _meta(args, extra_meta)
+    meta = _meta(args)
     key, header = table or (None, ())
     column = None if key in (None, "rows") else key
     if getattr(args, "format", "json") == "csv":
@@ -260,16 +262,11 @@ def _emit(args, result: dict, table=None, csv_meta=(), extra_meta=None) -> None:
         pieces = itertools.chain((_csv_head(meta, header),), body)
     else:
         pieces = itertools.chain(_json_text({"meta": meta, "result": result}, column), ["\n"])
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
-
-
-def _sampling_meta(seed: int) -> dict:
-    """The meta fields of a sampling command: its master seed and RNG."""
-    return {"seed": seed, "rng": sampler.RNG_ALGORITHM, "stream_rule": sampler.STREAM_RULE}
 
 
 # -- commands ------------------------------------------------------------
@@ -338,7 +335,7 @@ def cmd_converge(args) -> int:
     if args.sample:
         check_sampling(args.trials, args.seed, ns)
     else:
-        # Nothing is drawn, so the meta echoes no trial count or seed.
+        # Nothing is drawn, so the meta echoes no trial count, seed or RNG.
         args.trials = args.seed = None
     _load_layers("hilbert", "analysis", *(("sampler",) if args.sample else ()))
     state = parse_state(args.state)
@@ -352,8 +349,7 @@ def cmd_converge(args) -> int:
             row["sampled_variance"] = summary.sample_variance
     slope = analysis.loglog_slope(rows)
     result = {"slope": "undefined" if slope is None else slope, "rows": rows}
-    _emit(args, result, ("rows", CONVERGE_COLUMNS), ("slope",),
-          _sampling_meta(args.seed) if args.sample else None)
+    _emit(args, result, ("rows", CONVERGE_COLUMNS), ("slope",))
     return EXIT_OK
 
 
@@ -381,7 +377,7 @@ def cmd_sample(args) -> int:
         "frequencies": (args.trials, 0, summary.frequencies),
     }
     _emit(args, result, ("frequencies", ("trial", "frequency")),
-          ("mean_frequency", "sample_variance"), _sampling_meta(args.seed))
+          ("mean_frequency", "sample_variance"))
     return EXIT_OK
 
 

@@ -9,9 +9,10 @@ The mutation points come from the module's syntax tree (stdlib ``ast``):
 Each mutant is written into its own copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` (as ``tests/mutants.py`` copies them), on min(2, usable
 CPUs) copies at once, and the named test files run there with pytest,
-stopping at the first failure. A mutant survives when they all pass. The
-survivors are what ``tests/mutants.py`` needs: a test that kills one makes
-it a ``MUTANTS`` row, and one that changes no output an ``EQUIVALENT`` row.
+stopping at the first failure, with plain asserts as ``tests/mutants.py``
+runs them. A mutant survives when they all pass. The survivors are what
+``tests/mutants.py`` needs: a test that kills one makes it a ``MUTANTS``
+row, and one that changes no output an ``EQUIVALENT`` row.
 
 This script is neither a CI step nor part of tier-1: it runs every test
 file once per mutant (minutes, not seconds). Run it from anywhere:
@@ -84,7 +85,8 @@ def _passes(root: Path, path: str, text: bytes, source: bytes, tests) -> bool:
     (root / path).write_bytes(text)
     try:
         proc = subprocess.run(
-            [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--assert=plain", *tests],
             cwd=root, capture_output=True, text=True)
     finally:
         (root / path).write_bytes(source)

@@ -12,8 +12,11 @@ checkout's ``src``. The named tests must first pass on the unmutated
 copies. The rows are then dealt to the workers round robin, and each
 worker, one row at a time in its own copy, replaces the row's old text
 and runs the row's tests with pytest, writing no bytecode, so no cached
-module outlives its mutant. The results print in row order. pytest does
-not collect this file; run it from anywhere as a script:
+module outlives its mutant, and with plain asserts: without bytecode,
+pytest would rewrite the asserts of hypothesis' modules again at every
+start (about 0.8 s a row), and a test passes or fails the same either
+way. The results print in row order. pytest does not collect this file;
+run it from anywhere as a script:
 
     python tests/mutants.py
 """
@@ -38,12 +41,13 @@ TRIALS = "tests/test_sampler.py::test_trial_frequencies_match_searchsorted_refer
 BLOCK_COUNTS = "            out[a : a + len(rows)] = _count_in(rows, lo, hi) / n\n"
 MPMATH = "tests/test_routes.py::test_closed_forms_against_mpmath"
 PEAK_TABLE = "tests/test_analytic.py::TestNoncollapse::test_peak_at_mode_matches_table"
+FULL_TABLE = "tests/test_analytic.py::test_window_matches_full_table"
+TIGHT = "tests/test_analytic.py::test_window_edges_are_tight"
+DEGENERATE = "tests/test_analytic.py::TestSpectralWeights::test_degenerate_p"
 VERIFY_TOL = "tests/test_cli.py::TestVerify::test_deviation_at_its_tolerance_passes"
 CROSS_TOL = "tests/test_cli.py::TestStats::test_cross_check_deviation_at_its_tolerance_passes"
 BOUNDARY = "tests/test_cli.py::test_guard_at_its_boundary_names_the_bad_field"
-ZERO_ROWS = ("tests/test_cli.py::TestCsvRows::test_zero_rows_match_the_template",
-             "tests/test_cli.py::TestCsvRows::test_zero_rows_match_the_template_on_every_slice",
-             f"{GOLDEN}[spectrum_tail_csv]")
+ZERO_ROWS = "tests/test_cli.py::TestCsvRows::test_zero_rows_match_the_template"
 
 MUTANTS = [
     # The run sums added left to right instead of up numpy's pairwise tree.
@@ -161,6 +165,22 @@ MUTANTS = [
      "    max_w = max(_binom_terms(max(m - 1, 0), min(m + 1, n), n, p))\n",
      "    max_w = _binom_terms(m, m, n, p)[0]\n",
      (f"{PEAK_TABLE}[3-0.5]", f"{PEAK_TABLE}[99-0.5]", f"{PEAK_TABLE}[194-0.1282051282051282]")),
+    # _bd0's series one term shorter or longer: the deviance moves by an
+    # ulp at some counts, where the array form (nine terms) keeps its bits.
+    ("src/freqop/analytic.py",
+     "range(9, 0, -1)",
+     "range(8, 0, -1)",
+     (f"{FULL_TABLE}",)),
+    ("src/freqop/analytic.py",
+     "range(9, 0, -1)",
+     "range(10, 0, -1)",
+     (f"{FULL_TABLE}",)),
+    # _bd0's series also at |x - mean| = 0.1 (x + mean) exactly, where the
+    # direct form and the series differ in the last bit.
+    ("src/freqop/analytic.py",
+     "    if abs(d) >= 0.1 * (x + mean):\n",
+     "    if abs(d) > 0.1 * (x + mean):\n",
+     (f"{FULL_TABLE}",)),
     # spectrum's argmax read as the peak's place in the window, without the
     # window's first count: right only where the window starts at k = 0, as
     # it does for every spectrum small enough to keep as a golden file.
@@ -178,6 +198,24 @@ MUTANTS = [
      ("tests/test_cli.py::TestCsvRows::test_slices_cut_on_the_grid_and_span_edges[inside]",
       f"{GOLDEN}[spectrum_tail_csv]",
       "tests/test_golden.py::test_large_n_digest[spectrum_0.3712_n1e5]")),
+    # _zero_rows' blocks for the first grid cell too: its q of 0 writes the
+    # rows 0..99 as 000,0..099,0.
+    ("src/freqop/cli.py",
+     "if 0 < c and c % CSV_CHUNK_ROWS == 0 and",
+     "if 0 <= c and c % CSV_CHUNK_ROWS == 0 and",
+     (ZERO_ROWS, f"{ZERO_ROWS}_on_every_slice")),
+    # Blocks for a cell's length of rows from one past a grid line: they
+    # start at the grid line, every row one off.
+    ("src/freqop/cli.py",
+     "c % CSV_CHUNK_ROWS == 0 and",
+     "c % CSV_CHUNK_ROWS == 1 and",
+     (ZERO_ROWS,)),
+    # Blocks for a slice of at least one block from a grid line: the rows
+    # of its last partial block are dropped.
+    ("src/freqop/cli.py",
+     "and d - c == CSV_CHUNK_ROWS:",
+     "and d - c >= 100:",
+     (ZERO_ROWS,)),
     # converge's sampled variance filled with the sampled mean.
     ("src/freqop/cli.py",
      '            row["sampled_variance"] = summary.sample_variance\n',
@@ -279,27 +317,86 @@ EQUIVALENT = [
       "tests/test_analytic.py::test_window_matches_full_table", MPMATH,
       "tests/test_analytic.py::test_spectrum_against_mpmath",
       "tests/test_golden.py::test_large_n_digest")),
-    # _zero_rows' first whole block at any multiple of 100 at or above c,
-    # or its last at any multiple at or below d, with its edges checked
-    # (a >= b) either way: the rows outside the blocks go through the
-    # "%d,0" template, whose text a block repeats.
+    # The window at a margin of 4 or 6 instead of 5: the windows nest, and
+    # every count outside the one at margin 0 (the row above) has a term
+    # below the floor by the Chernoff bound, so any margin >= 0 writes the
+    # same zeros. The tightness test reads the margin it checks.
+    ("src/freqop/analytic.py",
+     "WINDOW_MARGIN = 5.0\n",
+     "WINDOW_MARGIN = 4.0\n",
+     (TIGHT, FULL_TABLE, f"{GOLDEN}[spectrum_tail_csv]")),
+    ("src/freqop/analytic.py",
+     "WINDOW_MARGIN = 5.0\n",
+     "WINDOW_MARGIN = 6.0\n",
+     (TIGHT, FULL_TABLE, f"{GOLDEN}[spectrum_tail_csv]")),
+    # The count 0's Chernoff rate one lower, or a rate equal to the limit
+    # counted outside: the only count that can change sides is one whose
+    # rate exceeds the limit (pmf(0) is exactly exp(-rate)) or equals it,
+    # so its term is at most e**-5 times the floor and is written as 0.0
+    # inside the window or out.
+    ("src/freqop/analytic.py",
+     "if k else 0.0",
+     "if k else -1.0",
+     (TIGHT, FULL_TABLE, f"{GOLDEN}[spectrum_tail_csv]")),
+    ("src/freqop/analytic.py",
+     "return rate > limit",
+     "return rate >= limit",
+     (TIGHT, FULL_TABLE, f"{GOLDEN}[spectrum_tail_csv]")),
+    # The term of count 0 at p = 1, or of count N at p = 0, as -1.0: the
+    # floor writes every term below it, a negative one too, as 0.0.
+    ("src/freqop/analytic.py",
+     "if p < 1.0 else 0.0]",
+     "if p < 1.0 else -1.0]",
+     (DEGENERATE, f"{GOLDEN}[spectrum_p1_csv]", f"{PEAK_TABLE}[7-1.0]")),
+    ("src/freqop/analytic.py",
+     "if p > 0.0 else 0.0)",
+     "if p > 0.0 else -1.0)",
+     (DEGENERATE, f"{GOLDEN}[spectrum_p0]", f"{PEAK_TABLE}[7-0.0]")),
+    # A term equal to the floor written as 0.0: no term is. Every term is
+    # libm's exp of some float, or 0.0, and exp, which is monotone, returns
+    # exactly 1e-300 for no float within 3000 ulps of log(1e-300).
+    ("src/freqop/analytic.py",
+     "0.0 if t < WEIGHT_FLOOR else t",
+     "0.0 if t <= WEIGHT_FLOOR else t",
+     (FULL_TABLE, f"{GOLDEN}[spectrum_tail_csv]")),
+    # noncollapse's peak read over m - 2 .. m + 1 or m - 1 .. m + 2, m the
+    # mode: the pmf two counts from m is below its neighbour nearer m by a
+    # relative 1/(N + 2) or more, far above the kernel's 1e-14 there, so
+    # the added count never holds the largest term.
+    ("src/freqop/analytic.py",
+     "max(m - 1, 0)",
+     "max(m - 2, 0)",
+     (PEAK_TABLE, f"{PEAK_TABLE}_random", f"{GOLDEN}[noncollapse_p05]")),
+    ("src/freqop/analytic.py",
+     "min(m + 1, n)",
+     "min(m + 2, n)",
+     (PEAK_TABLE, f"{PEAK_TABLE}_random", f"{GOLDEN}[noncollapse_p05]")),
+    # The mode taken as floor(Np) or floor((N + 2)p). With (N + 1)p = m + f,
+    # these are m - 1 where f < p, or m + 1 where f >= q, and m elsewhere.
+    # The window's walks start inside it either way. The peak's three
+    # counts then leave out m + 1, whose pmf is the mode's times
+    # 1 - (1 - f)/((m + 1)q), or m - 1, whose pmf is the mode's over
+    # 1 + f/(mq): within the kernel's 1e-14 of the mode's only for m above
+    # 10^13.
+    ("src/freqop/analytic.py",
+     "min(int((n + 1) * p), n)",
+     "min(int((n + 0) * p), n)",
+     (PEAK_TABLE, f"{PEAK_TABLE}_random", FULL_TABLE)),
+    ("src/freqop/analytic.py",
+     "min(int((n + 1) * p), n)",
+     "min(int((n + 2) * p), n)",
+     (PEAK_TABLE, f"{PEAK_TABLE}_random", FULL_TABLE)),
+    # _zero_rows' blocks only from c > 1, or never (no remainder is -1): a
+    # whole cell past the first starts at c >= 1000 either way, and a slice
+    # that takes no blocks takes the "%d,0" template, whose text they repeat.
     ("src/freqop/cli.py",
-     "max(-(-c // 100), 1) * 100",
-     "max(-(-c // 99), 1) * 100",
-     ZERO_ROWS),
+     "if 0 < c and",
+     "if 1 < c and",
+     (ZERO_ROWS, f"{ZERO_ROWS}_on_every_slice", f"{GOLDEN}[spectrum_tail_csv]")),
     ("src/freqop/cli.py",
-     "max(-(-c // 100), 1) * 100",
-     "max(-(-c // 100), 2) * 100",
-     ZERO_ROWS),
-    ("src/freqop/cli.py",
-     "b = d // 100 * 100",
-     "b = d // 101 * 100",
-     ZERO_ROWS),
-    # At a == b the join over blocks is empty and the two templates meet.
-    ("src/freqop/cli.py",
-     "    if a >= b:\n",
-     "    if a > b:\n",
-     ZERO_ROWS),
+     "c % CSV_CHUNK_ROWS == 0 and",
+     "c % CSV_CHUNK_ROWS == -1 and",
+     (ZERO_ROWS, f"{ZERO_ROWS}_on_every_slice", f"{GOLDEN}[spectrum_tail_csv]")),
     # A sweep's template from its last row: every column holds one type in
     # every row (``_emit``), so the last row's types are the first's.
     ("src/freqop/cli.py",
@@ -327,7 +424,8 @@ def failed_ids(summary: str) -> set:
 def _failed(root: Path, tests) -> set:
     """The named tests that fail (or error) when run in the copy at root."""
     proc = subprocess.run(
-        [sys.executable, "-B", "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-B", "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--assert=plain", *tests],
         cwd=root, capture_output=True, text=True)
     if proc.returncode not in (0, 1):  # a usage error, or no test collected
         sys.exit(f"pytest exited {proc.returncode} on {tests}:\n{proc.stdout}{proc.stderr}")

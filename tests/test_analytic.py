@@ -279,6 +279,13 @@ def full_table_weights(n: int, p: float) -> np.ndarray:
 @example((10**6, 0.5))
 @example((1000, 0.49881276637272776))  # (1 - p)**N just above the floor
 @example((2000, 0.29205421561586214))
+# Counts where ``_bd0`` meets its own edges: one term fewer of its series
+# changes a bit at N = 3951, one term more at N = 12269 (count 5366), and
+# at N = 242 a count sits exactly on |x - mean| = 0.1 (x + mean), where the
+# series and the direct form differ in the last bit.
+@example((3951, 9 / 22))
+@example((12269, 0.3129339550774455))
+@example((242, 2 / 11))
 def test_window_matches_full_table(case):
     n, p = case
     expected = full_table_weights(n, p)

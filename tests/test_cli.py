@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freqop import analysis, analytic, cli, dense
@@ -413,6 +415,20 @@ class TestConverge:
         config = doc["meta"]["config"]
         assert (config["trials"], config["seed"], doc["meta"]["seed"]) == (1000, 0, 0)
 
+    def test_csv_names_the_rng_only_when_sampled(self, capsys):
+        """The seed, RNG and stream rule follow the config in the CSV meta
+        lines of a sampled sweep, and are absent from an unsampled one,
+        even one given a seed."""
+        argv = ("converge", "--state", "two-level:0.5", "--n-list", "10,100",
+                "--seed", "7", "--format", "csv")
+        _, out = run(capsys, *argv)
+        assert [line.split("=")[0] for line in out.splitlines()[:4]] == [
+            "# tool", "# version", "# config", "# slope"]
+        _, out = run(capsys, *argv, "--sample", "--trials", "20")
+        assert [line.split("=")[0] for line in out.splitlines()[:7]] == [
+            "# tool", "# version", "# config", "# seed", "# rng", "# stream_rule", "# slope"]
+        assert "\n# seed=7\n# rng=\"philox4x64\"\n" in out
+
     @pytest.mark.parametrize("n_list", ["10,,20", ",10", "10,", "10, ,20", "", "10,abc"])
     @pytest.mark.parametrize("command", ["converge", "noncollapse"])
     def test_blank_or_non_integer_entry_refused_before_any_layer(
@@ -692,6 +708,15 @@ class TestCsvRows:
     @example(99_950, 200)  # 999 -> 1000
     @example(10**15 - 150, CSV_CHUNK_ROWS)
     @example(2**53 - CSV_CHUNK_ROWS, CSV_CHUNK_ROWS)
+    # Whole grid cells and their near misses (the first cell, (0, 1000), is
+    # above): the first cell of blocks, a cell's length off the grid (one
+    # row past a grid line, and halfway), one row short of a cell, and
+    # blocks at a 13-digit q.
+    @example(CSV_CHUNK_ROWS, CSV_CHUNK_ROWS)
+    @example(CSV_CHUNK_ROWS + 1, CSV_CHUNK_ROWS)
+    @example(1500, CSV_CHUNK_ROWS)
+    @example(2 * CSV_CHUNK_ROWS, CSV_CHUNK_ROWS - 1)
+    @example(10**15, CSV_CHUNK_ROWS)
     def test_zero_rows_match_the_template(self, c, rows):
         assert cli._zero_rows(c, c + rows) == zero_template(c, c + rows)
 
@@ -1209,3 +1234,139 @@ def test_import_sets_one_blas_thread_unless_set(preset):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{preset or 1}\n"
+
+
+# -- the exit-code contract over the argv grammar -------------------------
+
+# Each option's values: good ones, which pass argparse and its guards on
+# their own, and edge ones: negative, zero and huge integers (past a
+# float's square, past int()'s digit limit), non-decimal and empty ones,
+# seeds just inside and outside 64 bits, and the preset values nan, inf and
+# empty. No accepted request draws more than about 10^6 words.
+INT_EDGES = ("-1", "0", str(10**30), str(10**400), "9" * 5000, "0x10", "1e3", "")
+SIZES = ("1", "3", "1000"), INT_EDGES
+TRIAL_COUNTS = ("2", "3", "1000"), INT_EDGES
+SEEDS = ("0", "7", str(2**64 - 1)), (str(2**64), "-1", "0x10", "")
+N_LISTS = ("1", "1,3,1000", "10,100"), ("3,1", "0", "-1", "", "1,,3", "1,", "1000001", "0x10")
+PRESETS = ("two-level:0.3", "uniform:3", "uniform:1000"), (
+    "two-level:nan", "two-level:inf", "two-level:-inf", "two-level:", "uniform:0",
+    "uniform:-1", f"uniform:{10**30}", "uniform:0x10", "uniform:", "qutrit:3")
+AMPLITUDE = {"re": 0.6, "im": 0.0}
+STATE_FILES = {
+    "good.json": json.dumps({"dim": 2, "amplitudes": [AMPLITUDE, {"re": 0.0, "im": 0.8}]}),
+    "dim_zero.json": json.dumps({"dim": 0, "amplitudes": []}),
+    "dim_bool.json": json.dumps({"dim": True, "amplitudes": [{"re": 1.0, "im": 0.0}]}),
+    "dim_huge.json": json.dumps({"dim": 2**64, "amplitudes": []}),
+    "shape_short.json": json.dumps({"dim": 3, "amplitudes": [AMPLITUDE]}),
+    "shape_object.json": json.dumps({"dim": 1, "amplitudes": {"re": 1.0, "im": 0.0}}),
+    "nan.json": '{"dim": 2, "amplitudes": [{"re": NaN, "im": 0}, {"re": 0, "im": 1}]}',
+    "inf.json": '{"dim": 1, "amplitudes": [{"re": Infinity, "im": 0}]}',
+    "bom.json": "\ufeff" + json.dumps({"dim": 1, "amplitudes": [{"re": 1.0, "im": 0.0}]}),
+    "nested.json": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.fixture(scope="module")
+def grammar_dir(tmp_path_factory):
+    """The state files, a directory, and room for --out files."""
+    root = tmp_path_factory.mktemp("grammar")
+    for name, text in STATE_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "a_dir").mkdir()
+    return root
+
+
+def option(flag, values):
+    """(good, edge) argv pieces of an option with (good, edge) values;
+    leaving the option out is an edge piece."""
+    good, edge = values
+    return tuple((flag, v) for v in good), (*((flag, v) for v in edge), ())
+
+
+def grammar(root) -> dict:
+    """Each command's options, in the parser's order, as (good, edge) argv
+    pieces."""
+    files = [str(root / name) for name in STATE_FILES]
+    good_states, edge_states = PRESETS
+    state = option("--state", ((*good_states, files[0]),
+                               (*edge_states, *files[1:], str(root / "a_dir"),
+                                str(root / "missing.json"))))
+    j = option("--j", (("0", "1"), ("-1", "5", str(10**30), "x")))
+    fmt = option("--format", (("json", "csv"), ("xml",)))
+    out = ((), ("--out", str(root / "out.txt"))), (
+        ("--out", str(root / "no_dir" / "out.txt")), ("--out", str(root / "a_dir")))
+    return {
+        "verify": (option("--dim", (("2", "3", "1000"), INT_EDGES)),
+                   option("--n-max", (("1", "2", "3"), INT_EDGES)), out),
+        "stats": (state, j, option("--n", ((*SIZES[0], str(10**30)), INT_EDGES)),
+                  (((), ("--cross-check",)), ()), out),
+        "converge": (state, j, fmt, option("--n-list", N_LISTS), (((), ("--sample",)), ()),
+                     option("--trials", TRIAL_COUNTS), option("--seed", SEEDS), out),
+        "noncollapse": (state, j, fmt, option("--n-list", N_LISTS), out),
+        "sample": (state, j, fmt, option("--n", SIZES), option("--trials", TRIAL_COUNTS),
+                   option("--seed", SEEDS), out),
+        "spectrum": (state, j, fmt, option("--n", SIZES), out),
+    }
+
+
+@st.composite
+def argvs(draw, root):
+    """An argv of one of the six commands: the options at a drawn set of
+    places (few, as hypothesis draws sets) take edge pieces, the others
+    good ones."""
+    commands = grammar(root)
+    command = draw(st.sampled_from(sorted(commands)))
+    parts = commands[command]
+    edged = draw(st.sets(st.sampled_from(range(len(parts)))))
+    pieces = [draw(st.sampled_from(edge if i in edged and edge else good))
+              for i, (good, edge) in enumerate(parts)]
+    return [command, *itertools.chain.from_iterable(pieces)]
+
+
+def assert_exit_contract(argv):
+    """``main(argv)`` returns 0, 1 or 2, or argparse exits 2; nothing else
+    escapes. A refusal (2) writes nothing to stdout and one ``error:`` line
+    to stderr; argparse's exit writes its usage and then one error line. A
+    run that returns 0 or 1 writes its output to stdout or --out, and
+    nothing to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("argparse", exc.code)
+    out, err = out.getvalue(), err.getvalue()
+    if code == ("argparse", 2):
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: freqop")
+        assert [line for line in lines if ": error: " in line] == lines[-1:]
+    elif code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1)
+        assert err == ""
+        assert (out == "") == ("--out" in argv)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_argv_keeps_the_exit_contract(grammar_dir, data):
+    """Edge values in any combination over the six commands' grammar."""
+    assert_exit_contract(data.draw(argvs(grammar_dir)))
+
+
+def test_each_edge_value_alone_keeps_the_exit_contract(grammar_dir):
+    """Each edge piece of each command's options, all its other options at
+    their first good piece: each guard meets each value it may see alone,
+    which random combinations reach too rarely."""
+    for command, parts in grammar(grammar_dir).items():
+        for i, (_, edge) in enumerate(parts):
+            for piece in edge:
+                pieces = [piece if k == i else good[0] for k, (good, _) in enumerate(parts)]
+                argv = [command, *itertools.chain.from_iterable(pieces)]
+                try:
+                    assert_exit_contract(argv)
+                except AssertionError as exc:
+                    raise AssertionError(f"argv {argv}: {exc}") from None
