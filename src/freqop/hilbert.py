@@ -56,22 +56,20 @@ class StateVector:
 
     Amplitudes are stored as one ``array('d')`` of interleaved real and
     imaginary parts, 16 bytes each and no Python object per amplitude, and
-    read as a read-only complex128 array. Construction rejects non-finite
-    entries and any vector whose norm deviates from 1 by more than
-    ``NORM_TOL``; a caller holding an unnormalized vector divides it by its
-    norm before constructing. States are read from JSON, never written; two
-    states compare by their ``amplitudes``. A single system is the N = 1
-    product space, so ``uniform`` and the JSON reader refuse a dimension
-    above ``guards.DENSE_VECTOR_GUARD`` before building any array.
+    read as a read-only complex128 array. Construction from amplitudes
+    rejects non-finite entries and any vector whose norm deviates from 1 by
+    more than ``NORM_TOL``; a caller holding an unnormalized vector divides
+    it by its norm before constructing. States are read from JSON, never
+    written; two states compare by their ``amplitudes``. A single system is
+    the N = 1 product space, so ``uniform`` and the JSON reader refuse a
+    dimension above ``guards.DENSE_VECTOR_GUARD`` before building any array.
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, amplitudes):
-        self._set(array("d", chain.from_iterable(
-            (c.real, c.imag) for c in map(complex, amplitudes))))
-
-    def _set(self, parts: array) -> None:
+        parts = array("d", chain.from_iterable(
+            (c.real, c.imag) for c in map(complex, amplitudes)))
         if not parts:
             raise ValueError("state vector needs at least one amplitude")
         re, im = parts[0::2], parts[1::2]
@@ -122,7 +120,8 @@ class StateVector:
             raise ValueError(f"uniform state needs dimension >= 1, got {dim}")
         check_vector_scale(dim, 1)
         state = cls.__new__(cls)  # the parts at once, not per amplitude
-        state._set(array("d", (1.0 / math.sqrt(dim), 0.0)) * dim)
+        # Unchecked: d squares of fl(1/sqrt(d)) sum to 1 within a few ulps.
+        state._parts = array("d", (1.0 / math.sqrt(dim), 0.0)) * dim
         return state
 
     @classmethod

@@ -9,16 +9,18 @@ without building a generator for each, streams derive reproducibly from
 one master seed, and trials can run on separate threads in any order.
 
 A draw is the raw 64-bit word w, standing for the uniform
-``(w >> 11) * 2**-53`` that ``Generator.random`` would return; each CDF
-entry becomes a 53-bit integer threshold that the word's top 53 bits meet
-exactly when that uniform meets the entry, so no float is formed.
+``(w >> 11) * 2**-53`` that ``Generator.random`` would return. The
+cumulative weights become d + 1 integer edges t, and outcome i takes the
+words with ``t[i] < w >> 11 <= t[i + 1]``, exactly the draws that an
+inverse-CDF search over the weights sends to i, so no float is formed.
 ``sample_outcomes`` turns each word into an outcome index by a search
-over the thresholds. ``run_trials`` needs only how many of a trial's words
-land on outcome j, so it counts the words inside j's interval and builds
-no indices. Each worker holds one chunk of at most 2**15 words at a time:
-a block of short trials, or a slice of a long one, let go before the next
-is drawn. From 2**13 words a trial, the trials are split into contiguous
-slices over the CPUs the process may use, one thread and one Philox each.
+over the edges. ``run_trials`` needs only how many of a trial's words
+land on outcome j, so it counts the words between j's two edges and
+builds no indices. Each worker holds one chunk of at most 2**15 words at
+a time: a block of short trials, or a slice of a long one, let go before
+the next is drawn. From 2**13 words a trial, the trials are split into
+contiguous slices over the CPUs the process may use, one thread and one
+Philox each.
 """
 
 from __future__ import annotations
@@ -58,36 +60,32 @@ def stream_seed(master_seed: int, trial_index: int) -> int:
     return (master_seed ^ (trial_index * STREAM_CONSTANT)) & SEED_MASK
 
 
-def _born_cdf(state: StateVector) -> np.ndarray:
-    """Cumulative Born weights in ascending index order, with the last
-    entry set to +inf so that rounding in the sum cannot leave a draw
-    above it, and a leading run of zero-weight entries set to -inf so that
-    a draw of exactly 0.0 cannot land on an outcome of weight 0."""
-    cdf = np.cumsum(state.probabilities())
-    cdf[-1] = np.inf
-    # Only a leading run of zero weights sums to exactly 0.0.
-    cdf[cdf == 0.0] = -np.inf
-    return cdf
-
-
 def _thresholds(cdf: np.ndarray) -> np.ndarray:
-    """53-bit integer thresholds t of the CDF entries.
+    """The d + 1 integer edges t of the cumulative Born weights cdf:
+    outcome i takes the words w with ``t[i] < w >> 11 <= t[i + 1]``.
 
     A Philox word w is the draw ``(w >> 11) * 2**-53``
-    (``Generator.random``'s map), so the draw is <= cdf[i] exactly when
-    ``w >> 11 <= t[i]``: t[i] is ``floor(cdf[i] * 2**53)`` for
-    0 <= cdf[i] < 1 (exact, a power-of-two scaling), -1 below 0 (no draw),
-    and 2**53 from 1 up (every draw, also for a middle entry that the
-    cumulative sum rounded above 1).
+    (``Generator.random``'s map), so the draw is <= cdf[i] > 0 exactly
+    when ``w >> 11`` is at most ``floor(min(cdf[i], 1) * 2**53)`` (exact, a
+    power-of-two scaling), the edge t[i + 1]. t[0] is -1, and so is the edge of each entry of
+    a leading run of zero weights, so that a draw of exactly 0.0 cannot
+    land on an outcome of weight 0. The last edge is 2**53, every draw, so
+    that rounding in the sum cannot leave a draw above it.
     """
-    return np.floor(np.clip(cdf, -(2.0**-53), 1.0) * 2.0**53).astype(np.int64)
+    t = np.floor(np.minimum(cdf, 1.0) * 2.0**53).astype(np.int64)
+    # Only a leading run of zero weights sums to exactly 0.0.
+    t[cdf == 0.0] = -1
+    t[-1] = 2**53
+    return np.concatenate(([-1], t))
 
 
 def _count_at_most(words: np.ndarray, t: int):
     """How many words w of 1-D ``words`` (of each row, if 2-D) have
-    ``w >> 11 <= t``, for a threshold t of :func:`_thresholds` as a Python
-    int; comparing w itself with ``(t << 11) | 2047`` skips the shift. A
-    count along an axis costs ~4 us more, so 1-D words are counted whole."""
+    ``w >> 11 <= t``, for an edge t of :func:`_thresholds` as a Python int;
+    comparing w itself with ``(t << 11) | 2047`` skips the shift. The edges
+    -1 and 2**53, whose ``(t << 11) | 2047`` lies outside uint64, take no
+    compare. A count along an axis costs ~4 us more, so 1-D words are
+    counted whole."""
     if t < 0:
         return 0
     if t >= 2**53:
@@ -98,7 +96,7 @@ def _count_at_most(words: np.ndarray, t: int):
 
 def _count_in(words: np.ndarray, lo: int, hi: int):
     """How many words w of ``words`` (of each row, if 2-D) have
-    ``lo < w >> 11 <= hi``, for thresholds lo <= hi of :func:`_thresholds`."""
+    ``lo < w >> 11 <= hi``, for edges lo <= hi of :func:`_thresholds`."""
     return _count_at_most(words, hi) - _count_at_most(words, lo)
 
 
@@ -190,12 +188,11 @@ def sample_outcomes(state: StateVector, n: int, seed: int) -> np.ndarray:
     check_seed(seed)
     check_draws(n)
     words = np.random.Philox(key=seed).random_raw(n)
-    # side='left' sends a draw landing exactly on a CDF boundary to the
-    # lower outcome index. The shifted words lie below 2**53, so the int64
-    # view keeps their values.
-    outcomes = np.searchsorted(
-        _thresholds(_born_cdf(state)), (words >> 11).view(np.int64), side="left"
-    )
+    # side='left' sends a draw landing exactly on an edge to the lower
+    # outcome index. The shifted words lie below 2**53, so the int64 view
+    # keeps their values.
+    edges = _thresholds(np.cumsum(state.probabilities()))
+    outcomes = np.searchsorted(edges[1:], (words >> 11).view(np.int64), side="left")
     outcomes.flags.writeable = False
     return outcomes
 
@@ -209,9 +206,10 @@ def run_trials(
     and unbiased sample variance of the per-trial frequencies of outcome j
     are accumulated in ascending trial order.
 
-    A draw u is outcome j when ``cdf[j-1] < u <= cdf[j]`` (``-inf`` below
-    j = 0), the ``side='left'`` rule of :func:`sample_outcomes`, so a trial
-    counts the draws in that interval without building outcome indices.
+    A word w is outcome j when ``t[j] < w >> 11 <= t[j + 1]`` for the edges
+    t of :func:`_thresholds`, the ``side='left'`` rule of
+    :func:`sample_outcomes`, so a trial counts the words between j's two
+    edges without building outcome indices.
     The frequencies are the same bytes however many threads count them.
     A target index out of range, then whatever :func:`check_sampling`
     refuses for ``trials`` trials at the one size N, is refused before any
@@ -219,9 +217,7 @@ def run_trials(
     """
     check_target(j, state.dim)
     check_sampling(trials, seed, [n])
-    thresholds = _thresholds(_born_cdf(state))
-    lo = int(thresholds[j - 1]) if j else -1
-    hi = int(thresholds[j])
+    lo, hi = _thresholds(np.cumsum(state.probabilities()))[j : j + 2].tolist()
     freqs = np.empty(trials)
     workers = min(_cpus(), trials) if n >= _THREADS_N else 1
     bounds = [trials * w // workers for w in range(workers + 1)]

@@ -10,7 +10,9 @@ Each mutant is written into its own copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` (as ``tests/mutants.py`` copies them), on min(2, usable
 CPUs) copies at once, and the named test files run there with pytest,
 stopping at the first failure, with plain asserts as ``tests/mutants.py``
-runs them. A mutant survives when they all pass. The survivors are what
+runs them. A mutant survives when they all pass; one whose tests run past
+``CHILD_TIMEOUT_S`` is stopped, counted as killed and printed as
+``timed out``. The survivors are what
 ``tests/mutants.py`` needs: a test that kills one makes it a ``MUTANTS``
 row, and one that changes no output an ``EQUIVALENT`` row.
 
@@ -27,7 +29,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from mutants import ROOT, _copy, _cpus
+from mutants import CHILD_TIMEOUT_S, ROOT, _copy, _cpus
 
 FLIP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">")}
 SWAP = ("EXIT_USAGE", "EXIT_TOLERANCE")
@@ -79,18 +81,20 @@ def apply(source: bytes, edits) -> bytes:
     return source
 
 
-def _passes(root: Path, path: str, text: bytes, source: bytes, tests) -> bool:
-    """Whether ``tests`` pass in the copy at root with ``path`` holding
-    ``text``; ``source`` is put back after."""
+def _run(root: Path, path: str, text: bytes, source: bytes, tests) -> str:
+    """"passed", "failed" or "timed out": how ``tests`` end in the copy at
+    root with ``path`` holding ``text``; ``source`` is put back after."""
     (root / path).write_bytes(text)
     try:
         proc = subprocess.run(
             [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--assert=plain", *tests],
-            cwd=root, capture_output=True, text=True)
+            cwd=root, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timed out"
     finally:
         (root / path).write_bytes(source)
-    return proc.returncode == 0
+    return "passed" if proc.returncode == 0 else "failed"
 
 
 def main(path: str, *tests: str) -> int:
@@ -99,17 +103,19 @@ def main(path: str, *tests: str) -> int:
     workers = min(2, _cpus())
     with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(workers) as pool:
         copies = [_copy(Path(tmp) / str(w)) for w in range(workers)]
-        if not _passes(copies[0], path, source, source, tests):
+        if _run(copies[0], path, source, source, tests) != "passed":
             sys.exit(f"{tests} fail without a mutant")
 
         def share(w):
-            return [(i, _passes(copies[w], path, apply(source, found[i][1]), source, tests))
+            return [(i, _run(copies[w], path, apply(source, found[i][1]), source, tests))
                     for i in range(w, len(found), workers)]
 
-        survived = dict(pair for part in pool.map(share, range(workers)) for pair in part)
+        ends = dict(pair for part in pool.map(share, range(workers)) for pair in part)
+    label = {"passed": "SURVIVED", "failed": "killed  ", "timed out": "timed out"}
     for i, (line, _, old, new) in enumerate(found):
-        print(f"{'SURVIVED' if survived[i] else 'killed  '} {path}:{line}: {old!r} -> {new!r}")
-    print(f"{len(found) - sum(survived.values())} of {len(found)} mutants killed")
+        print(f"{label[ends[i]]} {path}:{line}: {old!r} -> {new!r}")
+    killed = sum(end != "passed" for end in ends.values())
+    print(f"{killed} of {len(found)} mutants killed")
     return 0
 
 

@@ -48,6 +48,19 @@ VERIFY_TOL = "tests/test_cli.py::TestVerify::test_deviation_at_its_tolerance_pas
 CROSS_TOL = "tests/test_cli.py::TestStats::test_cross_check_deviation_at_its_tolerance_passes"
 BOUNDARY = "tests/test_cli.py::test_guard_at_its_boundary_names_the_bad_field"
 ZERO_ROWS = "tests/test_cli.py::TestCsvRows::test_zero_rows_match_the_template"
+PAIRWISE = "tests/test_hilbert.py::TestStateVectorWithoutNumpy::test_pairwise_sum_matches_np_sum"
+NORM_MESSAGE = "tests/test_hilbert.py::TestStateVector::test_norm_invariant_enforced"
+TWO_LEVEL_P = "tests/test_hilbert.py::TestStateVector::test_two_level_refuses_p_outside_0_1"
+UNIFORM_NORM = "tests/test_hilbert.py::TestStateVectorWithoutNumpy::test_uniform_passes_the_norm_check"
+OUTER_EDGES = "tests/test_routes.py::test_outer_edges_take_no_compare"
+CPUS = "tests/test_sampler.py::test_cpus_count_this_process_mask_else_one"
+# Trials on each path: a block of short ones, and long ones in chunks on threads.
+CUTS = (f"{TRIALS}[complex_d5-101]", f"{TRIALS}[complex_d5-32769]", f"{TRIALS}[zero_last-131075]")
+BLOCK_EDGE = (*CUTS, f"{TRIALS}[complex_d5-2048]", f"{TRIALS}[complex_d5-2049]")
+
+# A pytest child still running after this many seconds is stopped: a mutant
+# that stalls the sampler's threads must not hold the job until CI's limit.
+CHILD_TIMEOUT_S = 60
 
 MUTANTS = [
     # The run sums added left to right instead of up numpy's pairwise tree.
@@ -101,6 +114,66 @@ MUTANTS = [
      "(s.count(j) * (1 / n) for s in strings)",
      ("tests/test_dense.py::TestBuild::test_literal_diagonal_bytes_match_a_per_string_reference",
       f"{GOLDEN}[verify_d3_n7]")),
+    # numpy's pairwise tree with leaves of up to 129 terms, or eight
+    # interleaved sums only above 8 terms: the norm check loses np.sum's
+    # bits, and with them numpy's accept/refuse set.
+    ("src/freqop/hilbert.py",
+     "size: int = 128)",
+     "size: int = 129)",
+     (PAIRWISE,)),
+    ("src/freqop/hilbert.py",
+     "    if n < 8:\n",
+     "    if n <= 8:\n",
+     (PAIRWISE,)),
+    ("src/freqop/hilbert.py",
+     "    if n < 8:\n",
+     "    if n < 9:\n",
+     (PAIRWISE,)),
+    # The refusal's |norm - 1| taken from 0 or 2.
+    ("src/freqop/hilbert.py",
+     "{abs(norm - 1.0):.3e}",
+     "{abs(norm - 0.0):.3e}",
+     (NORM_MESSAGE,)),
+    ("src/freqop/hilbert.py",
+     "{abs(norm - 1.0):.3e}",
+     "{abs(norm - 2.0):.3e}",
+     (NORM_MESSAGE,)),
+    # A Born weight capped at 2: a state just above unit norm has one above 1.
+    ("src/freqop/hilbert.py",
+     "self._parts[2 * i + 1])) ** 2, 1.0)",
+     "self._parts[2 * i + 1])) ** 2, 2.0)",
+     ("tests/test_hilbert.py::TestStateVectorWithoutNumpy::test_probability_is_at_most_1",)),
+    # uniform of dimension 0 built, with no amplitude.
+    ("src/freqop/hilbert.py",
+     '        if dim < 1:\n            raise ValueError(f"uniform',
+     '        if dim < 0:\n            raise ValueError(f"uniform',
+     ("tests/test_hilbert.py::TestStateVector::test_uniform_dim_below_one_refused[0]",)),
+    # two_level's p range widened: sqrt of a negative raises its own message.
+    ("src/freqop/hilbert.py",
+     "if not 0.0 <= p <= 1.0:",
+     "if not -1.0 <= p <= 1.0:",
+     (f"{TWO_LEVEL_P}[-0.1]",)),
+    ("src/freqop/hilbert.py",
+     "if not 0.0 <= p <= 1.0:",
+     "if not 0.0 <= p <= 2.0:",
+     (f"{TWO_LEVEL_P}[1.5]",)),
+    # A JSON state guarded as if it were N = 2: d above 1024 refused.
+    ("src/freqop/hilbert.py",
+     "check_vector_scale(dim, 1)\n        if not isinstance(amps",
+     "check_vector_scale(dim, 2)\n        if not isinstance(amps",
+     ("tests/test_hilbert.py::TestStateVector::test_json_dim_above_the_guards_square_root_is_read",)),
+    # A basis index of -1 accepted.
+    ("src/freqop/hilbert.py",
+     "if not 0 <= i < d:",
+     "if not -1 <= i < d:",
+     ("tests/test_hilbert.py::TestIndexing::test_out_of_range",)),
+    # uniform's parts 1e-9 off, which no norm check of its own would see.
+    ("src/freqop/hilbert.py",
+     '(1.0 / math.sqrt(dim), 0.0)',
+     '(1.0 / math.sqrt(dim) * (1 + 1e-9), 0.0)',
+     (f"{UNIFORM_NORM}[1-4096]", f"{UNIFORM_NORM}[large]",
+      "tests/test_hilbert.py::TestStateVectorWithoutNumpy::"
+      "test_uniform_parts_pass_the_checked_path_unchanged[2]")),
     # A word compared with t << 11 alone: the draws whose low 11 bits are
     # not all zero, at the threshold's top 53 bits, fall outside.
     ("src/freqop/sampler.py",
@@ -144,6 +217,47 @@ MUTANTS = [
      "        out[i] = count / n\n",
      "        out[i] = count * (1 / n)\n",
      (f"{TRIALS}[two_level-2049]", f"{TRIALS}[complex_d5-32769]")),
+    # The edge -1 or 2**53 compared with the words, which numpy 1.x does
+    # not do in uint64.
+    ("src/freqop/sampler.py",
+     "    if t < 0:\n",
+     "    if t < -1:\n",
+     (OUTER_EDGES,)),
+    ("src/freqop/sampler.py",
+     "if t >= 2**53:",
+     "if t > 2**53:",
+     (OUTER_EDGES,)),
+    ("src/freqop/sampler.py",
+     "if t >= 2**53:",
+     "if t >= 3**53:",
+     (OUTER_EDGES,)),
+    ("src/freqop/sampler.py",
+     "if t >= 2**53:",
+     "if t >= 2**54:",
+     (OUTER_EDGES,)),
+    # The last error a thread raised, not the first.
+    ("src/freqop/sampler.py",
+     "raise errors[0]",
+     "raise errors[-1]",
+     ("tests/test_sampler.py::test_parallel_raises_the_first_error_a_thread_raised",)),
+    # The CPUs of process 1, or none or two where there is no mask.
+    ("src/freqop/sampler.py",
+     "len(os.sched_getaffinity(0))",
+     "len(os.sched_getaffinity(1))",
+     (CPUS,)),
+    ("src/freqop/sampler.py",
+     "        return len(os.sched_getaffinity(0))\n    return 1\n",
+     "        return len(os.sched_getaffinity(0))\n    return 0\n",
+     (CPUS,)),
+    ("src/freqop/sampler.py",
+     "        return len(os.sched_getaffinity(0))\n    return 1\n",
+     "        return len(os.sched_getaffinity(0))\n    return 2\n",
+     (CPUS,)),
+    # run_trials counting outcome 1 when no j is given.
+    ("src/freqop/sampler.py",
+     "j: int = 0",
+     "j: int = 1",
+     ("tests/test_sampler.py::TestRunTrials::test_degenerate",)),
     # The spectrum window one count too wide at its low edge. Its extra term
     # floors to the same zero, so only the tightness test sees it.
     ("src/freqop/analytic.py",
@@ -306,6 +420,88 @@ EQUIVALENT = [
      "sliding_window_view(unit, d)[::-1]",
      "sliding_window_view(unit, d)",
      (f"{GOLDEN}[verify_d3_n7]", f"{GOLDEN}[verify_d16_n5]", f"{MULTIPLICITIES}[8-3]")),
+    # A norm exactly NORM_TOL from 1 refused: no double is. |norm - 1| is
+    # a multiple of 2**-53 (Sterbenz) or above 0.5, and fl(1e-12) is not.
+    ("src/freqop/hilbert.py",
+     "if abs(norm - 1.0) > NORM_TOL:",
+     "if abs(norm - 1.0) >= NORM_TOL:",
+     ("tests/test_hilbert.py::TestStateVectorWithoutNumpy::"
+      "test_norm_check_matches_numpy_one_ulp_either_side",)),
+    # Other chunk and block sizes, and the block path one size shorter: a
+    # trial's words and counts do not depend on how they are cut.
+    ("src/freqop/sampler.py",
+     "_CHUNK = 2**15\n",
+     "_CHUNK = 3**15\n",
+     CUTS),
+    ("src/freqop/sampler.py",
+     "_CHUNK = 2**15\n",
+     "_CHUNK = 2**14\n",
+     CUTS),
+    ("src/freqop/sampler.py",
+     "_CHUNK = 2**15\n",
+     "_CHUNK = 2**16\n",
+     CUTS),
+    ("src/freqop/sampler.py",
+     "_BLOCK_N = 2**11\n",
+     "_BLOCK_N = 1**11\n",
+     BLOCK_EDGE),
+    ("src/freqop/sampler.py",
+     "_BLOCK_N = 2**11\n",
+     "_BLOCK_N = 2**10\n",
+     BLOCK_EDGE),
+    ("src/freqop/sampler.py",
+     "_BLOCK_N = 2**11\n",
+     "_BLOCK_N = 2**12\n",
+     BLOCK_EDGE),
+    ("src/freqop/sampler.py",
+     "if n <= _BLOCK_N:",
+     "if n < _BLOCK_N:",
+     BLOCK_EDGE),
+    # Other edges that take the same words: any edge below 0 takes none,
+    # and any at or above 2**53 (w >> 11 is below it) takes all.
+    ("src/freqop/sampler.py",
+     "np.minimum(cdf, 1.0)",
+     "np.minimum(cdf, 2.0)",
+     ("tests/test_routes.py::test_word_thresholds_match_float_draws",
+      "tests/test_sampler.py::test_draw_above_rounded_cdf_is_last_outcome")),
+    ("src/freqop/sampler.py",
+     "t[cdf == 0.0] = -1\n",
+     "t[cdf == 0.0] = -2\n",
+     ("tests/test_routes.py::test_word_thresholds_match_float_draws",
+      "tests/test_sampler.py::test_zero_draw_skips_zero_weight_outcomes")),
+    ("src/freqop/sampler.py",
+     "t[-1] = 2**53\n",
+     "t[-1] = 2**54\n",
+     ("tests/test_routes.py::test_word_thresholds_match_float_draws",
+      "tests/test_sampler.py::test_draw_above_rounded_cdf_is_last_outcome")),
+    # The re-keyed state's first key word set before each stream anyway,
+    # and the setter reads four counter and four buffer words.
+    ("src/freqop/sampler.py",
+     "key = [0, 0]",
+     "key = [-1, 0]",
+     ("tests/test_sampler.py::test_rekeyed_state_is_fresh_philox_state",)),
+    ("src/freqop/sampler.py",
+     "key = [0, 0]",
+     "key = [1, 0]",
+     ("tests/test_sampler.py::test_rekeyed_state_is_fresh_philox_state",)),
+    ("src/freqop/sampler.py",
+     '"counter": [0] * 4',
+     '"counter": [0] * 5',
+     ("tests/test_sampler.py::test_rekeyed_state_is_fresh_philox_state",)),
+    ("src/freqop/sampler.py",
+     '"buffer": [0] * 4',
+     '"buffer": [0] * 5',
+     ("tests/test_sampler.py::test_rekeyed_state_is_fresh_philox_state",)),
+    # One more worker bound, which zip with the Philoxes drops, and each
+    # Philox built at key 1, which is re-keyed before it draws.
+    ("src/freqop/sampler.py",
+     "range(workers + 1)",
+     "range(workers + 2)",
+     ("tests/test_sampler.py::test_worker_count_leaves_frequencies_unchanged",)),
+    ("src/freqop/sampler.py",
+     "np.random.Philox(key=0) for _",
+     "np.random.Philox(key=1) for _",
+     (f"{TRIALS}[two_level-65536]",)),
     # The spectrum window at no margin above the floor's Chernoff limit:
     # every term outside it is then still at most e**0 times the floor by
     # the Chernoff bound, so the floor zeroes it anyway. The tightness test
@@ -422,11 +618,12 @@ def failed_ids(summary: str) -> set:
 
 
 def _failed(root: Path, tests) -> set:
-    """The named tests that fail (or error) when run in the copy at root."""
+    """The named tests that fail (or error) when run in the copy at root;
+    ``subprocess.TimeoutExpired`` if they run past ``CHILD_TIMEOUT_S``."""
     proc = subprocess.run(
         [sys.executable, "-B", "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--assert=plain", *tests],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
     if proc.returncode not in (0, 1):  # a usage error, or no test collected
         sys.exit(f"pytest exited {proc.returncode} on {tests}:\n{proc.stdout}{proc.stderr}")
     return failed_ids(proc.stdout)
@@ -443,16 +640,24 @@ def _copy(root: Path) -> Path:
 
 def _run_rows(root: Path, rows) -> dict:
     """For each (index, row) of rows in turn, mutate the copy at root, run
-    the row's tests there and restore the source: the failed tests by index."""
+    the row's tests there and restore the source: the failed tests by index.
+    Tests that time out are an error that names the row."""
     failed = {}
     for index, (path, old, new, tests) in rows:
         source = (root / path).read_text()
         (root / path).write_text(source.replace(old, new))
         try:
             failed[index] = _failed(root, tests)
+        except subprocess.TimeoutExpired:
+            sys.exit(f"{path}: {_change(old, new)}: tests timed out after {CHILD_TIMEOUT_S} s")
         finally:
             (root / path).write_text(source)
     return failed
+
+
+def _change(old: str, new: str) -> str:
+    """How a row's mutant reads in the report."""
+    return repr(new.strip()) if new else f"deleted {old.strip().splitlines()[0]!r}"
 
 
 def _cpus() -> int:
@@ -483,8 +688,7 @@ def main() -> int:
     bad = 0
     for index, ((path, old, new, tests), killed) in enumerate(rows):
         wrong = sorted(set(tests) - failed[index] if killed else failed[index])
-        change = repr(new.strip()) if new else f"deleted {old.strip().splitlines()[0]!r}"
-        print(f"{'ok  ' if not wrong else 'BAD '}{path}: {change}")
+        print(f"{'ok  ' if not wrong else 'BAD '}{path}: {_change(old, new)}")
         for test in wrong:
             print(f"     {'passed' if killed else 'failed'}: {test}")
         bad += bool(wrong)

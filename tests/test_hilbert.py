@@ -25,7 +25,8 @@ from conftest import random_state
 
 class TestStateVector:
     def test_norm_invariant_enforced(self):
-        with pytest.raises(ValueError, match="not normalized"):
+        with pytest.raises(ValueError, match=r"^state vector not normalized: "
+                                             r"\|norm - 1\| = 4\.142e-01$"):
             StateVector([1.0, 1.0])
 
     def test_rejects_nonfinite(self):
@@ -43,6 +44,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_two_level_refuses_p_outside_0_1(self, p):
+        with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {p}$"):
+            StateVector.two_level(p)
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_uniform_dim_below_one_refused(self, dim):
+        with pytest.raises(ValueError, match=rf"^uniform state needs dimension >= 1, got {dim}$"):
+            StateVector.uniform(dim)
+
     def test_two_level_preset(self):
         s = StateVector.two_level(0.36)
         assert s.amplitudes[0] == pytest.approx(0.6)
@@ -57,7 +68,7 @@ class TestStateVector:
 
     @pytest.mark.parametrize("dim", [659465, 1048531])
     def test_large_uniform_is_normalized(self, dim):
-        assert StateVector.uniform(dim).dim == dim
+        assert numpy_accepts(StateVector.uniform(dim).amplitudes)
 
     def test_dimension_guard_before_allocation(self):
         dim = DENSE_VECTOR_GUARD + 1
@@ -71,6 +82,12 @@ class TestStateVector:
         # Before the amplitudes are read: the list's length is not the fault.
         with pytest.raises(ValueError, match=r'^"dim" needs dimension >= 1, got -?\d$'):
             StateVector.from_json_dict({"dim": dim, "amplitudes": [{"re": 1.0, "im": 0.0}]})
+
+    def test_json_dim_above_the_guards_square_root_is_read(self):
+        # A single system is N = 1: the guard bounds d, not d**2.
+        dim = math.isqrt(DENSE_VECTOR_GUARD) + 1
+        amps = [{"re": 1.0 / math.sqrt(dim), "im": 0.0}] * dim
+        assert StateVector.from_json_dict({"dim": dim, "amplitudes": amps}).dim == dim
 
     def test_json_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match dim"):
@@ -90,6 +107,12 @@ class TestStateVectorWithoutNumpy:
     bits and its accept/refuse set."""
 
     def test_pairwise_sum_matches_np_sum(self, rng):
+        # 1.0, then 2**-53s: a running sum stays at 1.0, a tree's partial
+        # sums do not. 8 terms: the fewest that numpy sums eightfold; 129:
+        # the fewest that it splits.
+        for n in (8, 129):
+            a = array("d", [1.0] + [2.0**-53] * (n - 1))
+            assert pairwise_sum(functools.partial(_leaf_sum, a), 0, n) == np.sum(a)
         for _ in range(300):
             a = rng.random(int(rng.integers(1, 5000))) * 10.0 ** rng.integers(-3, 4)
             leaf = functools.partial(_leaf_sum, array("d", a.tolist()))
@@ -116,6 +139,19 @@ class TestStateVectorWithoutNumpy:
                 scale = math.nextafter(scale, 2.0)
         assert decisions == {True, False}
 
+    # uniform checks no norm: its parts must pass the check, whose bits
+    # numpy_accepts has (the test above), at every d the guard admits.
+    @pytest.mark.parametrize("dims", [range(1, 4097), (4097, 10**5 + 3, 999983, 2**20 - 1, 2**20)],
+                             ids=["1-4096", "large"])
+    def test_uniform_passes_the_norm_check(self, dims):
+        for dim in dims:
+            assert numpy_accepts(StateVector.uniform(dim).amplitudes), dim
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 4096])
+    def test_uniform_parts_pass_the_checked_path_unchanged(self, dim):
+        amps = StateVector.uniform(dim).amplitudes
+        assert StateVector(list(amps)).amplitudes.tobytes() == amps.tobytes()
+
     def test_probability_matches_the_numpy_scalar_path(self, rng):
         for _ in range(20):
             s = random_state(rng, int(rng.integers(1, 200)))
@@ -130,6 +166,10 @@ class TestStateVectorWithoutNumpy:
             with pytest.raises(ValueError) as exc:
                 preset.probability(i)
             assert str(exc.value) == f"target index {i} out of range [0, {d})"
+
+    def test_probability_is_at_most_1(self):
+        # Within NORM_TOL above unit norm, |c|^2 = 1 + 2**-44.
+        assert StateVector([1.0 + 2.0**-45]).probability(0) == 1.0
 
     def test_probabilities_take_numpy_array_abs(self, rng):
         s = random_state(rng, 1000)
@@ -161,8 +201,9 @@ class TestIndexing:
         assert [string_to_index(s, d) for s in strings] == list(range(d**n))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            string_to_index((0, 2), 2)
+        for string, i in (((0, 2), 2), ((-1, 0), -1)):
+            with pytest.raises(ValueError, match=rf"^basis index {i} out of range \[0, 2\)$"):
+                string_to_index(string, 2)
 
 
 class TestProductState:

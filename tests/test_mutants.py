@@ -1,8 +1,13 @@
 """How ``tests/mutants.py`` reads the tests that failed from pytest's
-output, and which mutants ``tests/boundary_mutants.py`` generates."""
+output, which mutants ``tests/boundary_mutants.py`` generates, and how
+both scripts end a pytest child that runs too long."""
 
-from boundary_mutants import apply, mutants
-from mutants import failed_ids
+import subprocess
+
+import pytest
+
+from boundary_mutants import _run, apply, mutants
+from mutants import _run_rows, failed_ids
 
 MALFORMED = ("tests/test_cli.py::TestParseState::test_malformed_preset_names_its_value"
              "[uniform:abc---state uniform:D needs an integer D, got 'abc']")
@@ -74,3 +79,16 @@ def test_boundary_mutants_of_a_fixed_snippet():
                  (2, 1, "0 < x <= 3.5"),
              ]]
     assert [apply(SNIPPET, edits).decode().splitlines() for _, edits, _, _ in found] == lines
+
+
+def test_a_child_that_times_out_stops_the_row_or_kills_the_mutant(monkeypatch, tmp_path):
+    def stalled(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", stalled)
+    (tmp_path / "m.py").write_text("x = 1\n")
+    with pytest.raises(SystemExit, match=r"^m\.py: 'x = 2': tests timed out after 60 s$"):
+        _run_rows(tmp_path, [(0, ("m.py", "x = 1", "x = 2", ("t",)))])
+    assert (tmp_path / "m.py").read_text() == "x = 1\n"
+    assert _run(tmp_path, "m.py", b"x = 2\n", b"x = 1\n", ("t",)) == "timed out"
+    assert (tmp_path / "m.py").read_text() == "x = 1\n"

@@ -261,16 +261,16 @@ def _nearby(c: float, ulps: int) -> float:
     return c
 
 
-# CDF entries: exact multiples of 2**-53 and their neighbours, zero,
-# subnormals, 1 - 2**-53, values just above 1 (a cumulative sum can round
-# a middle entry there) and the +-inf that _born_cdf puts at the ends.
+# Cumulative weights: exact multiples of 2**-53 and their neighbours, zero
+# (a leading run of zero weights), subnormals, 1 - 2**-53, and values just
+# above 1 (a cumulative sum can round a middle or last entry there).
 CDF_VALUES = st.one_of(
     st.tuples(st.integers(0, 2**53), st.integers(-2, 2)).map(
-        lambda ku: _nearby(ku[0] * 2.0**-53, ku[1])),
+        lambda ku: max(_nearby(ku[0] * 2.0**-53, ku[1]), 0.0)),
     st.floats(0.0, SMALLEST_NORMAL),
     st.floats(0.0, 1.0),
     st.integers(0, 4).map(lambda u: _nearby(1.0, u)),
-    st.sampled_from([0.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, math.inf, -math.inf]),
+    st.sampled_from([0.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53]),
 )
 
 
@@ -293,18 +293,31 @@ def cdf_and_words(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(cdf_and_words())
-@example((np.array([-math.inf, 0.5, 1.0 + 2.0**-52, math.inf]),
+@example((np.array([0.0, 0.5, 1.0 + 2.0**-52, 1.0 + 2.0**-52]),
           np.array([0, 2047, 2048, 2**63, (2**63) | 2047, 2**64 - 1], dtype=np.uint64)))
 def test_word_thresholds_match_float_draws(case):
     cdf, words = case
     u = (words >> 11) * 2.0**-53
-    thresholds = _thresholds(cdf)
-    for c, t in zip(cdf, thresholds.tolist()):
+    edges = _thresholds(cdf)
+    assert len(edges) == len(cdf) + 1 and edges[0] == -1
+    # The float reference: +inf last, -inf on a leading run of zeros.
+    ref = cdf.copy()
+    ref[-1] = math.inf
+    ref[ref == 0.0] = -math.inf
+    for c, t in zip(ref, edges[1:].tolist()):
         assert _count_at_most(words, t) == np.count_nonzero(u <= c), c
     np.testing.assert_array_equal(
-        np.searchsorted(thresholds, (words >> 11).view(np.int64), side="left"),
-        np.searchsorted(cdf, u, side="left"),
+        np.searchsorted(edges[1:], (words >> 11).view(np.int64), side="left"),
+        np.searchsorted(ref, u, side="left"),
     )
+
+
+def test_outer_edges_take_no_compare(monkeypatch):
+    # (t << 11) | 2047 of the edges -1 and 2**53 lies outside uint64.
+    monkeypatch.setattr(np, "count_nonzero", None)
+    words = np.zeros((2, 3), dtype=np.uint64)
+    assert _count_at_most(words, -1) == 0
+    assert _count_at_most(words, 2**53) == 3
 
 
 # Label -> (state, outcome j, N, trials, seed). N = 100 and 1000 take the

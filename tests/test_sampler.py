@@ -10,8 +10,9 @@ from freqop.guards import MAX_DRAWS, MAX_TRIAL_RUNS
 from freqop.hilbert import StateVector
 from freqop.sampler import (
     _CHUNK,
-    _born_cdf,
+    _cpus,
     _rekeyed,
+    _run_parallel,
     run_trials,
     sample_outcomes,
     stream_seed,
@@ -63,7 +64,8 @@ class TestEmpiricalFrequency:
 
 class TestRunTrials:
     def test_degenerate(self):
-        summary = run_trials(StateVector.two_level(1.0), 20, 10, seed=3, j=0)
+        # j left at its default: outcome 0.
+        summary = run_trials(StateVector.two_level(1.0), 20, 10, seed=3)
         assert summary.mean_frequency == 1.0
         assert summary.sample_variance == 0.0
 
@@ -191,7 +193,12 @@ def test_trial_frequencies_match_searchsorted_reference(state, n):
     those equal to j."""
     partial, seed = {1000: 7, 2**11: 3}.get(n), 2026
     trials = 2 * (_CHUNK // n) + partial if partial else 4
-    cdf = _born_cdf(state)
+    # The float CDF: +inf last, so that rounding in the sum leaves no draw
+    # above it, and -inf on a leading run of zero weights, so that a draw
+    # of 0.0 lands on no outcome of weight 0.
+    cdf = np.cumsum(state.probabilities())
+    cdf[-1] = np.inf
+    cdf[cdf == 0.0] = -np.inf
     outcomes = [
         np.searchsorted(
             cdf,
@@ -363,3 +370,30 @@ def test_worker_exception_propagates(monkeypatch):
     assert {key for key, _ in draws} == {stream_seed(seed, t) for t in range(trials)}
     failed = [thread for key, thread in draws if key == stream_seed(seed, trials - 1)]
     assert failed and failed[0] is not threading.main_thread()
+
+
+def test_parallel_raises_the_first_error_a_thread_raised():
+    # Job 2 raises only once job 1's thread has ended, its error recorded.
+    first = []
+    raised = threading.Event()
+
+    def target(i):
+        if i == 1:
+            first.append(threading.current_thread())
+            raised.set()
+            raise _Drew("first")
+        if i == 2:
+            raised.wait()
+            first[0].join()
+            raise _Drew("second")
+
+    with pytest.raises(_Drew, match="^first$"):
+        _run_parallel(target, [(0,), (1,), (2,)])
+
+
+def test_cpus_count_this_process_mask_else_one(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2} if pid == 0 else {0},
+                        raising=False)
+    assert _cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _cpus() == 1
