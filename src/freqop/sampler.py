@@ -65,12 +65,13 @@ def _thresholds(cdf: np.ndarray) -> np.ndarray:
     outcome i takes the words w with ``t[i] < w >> 11 <= t[i + 1]``.
 
     A Philox word w is the draw ``(w >> 11) * 2**-53``
-    (``Generator.random``'s map), so the draw is <= cdf[i] > 0 exactly
-    when ``w >> 11`` is at most ``floor(min(cdf[i], 1) * 2**53)`` (exact, a
-    power-of-two scaling), the edge t[i + 1]. t[0] is -1, and so is the edge of each entry of
-    a leading run of zero weights, so that a draw of exactly 0.0 cannot
-    land on an outcome of weight 0. The last edge is 2**53, every draw, so
-    that rounding in the sum cannot leave a draw above it.
+    (``Generator.random``'s map), so for cdf[i] > 0 the draw is at most
+    cdf[i] exactly when ``w >> 11 <= floor(min(cdf[i], 1) * 2**53)``
+    (exact, a power-of-two scaling), which is t[i + 1]. t[0] is -1, and so
+    is the edge of each entry of a leading run of zero weights, so that a
+    draw of exactly 0.0 cannot land on an outcome of weight 0. The last
+    edge is 2**53, every draw, so that rounding in the sum cannot leave a
+    draw above it.
     """
     t = np.floor(np.minimum(cdf, 1.0) * 2.0**53).astype(np.int64)
     # Only a leading run of zero weights sums to exactly 0.0.
@@ -120,7 +121,7 @@ def _count_trials(bit_generator, keys, n: int, lo: int, hi: int, out) -> None:
     """Write to out[i] the fraction of the first n words w of key i's
     stream with ``lo < w >> 11 <= hi``: up to ``_BLOCK_N`` words a trial,
     ``_CHUNK // n`` trials at a time, one a row of a block, by one compare
-    per threshold (exact integer counts, so ``counts / n`` are the doubles
+    per edge (exact integer counts, so ``counts / n`` are the doubles
     ``count / n``); a longer trial on its own, ``_CHUNK`` words at a time."""
     streams = _rekeyed(bit_generator, keys)
     if n <= _BLOCK_N:

@@ -9,12 +9,12 @@ The mutation points come from the module's syntax tree (stdlib ``ast``):
 Each mutant is written into its own copy of ``src/``, ``tests/`` and
 ``pyproject.toml`` (as ``tests/mutants.py`` copies them), on min(2, usable
 CPUs) copies at once, and the named test files run there with pytest,
-stopping at the first failure, with plain asserts as ``tests/mutants.py``
-runs them. A mutant survives when they all pass; one whose tests run past
-``CHILD_TIMEOUT_S`` is stopped, counted as killed and printed as
-``timed out``. The survivors are what
-``tests/mutants.py`` needs: a test that kills one makes it a ``MUTANTS``
-row, and one that changes no output an ``EQUIVALENT`` row.
+stopping at the first failure, with the options ``tests/mutants.py`` runs
+them with. A mutant survives when they all pass; one whose tests run past
+``CHILD_TIMEOUT_S`` is stopped, counted as killed and printed as ``timed
+out``. The survivors are what ``tests/mutants.py`` needs: a test that
+kills one makes it a ``MUTANTS`` row, and one that changes no output an
+``EQUIVALENT`` row.
 
 This script is neither a CI step nor part of tier-1: it runs every test
 file once per mutant (minutes, not seconds). Run it from anywhere:
@@ -88,7 +88,7 @@ def _run(root: Path, path: str, text: bytes, source: bytes, tests) -> str:
     try:
         proc = subprocess.run(
             [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--assert=plain", *tests],
+             "-p", "no:unraisableexception", "--assert=plain", *tests],
             cwd=root, capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timed out"

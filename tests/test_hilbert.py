@@ -66,7 +66,8 @@ class TestStateVector:
         )
         assert np.array_equal(s.amplitudes, [0.6, 0.8j])
 
-    @pytest.mark.parametrize("dim", [659465, 1048531])
+    # uniform checks no norm (see test_uniform_passes_the_norm_check).
+    @pytest.mark.parametrize("dim", [4097, 10**5 + 3, 659465, 999983, 1048531, 2**20 - 1, 2**20])
     def test_large_uniform_is_normalized(self, dim):
         assert numpy_accepts(StateVector.uniform(dim).amplitudes)
 
@@ -139,12 +140,11 @@ class TestStateVectorWithoutNumpy:
                 scale = math.nextafter(scale, 2.0)
         assert decisions == {True, False}
 
-    # uniform checks no norm: its parts must pass the check, whose bits
-    # numpy_accepts has (the test above), at every d the guard admits.
-    @pytest.mark.parametrize("dims", [range(1, 4097), (4097, 10**5 + 3, 999983, 2**20 - 1, 2**20)],
-                             ids=["1-4096", "large"])
-    def test_uniform_passes_the_norm_check(self, dims):
-        for dim in dims:
+    def test_uniform_passes_the_norm_check(self):
+        # uniform checks no norm: its parts must pass the check, whose bits
+        # numpy_accepts has (the test above), here and at the large d of
+        # test_large_uniform_is_normalized.
+        for dim in range(1, 4097):
             assert numpy_accepts(StateVector.uniform(dim).amplitudes), dim
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 4096])

@@ -12,7 +12,7 @@ are held byte for byte to ``np.kron`` and to outer sums of the counts, and
 its in-place statistics bit for bit to three separate products, up to the
 vector guard.
 
-The sampler compares raw Philox words with integer thresholds; each count
+The sampler compares raw Philox words with integer edges; each count
 and each outcome index is held to the float route on the same words,
 ``u = (w >> 11) * 2**-53`` (``Generator.random``'s map) against the CDF
 entries themselves. The mean and variance of the sampled frequencies are

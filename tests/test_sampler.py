@@ -215,7 +215,7 @@ def test_trial_frequencies_match_searchsorted_reference(state, n):
 
 # One sampler, two read-outs: trial 0's stream seed is the master seed
 # (stream_seed(seed, 0) == seed), and both compare Philox words with the
-# same thresholds. n covers the block path (up to 2**11 words a trial), the
+# same edges. n covers the block path (up to 2**11 words a trial), the
 # long path, and a long trial whose last chunk is partial.
 @pytest.mark.parametrize("n", [1, 100, 2**11, 2**11 + 1, 2**15 + 3])
 @pytest.mark.parametrize("state", [
